@@ -1,4 +1,5 @@
-"""Benchmark the compiled kernels against the pure-Python fallback.
+"""Benchmark the compiled kernels against the pure-Python fallback, and the
+batched root finder against the per-prime loop.
 
 Run:  python benchmarks/bench_kernels.py
 """
@@ -51,6 +52,24 @@ def main():
     if rcy is not None:
         assert rpy == rcy
     row("poly_roots_mod_p (430 primes)", tpy, tcy)
+
+    # every prime <= 1e5: the per-prime loop against the batched kernel,
+    # which serves both backends
+    primes = kpy.prime_sieve(10**5)
+
+    def roots_loop(mod):
+        return [mod.poly_roots_mod_p(coeffs, p) for p in primes.tolist()]
+
+    def roots_batch():
+        starts, roots = kpy.roots_mod_primes(coeffs, primes)
+        return [roots[starts[i] : starts[i + 1]].tolist() for i in range(primes.size)]
+
+    tpy, rpy = timeit(roots_loop, kpy, repeat=1)
+    tcy, rcy = (None, None) if kcy is None else timeit(roots_loop, kcy, repeat=1)
+    tb, rb = timeit(roots_batch)
+    assert rb == rpy and (rcy is None or rcy == rpy)
+    row("poly_roots_mod_p (9592 primes)", tpy, tcy)
+    row("roots_mod_primes, batched (9592 p)", tb, None)
 
     n, b = 200000, 10**4
     tpy, ppy = timeit(kpy.value_square_profile, coeffs, n, b, repeat=1)

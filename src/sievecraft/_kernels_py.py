@@ -9,7 +9,9 @@ Three operations dominate the runtime of the censuses and averages:
   prime factors <= B.
 
 The compiled backend (``_kernels_cy``) implements the same three functions;
-``kernels`` picks one at import time.
+``kernels`` picks one at import time.  ``prime_sieve`` and the batched root
+finder ``roots_mod_primes`` (all primes at once, vectorised over the primes)
+exist here only and serve both backends.
 """
 
 from __future__ import annotations
@@ -184,6 +186,220 @@ def _peval(c: list[int], x: int, p: int) -> int:
 
 
 # ---------------------------------------------------------------------------
+# Roots mod many primes at once
+#
+# Row i of every array below is a polynomial over Z/p_i, coefficients low to
+# high.  All residues are < p_i < 2^31, so every product of two residues fits
+# in int64 and is reduced before it is added to anything.
+
+_SCALAR_MAX_P = 43  # poly_roots_mod_p scans all residues up to here
+_BATCH_P_LIMIT = 1 << 31
+# primes per block of the x^p and gcd stage: its temporary arrays hold at
+# most 1024 * (2 deg - 1) int64, so the batch adds little to a run's peak
+# memory
+_BATCH_ROWS = 1024
+_NO_ROOT = np.iinfo(np.int64).max
+
+
+def roots_mod_primes(coeffs, primes) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted roots of the polynomial (low-to-high coeffs) modulo each prime.
+
+    Returns CSR-style int64 arrays (starts, roots): the roots mod primes[i]
+    are roots[starts[i]:starts[i+1]], the list poly_roots_mod_p(coeffs,
+    primes[i]) gives.  Primes up to 43, primes dividing the leading
+    coefficient and primes >= 2^31 go through poly_roots_mod_p (which raises
+    ValueError where the polynomial vanishes identically); all the others
+    are solved together: x^p mod (f, p) by square-and-multiply, then
+    gcd(x^p - x, f), split into linear factors by Cantor-Zassenhaus.
+    """
+    c = [int(a) for a in coeffs]
+    while len(c) > 1 and c[-1] == 0:
+        c.pop()
+    d = len(c) - 1
+    primes = np.asarray(primes, dtype=np.int64).reshape(-1)
+    # row i: the roots mod primes[i], then _NO_ROOT in the unused slots
+    table = np.full((primes.size, max(d, 1)), _NO_ROOT, dtype=np.int64)
+    batch = (primes > _SCALAR_MAX_P) & (primes < _BATCH_P_LIMIT)
+    batch &= _residues(c[-1], primes) != 0
+    for i in np.nonzero(~batch)[0].tolist():
+        r = poly_roots_mod_p(c, int(primes[i]))
+        table[i, : len(r)] = r
+    sel = np.nonzero(batch)[0]
+    if sel.size and d >= 1:
+        p = primes[sel]
+        gs, dgs = [], []
+        for lo in range(0, p.size, _BATCH_ROWS):
+            pc = p[lo : lo + _BATCH_ROWS]
+            g, dg = _linear_part(np.stack([_residues(a, pc) for a in c], axis=1), pc)
+            gs.append(g)
+            dgs.append(dg)
+        table[sel] = _split_linear(np.concatenate(gs), np.concatenate(dgs), p)
+    # sort each row by compare-exchange of its few columns
+    for i in range(d):
+        for j in range(i + 1, d):
+            lo = np.minimum(table[:, i], table[:, j])
+            table[:, j] = np.maximum(table[:, i], table[:, j])
+            table[:, i] = lo
+    found = table != _NO_ROOT
+    starts = np.zeros(primes.size + 1, dtype=np.int64)
+    np.cumsum(found.sum(axis=1), out=starts[1:])
+    return starts, table[found]
+
+
+def _residues(a: int, primes: np.ndarray) -> np.ndarray:
+    if -_INT64_SAFE < a < _INT64_SAFE:
+        return np.int64(a) % primes
+    return np.array([a % int(p) for p in primes], dtype=np.int64)
+
+
+def _linear_part(f: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """gcd(x^p - x, f) and its degree, one row per prime, lead(f) a unit
+    mod p: the product of the distinct linear factors of f mod p."""
+    d = f.shape[1] - 1
+    mod = f[:, :d] * _inverse(f[:, d], p)[:, None] % p[:, None]
+    x = np.zeros((p.size, d + 1), dtype=np.int64)
+    x[:, 1] = 1
+    xp = _powmod(_reduce(x, mod, p), p, mod, p)
+    xp_minus_x = np.concatenate([xp, np.zeros((p.size, 1), dtype=np.int64)], axis=1)
+    xp_minus_x[:, 1] = (xp_minus_x[:, 1] - 1) % p
+    return _gcd(_monic_full(mod), xp_minus_x, p)
+
+
+def _monic_full(mod: np.ndarray) -> np.ndarray:
+    """The monic polynomials whose lower coefficients are the rows of mod."""
+    return np.concatenate([mod, np.ones((mod.shape[0], 1), dtype=np.int64)], axis=1)
+
+
+def _inverse(a: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """a^(p-2) mod p: the inverse of each unit a mod its prime."""
+    e = p - 2
+    out = np.ones_like(a)
+    base = a % p
+    for _ in range(int(e.max()).bit_length()):
+        out = out * (1 + (e & 1) * (base - 1)) % p  # times base where e is odd
+        base = base * base % p
+        e = e >> 1
+    return out
+
+
+def _reduce(a: np.ndarray, mod: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """a modulo the monic polynomials (mod, leading 1 implied), row-wise;
+    overwrites a."""
+    k = mod.shape[1]
+    pc = p[:, None]
+    for top in range(a.shape[1] - 1, k - 1, -1):
+        lead = a[:, top] % p
+        a[:, top - k : top] -= lead[:, None] * mod % pc
+    return a[:, :k] % pc
+
+
+def _mulmod(a: np.ndarray, b: np.ndarray, mod: np.ndarray, p: np.ndarray) -> np.ndarray:
+    k = mod.shape[1]
+    pc = p[:, None]
+    prod = np.zeros((p.size, 2 * k - 1), dtype=np.int64)
+    for i in range(k):
+        prod[:, i : i + k] += a[:, i : i + 1] * b % pc
+    return _reduce(prod, mod, p)
+
+
+def _powmod(base: np.ndarray, e: np.ndarray, mod: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """base^e modulo (mod, p), row-wise, by left-to-right square-and-multiply
+    over the bits of the per-row exponents e."""
+    out = np.zeros_like(mod)
+    out[:, 0] = 1
+    for bit in range(int(e.max()).bit_length() - 1, -1, -1):
+        out = _mulmod(out, out, mod, p)
+        odd = ((e >> bit) & 1) == 1
+        out[odd] = _mulmod(out[odd], base[odd], mod[odd], p[odd])
+    return out
+
+
+def _degrees(a: np.ndarray) -> np.ndarray:
+    """Degree of each row, -1 for the zero polynomial."""
+    deg = np.full(a.shape[0], -1, dtype=np.int64)
+    for j in range(a.shape[1]):
+        deg[a[:, j] != 0] = j
+    return deg
+
+
+def _gcd(a: np.ndarray, b: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Row-wise gcd(a, b) over Z/p and its degree, up to a unit factor.
+
+    Euclid on pseudo-remainders: a <- lead(b) a - lead(a) x^s b lowers
+    deg a without an inverse."""
+    a, b = a.copy(), b.copy()
+    da, db = _degrees(a), _degrees(b)
+    cols = np.arange(a.shape[1])
+    while True:
+        live = db >= 0
+        if not live.any():
+            return a, da
+        step = np.nonzero(live & (da >= db))[0]
+        swap = np.nonzero(live & (da < db))[0]
+        if step.size:
+            pc = p[step, None]
+            src = cols[None, :] - (da[step] - db[step])[:, None]
+            shifted = np.take_along_axis(b[step], np.maximum(src, 0), axis=1)
+            shifted[src < 0] = 0
+            la = a[step, da[step]][:, None]
+            lb = b[step, db[step]][:, None]
+            a[step] = (lb * a[step] % pc - la * shifted % pc) % pc
+            da[step] = _degrees(a[step])
+        if swap.size:
+            a[swap], b[swap] = b[swap], a[swap]
+            da[swap], db[swap] = db[swap], da[swap]
+
+
+def _split_linear(g: np.ndarray, dg: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """The roots of the rows of g, each a product of distinct linear factors
+    mod p, one row per prime, _NO_ROOT in the unused slots.
+
+    Pending factors of degree k >= 2 are grouped by k and split together by
+    shift a = 0, 1, ...: gcd with (x+a)^((p-1)/2) - 1 and + 1, and the root
+    -a itself.  A factor of degree k owns k slots of its row, from `slot`
+    on, and hands them on to the factors it splits into."""
+    table = np.full((p.size, g.shape[1] - 1), _NO_ROOT, dtype=np.int64)
+    pending: dict[int, list[tuple[np.ndarray, np.ndarray, np.ndarray]]] = {}
+
+    def emit(idx: np.ndarray, slot: np.ndarray, h: np.ndarray, dh: np.ndarray) -> None:
+        for k in sorted(set(dh[dh >= 1].tolist())):
+            at = np.nonzero(dh == k)[0]
+            i = idx[at]
+            pi = p[i]
+            mono = h[at, :k] * _inverse(h[at, k], pi)[:, None] % pi[:, None]
+            if k == 1:
+                table[i, slot[at]] = -mono[:, 0] % pi
+            else:
+                pending.setdefault(k, []).append((i, slot[at], mono))
+
+    emit(np.arange(p.size), np.zeros(p.size, dtype=np.int64), g, dg)
+    a = 0
+    while pending:
+        groups, pending = pending, {}
+        for k, parts in groups.items():
+            idx, slot, mod = (np.concatenate(part) for part in zip(*parts))
+            pi = p[idx]
+            shift = np.zeros_like(mod)
+            shift[:, 0] = a % pi
+            shift[:, 1] = 1
+            w = _powmod(shift, (pi - 1) // 2, mod, pi)
+            full = _monic_full(mod)
+            for sign in (1, -1):
+                h = np.concatenate([w, np.zeros((idx.size, 1), dtype=np.int64)], axis=1)
+                h[:, 0] = (h[:, 0] - sign) % pi
+                hg, dh = _gcd(full, h, pi)
+                emit(idx, slot, hg, dh)
+                slot = slot + dh
+            val = np.zeros(idx.size, dtype=np.int64)
+            for col in range(k, -1, -1):
+                val = (val * (-a % pi) + full[:, col]) % pi
+            hit = np.nonzero(val == 0)[0]
+            table[idx[hit], slot[hit]] = -a % pi[hit]
+        a += 1
+    return table
+
+
+# ---------------------------------------------------------------------------
 # Value profile sieve
 
 
@@ -222,14 +438,15 @@ def value_square_profile(coeffs, n: int, b: int):
     vs_out: list[np.ndarray] = []
     nonzero = vals != 0
 
-    for p in prime_sieve(b):
-        p = int(p)
+    primes = prime_sieve(b)
+    starts, all_roots = roots_mod_primes(prim, primes)
+    for i, p in enumerate(primes.tolist()):
         vcont = 0
         c = cont
         while c % p == 0:
             c //= p
             vcont += 1
-        roots = poly_roots_mod_p(prim, p)
+        roots = all_roots[starts[i] : starts[i + 1]].tolist()
         for r in roots:
             first = r if r >= 1 else p
             idx = np.arange(first, n + 1, p, dtype=np.int64)
@@ -273,9 +490,9 @@ def value_square_profile(coeffs, n: int, b: int):
         # a content prime beyond B would corrupt rem; desk-scale inputs
         # always have tiny content, so refuse rather than mishandle
         cc = cont
-        for p in prime_sieve(b):
-            while cc % int(p) == 0:
-                cc //= int(p)
+        for p in primes.tolist():
+            while cc % p == 0:
+                cc //= p
         if cc != 1:
             raise ValueError("content has a prime factor beyond B")
 

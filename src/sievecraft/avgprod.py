@@ -57,7 +57,7 @@ def _mass_ge_by_class(P: IntPoly, p: int, j: int) -> dict[int, Fraction]:
     """{i mod p: mu{x = i (p), v_p(P(x)) >= j}}, classes with zero mass
     omitted (j >= 1)."""
     out: dict[int, Fraction] = {}
-    for r, e in localdens.roots_mod_pk(P, p, j):
+    for r, e in localdens._roots_mod_pk(P, p, j):
         if e == 0:
             for i in range(p):
                 out[i] = out.get(i, Fraction(0)) + Fraction(1, p)
@@ -71,7 +71,10 @@ def local_integral(u: LocalFactorSpec, p: int, j_cap: int = J_CAP):
     """integral of u_p over Z_p: sum over classes i mod p and
     valuations j <= j_cap of mu{x = i (p), v_p(P(x)) = j} * rule(p,i,j).
     Returns (value, slack) with slack bounding the discarded j > j_cap
-    mass.  Exact (Fraction) arithmetic whenever the rule values are."""
+    mass.  Exact (Fraction) arithmetic whenever the rule values are.
+    Raises ValueError unless u.poly is square-free."""
+    if not is_squarefree_poly(u.poly):
+        raise ValueError("P must be square-free")
     ge = [None]  # ge[j] for j >= 1
     for j in range(1, j_cap + 2):
         d = _mass_ge_by_class(u.poly, p, j)

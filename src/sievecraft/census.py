@@ -8,6 +8,7 @@ import json
 import math
 import time
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 import numpy as np
 
@@ -110,8 +111,8 @@ def count_powerfree_values(P: IntPoly, n: int, m: int = 2) -> CensusReport:
     report = CensusReport(
         params={"poly": str(P), "N": n, "m": m, "B": b},
         observed=observed,
-        main_lo=n * est.lower,
-        main_hi=n * est.upper,
+        main_lo=eulerprod.float_down(n * Fraction(est.lower)),
+        main_hi=eulerprod.float_up(n * Fraction(est.upper)),
         zeros=zeros,
         method="profile-sieve",
     )
@@ -137,8 +138,7 @@ def count_squarefree_form(
     vmax = sum(abs(a) for a in F.coeffs) * n**F.degree
     if vmax >= _MASK_CAP:
         raise OverflowError("value range too large for the square-free table")
-    mask = numutil.squarefree_table(max(vmax, 1)).copy()
-    mask[0] = 0
+    mask = numutil.squarefree_table(max(vmax, 1))  # mask[0] = 0: zeros never count
     lo = 1 if convention == "positive-quadrant" else -n
     xs = np.arange(lo, n + 1, dtype=np.int64)
     observed = 0
@@ -160,8 +160,8 @@ def count_squarefree_form(
     report = CensusReport(
         params={"form": str(F), "N": n, "convention": convention, "coprime": coprime},
         observed=observed,
-        main_lo=scale * est.lower,
-        main_hi=scale * est.upper,
+        main_lo=eulerprod.float_down(scale * Fraction(est.lower)),
+        main_hi=eulerprod.float_up(scale * Fraction(est.upper)),
         zeros=zeros,
         method="row-scan",
     )

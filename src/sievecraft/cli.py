@@ -6,9 +6,9 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import random
 import sys
+from fractions import Fraction
 
 from . import avgprod, census, eulerprod, exponents, lattice, soil
 from .poly import ParseError, parse
@@ -28,11 +28,27 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-def _rounded(obj, digits: int):
+# interval ends, rounded outward so that the printed interval still encloses
+_ROUND_DOWN = {"lower", "main_lo"}
+_ROUND_UP = {"upper", "main_hi"}
+
+
+def _round_outward(x: float, digits: int, up: bool) -> float:
+    if not math.isfinite(x):
+        return x
+    scale = Fraction(10) ** digits
+    q = Fraction(x) * scale
+    # the float nearest to a decimal on x's side of x stays on that side
+    return float((math.ceil(q) if up else math.floor(q)) / scale)
+
+
+def _rounded(obj, digits: int, key: str | None = None):
     if isinstance(obj, float):
+        if key in _ROUND_DOWN or key in _ROUND_UP:
+            return _round_outward(obj, digits, up=key in _ROUND_UP)
         return round(obj, digits)
     if isinstance(obj, dict):
-        return {k: _rounded(v, digits) for k, v in obj.items()}
+        return {k: _rounded(v, digits, k) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_rounded(v, digits) for v in obj]
     return obj
@@ -240,7 +256,6 @@ _DISPATCH = {
 
 
 def run(argv=None) -> int:
-    os.environ.get("SIEVECRAFT_THREADS")  # accepted; execution is deterministic single-threaded
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

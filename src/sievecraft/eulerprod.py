@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -26,12 +28,74 @@ class EulerEstimate:
         return (self.lower + self.upper) / 2
 
 
-def _bad_primes_univ(P: IntPoly) -> list[int]:
-    d = abs(discriminant(P)) * abs(P.lead) * max(P.content(), 1)
+def float_down(q: Fraction) -> float:
+    """The largest float <= q."""
+    x = float(q)
+    return x if Fraction(x) <= q else math.nextafter(x, -math.inf)
+
+
+def float_up(q: Fraction) -> float:
+    """The smallest float >= q."""
+    x = float(q)
+    return x if Fraction(x) >= q else math.nextafter(x, math.inf)
+
+
+def _prime_factors(d: int, what: str) -> list[int]:
     f = numutil.factorize(abs(d)) if d != 0 else None
     if f is None or not f.complete:
-        raise ValueError("could not factor the discriminant for tail control")
+        raise ValueError(f"could not factor the {what}")
     return [p for p, _ in f.pairs]
+
+
+def _bad_primes_univ(P: IntPoly) -> list[int]:
+    d = abs(discriminant(P)) * abs(P.lead) * max(P.content(), 1)
+    return _prime_factors(d, "discriminant for tail control")
+
+
+def _product(xs) -> int:
+    """Product of many small integers: sequential products of blocks of
+    256, then a balanced tree over the blocks."""
+    it = iter(xs)
+    parts = []
+    while block := list(itertools.islice(it, 256)):
+        parts.append(math.prod(block))
+    while len(parts) > 1:
+        parts = [math.prod(parts[i : i + 2]) for i in range(0, len(parts), 2)]
+    return parts[0] if parts else 1
+
+
+def _estimate(
+    primes: list[int], hits: list[int], k: int, B: int, status: str, tail_lo: Fraction
+) -> EulerEstimate:
+    """The product of the factors 1 - hits/p^k over the primes, exact, and
+    the interval [T * tail_lo, T] around it, rounded outward."""
+    factors = []
+    for p, h in zip(primes, hits):
+        q = p**k
+        factors.append((p, Fraction(q - h, q)))
+        if h >= q:
+            return EulerEstimate(0.0, 0.0, Fraction(0), B, factors, "zero_density")
+    # one integer product each for the numerators and the denominators and
+    # a single gcd, in place of a Fraction product with a gcd per prime
+    num = _product(f.numerator for _, f in factors)
+    trunc = Fraction(num, _product(f.denominator for _, f in factors))
+    lower = float_down(trunc * max(tail_lo, Fraction(0)))
+    return EulerEstimate(lower, float_up(trunc), trunc, B, factors, status)
+
+
+def _truncation_primes(B: int, bad: list[int]) -> tuple[list[int], str]:
+    """The primes <= B plus the bad primes beyond B, and the status."""
+    primes = kernels.prime_sieve(B).tolist()
+    beyond = sorted(p for p in bad if p > B)
+    return primes + beyond, "widened" if beyond else "ok"
+
+
+def _root_counts(coeffs, primes: list[int], bad: list[int]) -> list[int | None]:
+    """Per prime, the number of roots of coeffs mod p; None at the bad
+    primes, which the caller lifts."""
+    starts, _ = kernels.roots_mod_primes(coeffs, [p for p in primes if p not in bad])
+    good = iter((starts[1:] - starts[:-1]).tolist())
+    return [None if p in bad else next(good) for p in primes]
 
 
 def density_univ(P: IntPoly, B: int, m: int = 2) -> EulerEstimate:
@@ -40,51 +104,35 @@ def density_univ(P: IntPoly, B: int, m: int = 2) -> EulerEstimate:
     The truncated part runs over p <= B plus every prime dividing
     Disc(P)*lead(P)*content(P) (so all tail primes satisfy
     ell(p^m) = ell(p) <= deg P); the tail lower bound uses
-    sum_{p>B} p^-m < B^(1-m)/(m-1).
+    sum_{p>B} p^-m < B^(1-m)/(m-1).  At the primes <= B that divide none
+    of these, ell(p^m) = ell(p) too, read from the roots mod p; only the
+    bad primes are lifted.
     """
     if not is_squarefree_poly(P):
         raise ValueError("P must be square-free")
     if P.degree < 1 or B < 2 or m < 2:
         raise ValueError("need deg P >= 1, B >= 2, m >= 2")
-    primes = [int(p) for p in kernels.prime_sieve(B)]
     bad = _bad_primes_univ(P)
-    status = "ok"
-    for p in bad:
-        if p > B:
-            primes.append(p)
-            status = "widened"
-    primes = sorted(set(primes))
-    trunc = Fraction(1)
-    factors = []
-    deg = P.degree
-    for p in primes:
-        ell = localdens.count_roots_mod_pk(P, p, m)
-        f = 1 - Fraction(ell, p**m)
-        factors.append((p, f))
-        if f <= 0:
-            return EulerEstimate(0.0, 0.0, Fraction(0), B, factors, "zero_density")
-        trunc *= f
+    primes, status = _truncation_primes(B, bad)
+    ell = [
+        localdens._count_roots_mod_pk(P, p, m) if n is None else n
+        for p, n in zip(primes, _root_counts(P.coeffs, primes, bad))
+    ]
     # tail: all remaining primes are > B and do not divide Disc*lead*cont,
     # so ell(p^m) <= deg and each factor >= 1 - deg/p^m > 0
-    tail_lo = max(0.0, 1.0 - deg * B ** (1 - m) / (m - 1))
-    return EulerEstimate(float(trunc) * tail_lo, float(trunc), trunc, B, factors, status)
+    tail_lo = 1 - Fraction(P.degree, (m - 1) * B ** (m - 1))
+    return _estimate(primes, ell, m, B, status, tail_lo)
 
 
-def _bad_primes_form(F: BinForm) -> list[int]:
-    d = F.coeffs[-1] * F.coeffs[0]
-    px = F.on_x_chart()
-    if px.degree >= 1:
-        d *= discriminant(px) if discriminant(px) != 0 else 1
-    pz = F.on_z_chart()
-    if pz.degree >= 1:
-        d *= discriminant(pz) if discriminant(pz) != 0 else 1
-    d = abs(d) * max(F.content(), 1)
-    if d == 0:
-        d = 1
-    f = numutil.factorize(d)
-    if not f.complete:
-        raise ValueError("could not factor the form discriminant data")
-    return [p for p, _ in f.pairs]
+def _chart_primes(F: BinForm) -> list[int]:
+    """Primes dividing the content of F or the leading coefficient or the
+    discriminant of either chart F(x, 1), F(1, z).  At every other prime
+    both charts have only simple roots mod p, so the coprime pair count
+    mod p^2 is (#roots of F(x, 1) mod p + [z | F]) * (p^2 - p)."""
+    d = max(F.content(), 1)
+    for chart in (F.on_x_chart(), F.on_z_chart()):
+        d *= chart.lead * (discriminant(chart) if chart.degree >= 1 else 1)
+    return _prime_factors(d, "form discriminant data")
 
 
 def density_form(F: BinForm, B: int, coprime: bool = False) -> EulerEstimate:
@@ -99,27 +147,16 @@ def density_form(F: BinForm, B: int, coprime: bool = False) -> EulerEstimate:
         raise ValueError("F must be square-free")
     if B < 2:
         raise ValueError("B must be >= 2")
-    primes = [int(p) for p in kernels.prime_sieve(B)]
-    status = "ok"
-    for p in _bad_primes_form(F):
-        if p > B:
-            primes.append(p)
-            status = "widened"
-    primes = sorted(set(primes))
-    trunc = Fraction(1)
-    factors = []
-    deg = F.degree
-    for p in primes:
-        if coprime:
-            cc = localdens.coprime_count_form(F, p)
-            f = 1 - Fraction(p * p + cc, p**4)
+    bad = _chart_primes(F)
+    primes, status = _truncation_primes(B, bad)
+    at_infinity = 1 if F.coeffs[-1] == 0 else 0  # z | F: F(1, z) has the root 0
+    hits = []
+    for p, n in zip(primes, _root_counts(F.on_x_chart().coeffs, primes, bad)):
+        if n is None:
+            cc = localdens._coprime_count_form(F, p)
         else:
-            ell2 = localdens.ell_form(F, p)
-            f = 1 - Fraction(ell2, p**4)
-        factors.append((p, f))
-        if f <= 0:
-            return EulerEstimate(0.0, 0.0, Fraction(0), B, factors, "zero_density")
-        trunc *= f
+            cc = (n + at_infinity) * (p * p - p)
+        hits.append(p * p + cc if coprime else cc + localdens._noncoprime_count(F, p))
     # tail: ell2(p^2) = cc + p^2 <= 2*deg*(p^2 - p) + p^2 <= (2*deg+1)*p^2
-    tail_lo = max(0.0, 1.0 - (2 * deg + 1) / B)
-    return EulerEstimate(float(trunc) * tail_lo, float(trunc), trunc, B, factors, status)
+    tail_lo = 1 - Fraction(2 * F.degree + 1, B)
+    return _estimate(primes, hits, 4, B, status, tail_lo)

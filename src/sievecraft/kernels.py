@@ -12,6 +12,7 @@ import os
 from . import _kernels_py
 
 prime_sieve = _kernels_py.prime_sieve
+roots_mod_primes = _kernels_py.roots_mod_primes
 
 _choice = os.environ.get("SIEVECRAFT_KERNEL", "auto")
 if _choice == "py":

@@ -13,9 +13,10 @@ from .poly import BinForm, IntPoly, discriminant, is_squarefree_poly
 M_CAP = 24
 
 
-def _require_squarefree(p: IntPoly) -> None:
-    if not is_squarefree_poly(p):
-        raise ValueError("polynomial must be square-free")
+def _require_squarefree(P: IntPoly | BinForm) -> None:
+    if not is_squarefree_poly(P):
+        kind = "form" if isinstance(P, BinForm) else "polynomial"
+        raise ValueError(f"{kind} must be square-free")
 
 
 def roots_mod_pk(P: IntPoly, p: int, k: int) -> list[tuple[int, int]]:
@@ -25,10 +26,16 @@ def roots_mod_pk(P: IntPoly, p: int, k: int) -> list[tuple[int, int]]:
     {x mod p^k : x = r mod p^e}; the solution count is sum of p^(k-e).
     Lifting: simple roots lift by Newton iteration, singular roots are
     expanded one level at a time (Lemma-bounded depth for square-free P).
+    Raises ValueError unless P is square-free.
     """
+    _require_squarefree(P)
+    return _roots_mod_pk(P, p, k)
+
+
+def _roots_mod_pk(P: IntPoly, p: int, k: int) -> list[tuple[int, int]]:
+    """roots_mod_pk for a P the caller has already checked square-free."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    _require_squarefree(P)
     cont = P.content()
     vc = numutil.valuation(cont, p) if cont % p == 0 else 0
     prim = [a // cont * (1 if P.lead > 0 else -1) for a in P.coeffs]
@@ -142,7 +149,12 @@ def class_count(classes: list[tuple[int, int]], p: int, k: int) -> int:
 
 def count_roots_mod_pk(P: IntPoly, p: int, k: int) -> int:
     """Exact #{x in Z/p^k : p^k | P(x)} by recursive lifting."""
-    return class_count(roots_mod_pk(P, p, k), p, k)
+    _require_squarefree(P)
+    return _count_roots_mod_pk(P, p, k)
+
+
+def _count_roots_mod_pk(P: IntPoly, p: int, k: int) -> int:
+    return class_count(_roots_mod_pk(P, p, k), p, k)
 
 
 def sols_bound(P: IntPoly, p: int) -> int:
@@ -167,10 +179,8 @@ def _form_badprimes_guard(F: BinForm, p: int) -> None:
 
 def ell_form(F: BinForm, p: int) -> int:
     """#{(x,y) mod p^2 : p^2 | F(x,y)}."""
-    if not is_squarefree_poly(F):
-        raise ValueError("form must be square-free")
-    _form_badprimes_guard(F, p)
-    return coprime_count_form(F, p) + _noncoprime_count(F, p)
+    _require_squarefree(F)
+    return _coprime_count_form(F, p) + _noncoprime_count(F, p)
 
 
 def _noncoprime_count(F: BinForm, p: int) -> int:
@@ -188,13 +198,16 @@ def _noncoprime_count(F: BinForm, p: int) -> int:
 
 def coprime_count_form(F: BinForm, p: int) -> int:
     """#{(x,y) mod p^2 : p^2 | F(x,y), not (p|x and p|y)}."""
-    if not is_squarefree_poly(F):
-        raise ValueError("form must be square-free")
+    _require_squarefree(F)
+    return _coprime_count_form(F, p)
+
+
+def _coprime_count_form(F: BinForm, p: int) -> int:
     _form_badprimes_guard(F, p)
-    n1 = count_roots_mod_pk(F.on_x_chart(), p, 2)
+    n1 = _count_roots_mod_pk(F.on_x_chart(), p, 2)
     # roots r' of F(1, r') mod p^2 with p | r'
     n2 = 0
-    for r, e in roots_mod_pk(F.on_z_chart(), p, 2):
+    for r, e in _roots_mod_pk(F.on_z_chart(), p, 2):
         if e == 0:
             n2 += p  # whole space: residues with p | r' number p
         elif r % p == 0:
@@ -210,13 +223,12 @@ def solution_classes_form(F: BinForm, p: int, n: int) -> list[tuple[str, int, in
     axis 'y' means y = r*x mod p^e with p | r (x a unit).  Their coprime
     parts are disjoint and cover {(x,y) coprime to p : p^n | F(x,y)}.
     """
-    if not is_squarefree_poly(F):
-        raise ValueError("form must be square-free")
+    _require_squarefree(F)
     _form_badprimes_guard(F, p)
     out = []
-    for r, e in roots_mod_pk(F.on_x_chart(), p, n):
+    for r, e in _roots_mod_pk(F.on_x_chart(), p, n):
         out.append(("x", r, e))
-    for r, e in roots_mod_pk(F.on_z_chart(), p, n):
+    for r, e in _roots_mod_pk(F.on_z_chart(), p, n):
         if e == 0:
             out.append(("y", 0, 1))  # all r'; multiples of p form r'=0 mod p
         elif r % p == 0:
@@ -232,13 +244,15 @@ def valuation_measure(P: IntPoly, p: int, j: int) -> Fraction:
     """mu_p({x in Z_p : v_p(P(x)) = j}) = c_j/p^j - c_(j+1)/p^(j+1)."""
     if j < 0:
         raise ValueError("j must be >= 0")
-    cj = 1 if j == 0 else count_roots_mod_pk(P, p, j)
-    cj1 = count_roots_mod_pk(P, p, j + 1)
+    _require_squarefree(P)
+    cj = 1 if j == 0 else _count_roots_mod_pk(P, p, j)
+    cj1 = _count_roots_mod_pk(P, p, j + 1)
     return Fraction(cj, p**j) - Fraction(cj1, p ** (j + 1))
 
 
 def valuation_measure_by_class(P: IntPoly, p: int, j: int) -> dict[int, Fraction]:
     """Refinement of valuation_measure by residue class x = i mod p."""
+    _require_squarefree(P)
     out = {i: _mass_ge(P, p, j, i) - _mass_ge(P, p, j + 1, i) for i in range(p)}
     return out
 
@@ -254,7 +268,7 @@ def _mass_ge(P: IntPoly, p: int, j: int, i: int, constraint: tuple[int, int] | N
             return Fraction(1, p ** max(e, 1))
         return base
     total = Fraction(0)
-    for r, e in roots_mod_pk(P, p, j):
+    for r, e in _roots_mod_pk(P, p, j):
         if e == 0:
             # whole space is a solution class
             m = Fraction(1, p)
@@ -277,6 +291,7 @@ def _mass_ge(P: IntPoly, p: int, j: int, i: int, constraint: tuple[int, int] | N
 
 def progression_measure(P: IntPoly, p: int, j: int, a: int, e: int) -> dict[int, Fraction]:
     """mu_p({v_p(P(x)) = j, x = i mod p, x = a mod p^e}) per class i."""
+    _require_squarefree(P)
     return {
         i: _mass_ge(P, p, j, i, (a, e)) - _mass_ge(P, p, j + 1, i, (a, e))
         for i in range(p)

@@ -174,7 +174,8 @@ def rad(n: int) -> int:
 
 
 def squarefree_table(n: int) -> np.ndarray:
-    """uint8 array, entry i = 1 iff i is square-free (i in 1..N)."""
+    """uint8 array, entry i = 1 iff i is square-free (i in 1..N); entry 0
+    is 0."""
     if n < 1:
         raise ValueError("N must be >= 1")
     return kernels.squarefree_mask(n)

@@ -1,8 +1,12 @@
 import json
+from fractions import Fraction
 
 import pytest
 
 from sievecraft import cli
+from sievecraft.census import count_powerfree_values
+from sievecraft.eulerprod import density_univ
+from sievecraft.poly import parse
 
 
 def _run(capsys, *argv):
@@ -133,6 +137,24 @@ def test_digits_rounding(capsys):
     assert code == 0
     data = json.loads(out)
     assert data["lower"] == round(data["lower"], 3)
+
+
+def test_digits_round_outward(capsys):
+    # exact ends 0.60294338814... and 0.60903372540...: to nearest they
+    # would print 0.603 and 0.609, both inside the interval
+    est = density_univ(parse("x"), 100)
+    code, out, _ = _run(capsys, "--digits", "3", "density", "--poly", "x", "--B", "100")
+    assert code == 0
+    data = json.loads(out)
+    assert (data["lower"], data["upper"]) == (0.602, 0.61)
+    assert Fraction(data["lower"]) <= Fraction(est.lower)
+    assert Fraction(data["upper"]) >= Fraction(est.upper)
+    assert data["truncated"] == 0.609  # not an interval end: to nearest
+    rep = count_powerfree_values(parse("x^2 + 1"), 1000)
+    code, out, _ = _run(capsys, "--digits", "1", "census", "--poly", "x^2 + 1", "--N", "1000")
+    data = json.loads(out)
+    assert Fraction(data["main_lo"]) <= Fraction(rep.main_lo) < Fraction(data["main_lo"]) + Fraction(1, 10)
+    assert Fraction(data["main_hi"]) - Fraction(1, 10) < Fraction(rep.main_hi) <= Fraction(data["main_hi"])
 
 
 def test_console_script_entry():

@@ -2,9 +2,11 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
+from sievecraft import kernels, localdens
 from sievecraft.eulerprod import density_form, density_univ
-from sievecraft.poly import parse
+from sievecraft.poly import IntPoly, is_squarefree_poly, parse
 
 
 def test_density_univ_squarefree_constant():
@@ -78,3 +80,91 @@ def test_density_form_interval_contains_truncation_refinement():
     hi = density_form(F, 300)
     # the refined interval nests inside the coarse one
     assert lo.lower - 1e-12 <= hi.lower and hi.upper <= lo.upper + 1e-12
+
+
+def _oracle_product(primes, factor):
+    out = Fraction(1)
+    for p in primes:
+        out *= factor(p)
+    return out
+
+
+@pytest.mark.parametrize(
+    "text,B,m",
+    [
+        ("x^3 + 2", 500, 2),
+        ("3*x^2 + 5*x - 7", 300, 2),
+        ("4*x^2 + 2", 200, 2),
+        ("x^4 - x + 12", 400, 3),
+        ("101*x + 1", 60, 2),
+        ("x^5 - 5*x^3 + 4*x + 45", 300, 2),
+    ],
+)
+def test_density_univ_truncated_vs_lifting(text, B, m):
+    # every factor lifted per prime, including the good ones the
+    # estimate reads from the roots mod p
+    P = parse(text)
+    est = density_univ(P, B, m)
+    primes = [p for p, _ in est.factors]
+    assert set(kernels.prime_sieve(B).tolist()) <= set(primes)
+    expect = _oracle_product(
+        primes, lambda p: 1 - Fraction(localdens.count_roots_mod_pk(P, p, m), p**m)
+    )
+    assert est.truncated == expect
+
+
+@pytest.mark.parametrize(
+    "text,B",
+    [("x^3 + 2*z^3", 300), ("x*z", 100), ("x^2*z + x*z^2", 100), ("3*x^3 - 5*x*z^2 + 7*z^3", 200)],
+)
+def test_density_form_truncated_vs_lifting(text, B):
+    F = parse(text, kind="form")
+    for coprime in (False, True):
+        est = density_form(F, B, coprime=coprime)
+        primes = [p for p, _ in est.factors]
+        if coprime:
+            factor = lambda p: 1 - Fraction(p * p + localdens.coprime_count_form(F, p), p**4)
+        else:
+            factor = lambda p: 1 - Fraction(localdens.ell_form(F, p), p**4)
+        assert est.truncated == _oracle_product(primes, factor)
+
+
+def test_density_form_widened_by_chart_primes():
+    # x*z*(x^2 + 47 z^2): z | F, and 47 divides Disc(F(x, 1)), so the
+    # product must reach 47 although B = 40
+    F = parse("x^3*z + 47*x*z^3", kind="form")
+    est = density_form(F, 40)
+    assert est.status == "widened"
+    assert 47 in dict(est.factors)
+
+
+def _check_enclosure(est, tail_lo):
+    t = est.truncated
+    assert Fraction(est.upper) >= t
+    assert Fraction(math.nextafter(est.upper, -math.inf)) < t
+    lo = t * max(tail_lo, Fraction(0))
+    assert Fraction(est.lower) <= lo
+    assert Fraction(math.nextafter(est.lower, math.inf)) > lo
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.lists(st.integers(-12, 12), min_size=2, max_size=5),
+    st.integers(2, 3000),
+    st.sampled_from([2, 3]),
+)
+def test_density_univ_outward_enclosure(coeffs, B, m):
+    assume(coeffs[-1] != 0)
+    P = IntPoly(coeffs)
+    assume(is_squarefree_poly(P))
+    est = density_univ(P, B, m)
+    assume(est.status != "zero_density")
+    _check_enclosure(est, 1 - Fraction(P.degree, (m - 1) * B ** (m - 1)))
+
+
+@pytest.mark.parametrize("B", [10, 50, 123, 1000, 10**4])
+def test_density_form_outward_enclosure(B):
+    F = parse("x^3 + 2*z^3", kind="form")
+    for coprime in (False, True):
+        est = density_form(F, B, coprime=coprime)
+        _check_enclosure(est, 1 - Fraction(2 * F.degree + 1, B))

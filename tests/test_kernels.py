@@ -1,6 +1,9 @@
+import math
 import random
 
 import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
 
 from sievecraft import _kernels_py as kpy
 from sievecraft import kernels, numutil
@@ -89,3 +92,74 @@ def test_backends_agree():
             kcy.value_square_profile(coeffs, n, b)
         )
     assert np.array_equal(kpy.squarefree_mask(10**5), kcy.squarefree_mask(10**5))
+
+
+# ---------------------------------------------------------------------------
+# roots_mod_primes: the batched root finder against the scalar one
+
+
+def _batched(coeffs, primes):
+    starts, roots = kernels.roots_mod_primes(coeffs, primes)
+    assert starts.tolist() == sorted(starts.tolist()) and starts[-1] == roots.size
+    return [roots[starts[i] : starts[i + 1]].tolist() for i in range(len(primes))]
+
+
+# beyond the scalar cut at 43, up to 2^31 - 1 (the largest batched prime:
+# residue products just below 2^62) and past it
+_PRIMES = kernels.prime_sieve(400).tolist() + [10007, 65537, 2147483647, 2147483659]
+
+
+@st.composite
+def _polys(draw):
+    """lead * prod (x - r_i) + m * noise: roots drawn from a short range
+    repeat, so Disc is divisible by the primes of m (some above 43), and
+    the leading coefficient carries small and not-so-small primes."""
+    deg = draw(st.integers(1, 6))
+    roots = draw(st.lists(st.integers(-6, 6), min_size=deg, max_size=deg))
+    lead = draw(st.sampled_from([1, -1, 2, 3, 6, -30, 47, 2 * 59, 210]))
+    m = draw(st.sampled_from([0, 1, 2, 6, 30, 47, 2 * 53]))
+    noise = draw(st.lists(st.integers(-9, 9), min_size=deg, max_size=deg))
+    coeffs = [lead]
+    for r in roots:  # coeffs *= (x - r)
+        coeffs = [a - r * b for a, b in zip([0] + coeffs, coeffs + [0])]
+    return [a + m * b for a, b in zip(coeffs, noise + [0])]
+
+
+@settings(max_examples=150, deadline=None)
+@given(_polys())
+def test_roots_mod_primes_vs_scalar(coeffs):
+    cont = 0
+    for a in coeffs:
+        cont = math.gcd(cont, a)
+    primes = [p for p in _PRIMES if cont % p]
+    expect = [kpy.poly_roots_mod_p(coeffs, p) for p in primes]
+    assert _batched(coeffs, primes) == expect
+
+
+def test_roots_mod_primes_edge_cases():
+    assert _batched([5], [2, 3, 47, 101]) == [[], [], [], []]
+    assert _batched([0, 0, 1], [2, 53]) == [[0], [0]]  # repeated root
+    assert _batched([2, 0, 0, 1], []) == []
+    with pytest.raises(ValueError):  # vanishes identically mod 47
+        kernels.roots_mod_primes([47, 94], [53, 47])
+
+
+def test_roots_mod_primes_exhaustive():
+    # every p <= 1e5, checked by the number theory of each polynomial
+    primes = kernels.prime_sieve(10**5).tolist()
+    assert _batched([0, 1], primes) == [[0]] * len(primes)
+    for p, roots in zip(primes, _batched([1, 0, 1], primes)):
+        # x^2 + 1: -1 is a square mod odd p iff p = 1 mod 4
+        assert len(roots) == (1 if p == 2 else 2 if p % 4 == 1 else 0), p
+        assert all((r * r + 1) % p == 0 for r in roots)
+        assert roots == sorted(set(roots))
+    for p, roots in zip(primes, _batched([2, 0, 0, 1], primes)):
+        # x^3 + 2: cubing is a bijection when p = 2 mod 3; otherwise
+        # -2 is a cube iff (-2)^((p-1)/3) = 1, and then it has three roots
+        if p <= 3 or p % 3 == 2:
+            want = 1
+        else:
+            want = 3 if pow(-2, (p - 1) // 3, p) == 1 else 0
+        assert len(roots) == want, p
+        assert all((r**3 + 2) % p == 0 for r in roots)
+        assert roots == sorted(set(roots))
