@@ -1,5 +1,6 @@
-"""Benchmark the compiled kernels against the pure-Python fallback, and the
-batched root finder against the per-prime loop.
+"""Benchmark the compiled kernels against the pure-Python fallback, the
+batched root finder against the per-prime loop, and the local integrals of
+avgprod's prediction.
 
 Run:  python benchmarks/bench_kernels.py
 """
@@ -9,6 +10,8 @@ import time
 import numpy as np
 
 from sievecraft import _kernels_py as kpy
+from sievecraft import avgprod
+from sievecraft.poly import parse
 
 try:
     from sievecraft import _kernels_cy as kcy
@@ -80,6 +83,11 @@ def main():
         key = lambda r: set(zip(r[0].tolist(), r[1].tolist(), r[2].tolist()))
         assert key(ppy) == key(pcy) and np.array_equal(ppy[3], pcy[3])
     row("value_square_profile(x^3+2, 2e5)", tpy, tcy)
+
+    # local integrals over the 168 primes <= 1000; backend-independent
+    u = avgprod.squarefree_indicator_family(parse("x^3 + 2"))
+    tpy, _ = timeit(avgprod.truncated_product, u, 1000)
+    row("truncated_product(x^3+2, 1e3)", tpy, None)
 
 
 if __name__ == "__main__":

@@ -13,7 +13,7 @@ from typing import Callable
 import numpy as np
 
 from . import census, eulerprod, kernels, localdens, numutil
-from .poly import BinForm, IntPoly, is_squarefree_poly
+from .poly import BinForm, IntPoly, discriminant, is_squarefree_poly
 
 J_CAP = 24
 
@@ -53,54 +53,87 @@ def signed_valuation_family(P: IntPoly) -> LocalFactorSpec:
     )
 
 
-def _mass_ge_by_class(P: IntPoly, p: int, j: int) -> dict[int, Fraction]:
-    """{i mod p: mu{x = i (p), v_p(P(x)) >= j}}, classes with zero mass
-    omitted (j >= 1)."""
-    out: dict[int, Fraction] = {}
-    for r, e in localdens._roots_mod_pk(P, p, j):
-        if e == 0:
-            for i in range(p):
-                out[i] = out.get(i, Fraction(0)) + Fraction(1, p)
-        else:
-            i = r % p
-            out[i] = out.get(i, Fraction(0)) + Fraction(1, p**e)
-    return out
-
-
 def local_integral(u: LocalFactorSpec, p: int, j_cap: int = J_CAP):
     """integral of u_p over Z_p: sum over classes i mod p and
     valuations j <= j_cap of mu{x = i (p), v_p(P(x)) = j} * rule(p,i,j).
     Returns (value, slack) with slack bounding the discarded j > j_cap
-    mass.  Exact (Fraction) arithmetic whenever the rule values are.
+    mass.  Exact (a Fraction) when the rule values are int or Fraction;
+    float and complex values are summed exactly and rounded once.
     Raises ValueError unless u.poly is square-free."""
-    if not is_squarefree_poly(u.poly):
-        raise ValueError("P must be square-free")
-    ge = [None]  # ge[j] for j >= 1
-    for j in range(1, j_cap + 2):
-        d = _mass_ge_by_class(u.poly, p, j)
-        ge.append(d)
-        if not d:
-            ge.extend({} for _ in range(j_cap + 1 - j))
-            break
-    total = Fraction(0)
-    for i in range(p):
-        m0 = Fraction(1, p) - ge[1].get(i, Fraction(0))
-        if m0:
-            total = total + m0 * u.rule(p, i, 0)
-    for j in range(1, j_cap + 1):
-        for i, m in ge[j].items():
-            mj = m - ge[j + 1].get(i, Fraction(0))
-            if mj:
-                total = total + mj * u.rule(p, i, j)
-    tail = sum(ge[j_cap + 1].values(), Fraction(0))
-    return total, float(tail)
+    localdens._require_squarefree(u.poly)
+    ((value, slack),) = _local_integrals(u.poly, u.rule, [p], j_cap)
+    return value, float(slack)
+
+
+def _local_integrals(
+    P: IntPoly, rule, primes: list[int], j_cap: int = J_CAP, a: int = 0, m: int = 1
+) -> list[tuple]:
+    """(value, exact slack) of the local integral at each prime, for a P
+    already checked square-free; at the primes dividing m the integral is
+    taken against the measure of {x = a mod p^(v_p(m))}.
+
+    At a prime outside Disc*lead*content every root mod p is simple and
+    lifts uniquely, so mu{x = r (p), v_p(P(x)) >= j} = p^-j: those masses
+    are read from one batch of roots mod p.  Every other prime, and every
+    prime of m, is lifted once to depth j_cap + 1."""
+    if j_cap < 0:
+        raise ValueError("j_cap must be >= 0")
+    k = j_cap + 1
+    d = discriminant(P) * P.lead * P.content()
+    lifted = {p for p in primes if d % p == 0 or m % p == 0}
+    simple = [p for p in primes if p not in lifted]
+    starts, roots = (arr.tolist() for arr in kernels.roots_mod_primes(P.coeffs, simple))
+    roots_of = {p: roots[starts[t] : starts[t + 1]] for t, p in enumerate(simple)}
+    out = []
+    for p in primes:
+        if p in lifted:
+            e = numutil.valuation(m, p) if m % p == 0 else 0
+            levels = localdens._lift_levels(P, p, k)
+        else:
+            # each root mod p stands for its unique lift, read only mod p
+            e = 0
+            levels = [[(r, j) for r in roots_of[p]] for j in range(1, k + 1)]
+        out.append(_integrate(rule, p, *localdens.class_masses(levels, p, a, e)))
+    return out
+
+
+def _integrate(rule, p: int, masses: list[dict[int, int]], den: int) -> tuple:
+    """(sum over j < k and classes i of rule(p, i, j) * mu{x = i (p),
+    v_p = j}, mu{v_p >= k}) from masses[j][i] = den * mu{x = i (p),
+    v_p >= j}, j = 0..k.  int and Fraction values give a Fraction; float
+    and complex values are summed as exact rationals and rounded once."""
+    re = im = 0
+    kind = Fraction
+    for j in range(len(masses) - 1):
+        nxt = masses[j + 1]
+        for i, mass in masses[j].items():
+            w = mass - nxt.get(i, 0)
+            if not w:
+                continue
+            v = rule(p, i, j)
+            if type(v) is not int:
+                if isinstance(v, complex):
+                    kind = complex
+                    im += Fraction(v.imag) * w
+                    v = v.real
+                elif isinstance(v, float) and kind is Fraction:
+                    kind = float
+                v = Fraction(v)
+            re += v * w
+    value = Fraction(re, den)
+    if kind is complex:
+        value = complex(float(value), float(Fraction(im, den)))
+    elif kind is float:
+        value = float(value)
+    return value, Fraction(sum(masses[-1].values()), den)
 
 
 @dataclass
 class AverageReport:
     """Empirical average, the truncated product of local integrals it is
     compared against, and the two slack terms of the desk-scale
-    inequality."""
+    inequality.  predicted_lo/predicted_hi are the real part of the
+    prediction -/+ tail_slack, rounded outward."""
 
     empirical: complex
     predicted: complex | None
@@ -108,34 +141,49 @@ class AverageReport:
     B: int
     tail_slack: float = 0.0
     delta_term: float = 0.0
+    predicted_lo: float | None = None
+    predicted_hi: float | None = None
+
+    def to_dict(self) -> dict:
+        return {
+            "empirical_re": complex(self.empirical).real,
+            "empirical_im": complex(self.empirical).imag,
+            "predicted_lo": self.predicted_lo,
+            "predicted_hi": self.predicted_hi,
+            "tail_slack": self.tail_slack,
+            "delta_term": self.delta_term,
+            "N": self.N,
+            "B": self.B,
+        }
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "empirical_re": complex(self.empirical).real,
-                "empirical_im": complex(self.empirical).imag,
-                "predicted_lo": None
-                if self.predicted is None
-                else complex(self.predicted).real - self.tail_slack,
-                "predicted_hi": None
-                if self.predicted is None
-                else complex(self.predicted).real + self.tail_slack,
-                "tail_slack": self.tail_slack,
-                "delta_term": self.delta_term,
-                "N": self.N,
-                "B": self.B,
-            }
-        )
+        return json.dumps(self.to_dict())
 
 
-def _product_values(P: IntPoly, u: LocalFactorSpec, n: int) -> tuple[np.ndarray, int]:
-    """prod_p u_p(x) for x = 1..N (index x in the returned array; the
-    value at roots of P is 0 by convention and flagged separately)."""
+def _prediction(predicted, tail: Fraction) -> dict:
+    """The AverageReport fields of a prediction with an exact tail bound:
+    the ends predicted -/+ tail rounded outward from the exact truncated
+    product (from the float one the rule values give when they are not
+    rational), and the tail rounded up."""
+    re = predicted if isinstance(predicted, Fraction) else Fraction(complex(predicted).real)
+    return {
+        "predicted": complex(predicted),
+        "tail_slack": eulerprod.float_up(tail),
+        "predicted_lo": eulerprod.float_down(re - tail),
+        "predicted_hi": eulerprod.float_up(re + tail),
+    }
+
+
+def _product_values(P: IntPoly, u: LocalFactorSpec, n: int):
+    """(prod, profile, b): prod[x] = prod_p u_p(x) for x = 1..N (the value
+    at roots of P is 0 by convention and flagged separately), from the
+    value square profile of P over 1..N with trial bound b."""
     vmax = sum(abs(a) * n**i for i, a in enumerate(P.coeffs))
     b = census._trial_bound(max(vmax, 8))
     u.check_trivial_low(2)
     u.check_trivial_low(3)
-    xs, ps, vs, rem = kernels.value_square_profile(P.coeffs, n, b)
+    profile = kernels.value_square_profile(P.coeffs, n, b)
+    xs, ps, vs, rem = profile
     prod = np.ones(n + 1, dtype=complex)
     for t in range(len(xs)):
         x = int(xs[t])
@@ -146,18 +194,28 @@ def _product_values(P: IntPoly, u: LocalFactorSpec, n: int) -> tuple[np.ndarray,
         p = math.isqrt(int(rem[x]))
         prod[x] *= u.rule(p, int(x) % p, 2)
     prod[rem == 0] = 0
-    return prod, b
+    return prod, profile, b
 
 
 def truncated_product(u: LocalFactorSpec, b: int):
     """(prod_{p<=B} local_integral, accumulated truncation slack)."""
-    total = Fraction(1)
+    localdens._require_squarefree(u.poly)
+    total, slacks = _truncated_product(u.poly, u.rule, b)
     slack = 0.0
-    for p in kernels.prime_sieve(b):
-        v, s = local_integral(u, int(p))
-        total = total * v
-        slack += s
+    for s in slacks:
+        slack += float(s)
     return total, slack
+
+
+def _truncated_product(P: IntPoly, rule, b: int, a: int = 0, m: int = 1):
+    """(product of the local integrals over p <= b, their exact slacks)
+    for a P already checked square-free; see _local_integrals for a, m."""
+    total = Fraction(1)
+    slacks = []
+    for v, s in _local_integrals(P, rule, kernels.prime_sieve(b).tolist(), J_CAP, a, m):
+        total = total * v
+        slacks.append(s)
+    return total, slacks
 
 
 def empirical_average(
@@ -165,20 +223,17 @@ def empirical_average(
 ) -> AverageReport:
     """(1/N) sum_{x=1..N} prod_p u_p(x), compared against the product of
     local integrals over p <= b_pred."""
-    if not is_squarefree_poly(P):
-        raise ValueError("P must be square-free")
-    prod, b = _product_values(P, u, n)
+    localdens._require_squarefree(P)
+    prod, profile, b = _product_values(P, u, n)
     empirical = complex(np.sum(prod[1:]) / n)
-    predicted, slack = truncated_product(u, b_pred)
-    tail = P.degree / b_pred + slack
-    delta = 2 * census.delta_census_univ(P, n, math.isqrt(n)) / n
+    predicted, slacks = _truncated_product(P, u.rule, b_pred)
+    delta = 2 * census.exceptional_count(profile, b, math.isqrt(n)) / n
     return AverageReport(
         empirical=empirical,
-        predicted=complex(predicted),
         N=n,
         B=b_pred,
-        tail_slack=tail,
         delta_term=delta,
+        **_prediction(predicted, Fraction(P.degree, b_pred) + sum(slacks)),
     )
 
 
@@ -242,8 +297,7 @@ def empirical_average_form(
             total += w
     if pairs == 0:
         raise ValueError("empty averaging domain")
-    predicted = None
-    tail = 0.0
+    prediction = {"predicted": None}
     if u.kind == "indicator":
         # per-pair density: each factor renormalized by the local
         # coprime mass 1 - 1/p^2
@@ -251,11 +305,8 @@ def empirical_average_form(
         pred = Fraction(1)
         for p, f in est.factors:
             pred *= f / (1 - Fraction(1, int(p) ** 2))
-        predicted = float(pred)
-        tail = (2 * F.degree + 1) / 10**3
-    return AverageReport(
-        empirical=total / pairs, predicted=predicted, N=n, B=10**3, tail_slack=tail
-    )
+        prediction = _prediction(pred, Fraction(2 * F.degree + 1, 10**3))
+    return AverageReport(empirical=total / pairs, N=n, B=10**3, **prediction)
 
 
 # ---------------------------------------------------------------------------
@@ -279,7 +330,8 @@ def average_with_multiplier(
     """(1/N) sum s(x) prod_p u_p(x); for the progression kind the
     prediction prod_p (integral of u_p against the progression measure)
     is computed exactly over p <= b_pred."""
-    prod, b = _product_values(P, u, n)
+    localdens._require_squarefree(P)
+    prod, _, _ = _product_values(P, u, n)
     xs = np.arange(n + 1)
     if mult.kind == "progression":
         weights = (xs % mult.m == mult.a % mult.m).astype(complex)
@@ -292,32 +344,8 @@ def average_with_multiplier(
     else:
         raise ValueError(f"unknown multiplier kind {mult.kind!r}")
     empirical = complex(np.sum(weights[1:] * prod[1:]) / n)
-    predicted = None
-    tail = 0.0
+    prediction = {"predicted": None}
     if mult.kind == "progression":
-        total = Fraction(1)
-        slack = 0.0
-        for p in kernels.prime_sieve(b_pred):
-            p = int(p)
-            e = numutil.valuation(mult.m, p) if mult.m % p == 0 else 0
-            if e == 0:
-                v, s = local_integral(u, p)
-            else:
-                v = Fraction(0)
-                for j in range(J_CAP + 1):
-                    pm = localdens.progression_measure(P, p, j, mult.a, e)
-                    for i, mmass in pm.items():
-                        if mmass:
-                            v = v + mmass * u.rule(p, i, j)
-                s = 0.0
-                for r, e2 in localdens.roots_mod_pk(P, p, J_CAP + 1):
-                    lo = min(e2, e) if e2 else e
-                    if (r - mult.a) % p**lo == 0:
-                        s += 1.0 / p ** max(e2, e)
-            total = total * v
-            slack += s
-        predicted = complex(total)
-        tail = P.degree / b_pred + slack
-    return AverageReport(
-        empirical=empirical, predicted=predicted, N=n, B=b_pred, tail_slack=tail
-    )
+        total, slacks = _truncated_product(P, u.rule, b_pred, mult.a, mult.m)
+        prediction = _prediction(total, Fraction(P.degree, b_pred) + sum(slacks))
+    return AverageReport(empirical=empirical, N=n, B=b_pred, **prediction)

@@ -178,40 +178,21 @@ def delta_census_univ(P: IntPoly, n: int, threshold: int | None = None) -> int:
         threshold = math.isqrt(n)
     vmax = _value_bound(P.coeffs, n)
     b = _trial_bound(vmax)
+    return exceptional_count(kernels.value_square_profile(P.coeffs, n, b), b, threshold)
+
+
+def exceptional_count(profile, b: int, threshold: int) -> int:
+    """delta_census_univ read from the value square profile (xs, ps, vs,
+    rem) of P over x = 1..N with trial bound b."""
     if threshold > b:
         raise ValueError("threshold exceeds the trial bound")
-    xs, ps, vs, rem = kernels.value_square_profile(P.coeffs, n, b)
-    bad = np.zeros(n + 1, dtype=bool)
+    xs, ps, vs, rem = profile
+    bad = np.zeros(len(rem), dtype=bool)
     sel = (vs >= 2) & (ps > threshold)
     bad[xs[sel]] = True
     bad[np.nonzero(_is_square(rem))[0]] = True
     bad[0] = False
     return int(np.count_nonzero(bad[1:]))
-
-
-def delta_census_univ_alt(P: IntPoly, n: int, threshold: int | None = None) -> int:
-    """Independent recount of delta_census_univ by looping over the
-    primes p in (threshold, sqrt(max |P|)] and scanning the arithmetic
-    progressions of roots mod p^2.  Intended for N <= 2000."""
-    if threshold is None:
-        threshold = math.isqrt(n)
-    vmax = _value_bound(P.coeffs, n)
-    hit: set[int] = set()
-    from . import localdens
-
-    for p in range(threshold + 1, math.isqrt(vmax) + 1):
-        if not numutil.is_prime(p):
-            continue
-        p2 = p * p
-        for r, e in localdens.roots_mod_pk(P, p, 2):
-            mod = p**e if e else 1
-            x = r % mod if mod > 1 else 1
-            if x == 0:
-                x = mod
-            for v in range(x, n + 1, mod):
-                if P(v) != 0 and P(v) % p2 == 0:
-                    hit.add(v)
-    return len(hit)
 
 
 def delta_census_form(

@@ -29,8 +29,8 @@ class _Parser(argparse.ArgumentParser):
 
 
 # interval ends, rounded outward so that the printed interval still encloses
-_ROUND_DOWN = {"lower", "main_lo"}
-_ROUND_UP = {"upper", "main_hi"}
+_ROUND_DOWN = {"lower", "main_lo", "predicted_lo"}
+_ROUND_UP = {"upper", "main_hi", "predicted_hi", "tail_slack"}
 
 
 def _round_outward(x: float, digits: int, up: bool) -> float:
@@ -206,7 +206,7 @@ def _cmd_avgprod(args, digits):
         rep = avgprod.average_with_multiplier(P, family, mult, args.N, args.B)
     else:
         rep = avgprod.empirical_average(P, family, args.N, args.B)
-    _emit({"poly": args.poly, "family": args.family, **json.loads(rep.to_json())}, digits)
+    _emit({"poly": args.poly, "family": args.family, **rep.to_dict()}, digits)
 
 
 def _cmd_sievecheck(args, digits):

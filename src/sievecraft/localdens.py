@@ -34,34 +34,46 @@ def roots_mod_pk(P: IntPoly, p: int, k: int) -> list[tuple[int, int]]:
 
 def _roots_mod_pk(P: IntPoly, p: int, k: int) -> list[tuple[int, int]]:
     """roots_mod_pk for a P the caller has already checked square-free."""
+    classes = _lift_levels(P, p, k)[-1]
+    # the roots mod p of the primitive part stay unmerged: all p of them
+    # would merge into the class of every x, which solution_classes_form
+    # takes for a content class
+    return classes if k - _content_valuation(P, p) == 1 else _merge_classes(classes, p, k)
+
+
+def _content_valuation(P: IntPoly, p: int) -> int:
+    cont = P.content()
+    return numutil.valuation(cont, p) if cont % p == 0 else 0
+
+
+def _lift_levels(P: IntPoly, p: int, k: int) -> list[list[tuple[int, int]]]:
+    """The solution classes of P(x) = 0 mod p^j for every j = 1..k, from
+    one walk of the lifting tree: levels[j - 1] lists disjoint classes
+    (r, e), each {x : x = r mod p^e}, with e = 0 standing for every x.
+    Simple roots lift by Newton iteration, singular roots are expanded one
+    level at a time (Lemma-bounded depth for square-free P)."""
     if k < 1:
         raise ValueError("k must be >= 1")
     cont = P.content()
-    vc = numutil.valuation(cont, p) if cont % p == 0 else 0
+    vc = _content_valuation(P, p)
     prim = [a // cont * (1 if P.lead > 0 else -1) for a in P.coeffs]
-    if vc >= k:
-        return [(0, 0)]  # every residue: class of exponent 0
-    k2 = k - vc
-    classes = _roots_mod_pk_primitive(prim, p, k2)
-    # a class mod p^e inside Z/p^k2 is the same congruence inside Z/p^k
-    return classes
+    # p^vc divides every value; beyond that, a class mod p^e solving prim
+    # mod p^(j - vc) is the same congruence solving P mod p^j
+    whole = [[(0, 0)] for _ in range(min(vc, k))]
+    return whole + (_lift_levels_primitive(prim, p, k - vc) if k > vc else [])
 
 
-def _roots_mod_pk_primitive(coeffs: list[int], p: int, k: int) -> list[tuple[int, int]]:
-    roots1 = kernels.poly_roots_mod_p(coeffs, p)
-    if k == 1:
-        return [(r, 1) for r in roots1]
+def _lift_levels_primitive(coeffs: list[int], p: int, k: int) -> list[list[tuple[int, int]]]:
     dcoeffs = [i * a for i, a in enumerate(coeffs) if i >= 1]
-    out: list[tuple[int, int]] = []
+    levels: list[list[tuple[int, int]]] = [[] for _ in range(k)]
 
     def lift(r: int, j: int) -> None:
+        levels[j - 1].append((r, j))
         if j == k:
-            out.append((r, k))
             return
-        pj = p**j
-        dval = _eval_mod(dcoeffs, r, p)
-        if dval != 0:
-            # simple root: unique lift to p^k by Newton iteration
+        if _eval_mod(dcoeffs, r, p) != 0:
+            # simple root: unique lift to p^k by Newton iteration, whose
+            # residues are the unique lifts at the depths in between
             x = r
             prec = j
             while prec < k:
@@ -69,28 +81,28 @@ def _roots_mod_pk_primitive(coeffs: list[int], p: int, k: int) -> list[tuple[int
                 mod = p**prec
                 fx = _eval_mod(coeffs, x, mod)
                 dfx = _eval_mod(dcoeffs, x, mod)
-                dinv = pow(dfx, -1, mod)  # unit since dval != 0 mod p
+                dinv = pow(dfx, -1, mod)  # unit since P'(r) != 0 mod p
                 x = (x - fx * dinv) % mod
-            out.append((x, k))
+            for d in range(j + 1, k + 1):
+                levels[d - 1].append((x % p**d, d))
             return
-        # singular: expand one level
-        pj1 = pj * p
-        fr = _eval_mod(coeffs, r, pj1)
+        # singular: the p children solve mod p^(j+1) together or not at all
+        pj = p**j
+        fr = _eval_mod(coeffs, r, pj * p)
         if fr % pj != 0:
             raise AssertionError("lift invariant broken")
-        u = (fr // pj) % p
-        if u != 0:
+        if fr != 0:
             return  # no lift
-        # all p children solve mod p^(j+1); check the whole-class shortcut
         if _class_is_solution(coeffs, r, j, p, k):
-            out.append((r, j))
+            for d in range(j + 1, k + 1):
+                levels[d - 1].append((r, j))
             return
         for t in range(p):
-            lift((r + t * pj) % pj1, j + 1)
+            lift(r + t * pj, j + 1)
 
-    for r in roots1:
+    for r in kernels.poly_roots_mod_p(coeffs, p):
         lift(r, 1)
-    return _merge_classes(out, p, k)
+    return levels
 
 
 def _eval_mod(coeffs: list[int], x: int, mod: int) -> int:
@@ -163,9 +175,7 @@ def sols_bound(P: IntPoly, p: int) -> int:
     discriminant convention but scales the solution count directly."""
     disc = discriminant(P)
     v = numutil.valuation(disc, p) if disc % p == 0 else 0
-    cont = P.content()
-    vc = numutil.valuation(cont, p) if cont % p == 0 else 0
-    return p**vc * max(p**v * P.degree, p ** (3 * v))
+    return p ** _content_valuation(P, p) * max(p**v * P.degree, p ** (3 * v))
 
 
 # ---------------------------------------------------------------------------
@@ -253,46 +263,40 @@ def valuation_measure(P: IntPoly, p: int, j: int) -> Fraction:
 def valuation_measure_by_class(P: IntPoly, p: int, j: int) -> dict[int, Fraction]:
     """Refinement of valuation_measure by residue class x = i mod p."""
     _require_squarefree(P)
-    out = {i: _mass_ge(P, p, j, i) - _mass_ge(P, p, j + 1, i) for i in range(p)}
-    return out
-
-
-def _mass_ge(P: IntPoly, p: int, j: int, i: int, constraint: tuple[int, int] | None = None) -> Fraction:
-    """mu_p({v_p(P(x)) >= j, x = i mod p [, x = a mod p^e]})."""
-    if j == 0:
-        base = Fraction(1, p)
-        if constraint is not None:
-            a, e = constraint
-            if e >= 1 and a % p != i:
-                return Fraction(0)
-            return Fraction(1, p ** max(e, 1))
-        return base
-    total = Fraction(0)
-    for r, e in _roots_mod_pk(P, p, j):
-        if e == 0:
-            # whole space is a solution class
-            m = Fraction(1, p)
-        elif r % p != i:
-            continue
-        else:
-            m = Fraction(1, p**e)
-        if constraint is not None:
-            a, ec = constraint
-            if e == 0:
-                m = Fraction(1, p ** max(ec, 1)) if a % p == i else Fraction(0)
-            else:
-                lo = min(e, ec)
-                if (r - a) % p**lo != 0:
-                    continue
-                m = Fraction(1, p ** max(e, ec))
-        total += m
-    return total
+    return _measure_by_class(P, p, j)
 
 
 def progression_measure(P: IntPoly, p: int, j: int, a: int, e: int) -> dict[int, Fraction]:
     """mu_p({v_p(P(x)) = j, x = i mod p, x = a mod p^e}) per class i."""
     _require_squarefree(P)
-    return {
-        i: _mass_ge(P, p, j, i, (a, e)) - _mass_ge(P, p, j + 1, i, (a, e))
-        for i in range(p)
-    }
+    return _measure_by_class(P, p, j, a, e)
+
+
+def _measure_by_class(P: IntPoly, p: int, j: int, a: int = 0, e: int = 0) -> dict[int, Fraction]:
+    masses, den = class_masses(_lift_levels(P, p, j + 1), p, a, e)
+    return {i: Fraction(masses[j].get(i, 0) - masses[j + 1].get(i, 0), den) for i in range(p)}
+
+
+def class_masses(
+    levels: list[list[tuple[int, int]]], p: int, a: int = 0, e: int = 0
+) -> tuple[list[dict[int, int]], int]:
+    """(masses, den) with masses[j][i] * den = mu_p({x = i mod p,
+    v_p(P(x)) >= j, x = a mod p^e}) for j = 0..k, read from the solution
+    classes levels[j - 1] of P mod p^j (as _lift_levels gives them: the
+    whole-space class (0, 0) alone in its level); den = p^max(k, e), and
+    e = 0 leaves x unconstrained."""
+    den_exp = max(len(levels), e)
+    pw = [p**t for t in range(den_exp + 1)]
+    masses = []
+    for classes in [[(0, 0)]] + levels:
+        if classes == [(0, 0)]:  # every x: the p classes mod p, or only the class of a
+            masses.append(
+                dict.fromkeys(range(p), pw[den_exp - 1]) if e == 0 else {a % p: pw[den_exp - e]}
+            )
+            continue
+        m: dict[int, int] = {}
+        for r, f in classes:
+            if (r - a) % pw[min(f, e)] == 0:
+                m[r % p] = m.get(r % p, 0) + pw[den_exp - max(f, e)]
+        masses.append(m)
+    return masses, pw[den_exp]

@@ -1,9 +1,12 @@
+import hashlib
+import json
 import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from sievecraft import avgprod, numutil
+from sievecraft import avgprod, census, kernels, localdens, numutil
 from sievecraft.avgprod import (
     LocalFactorSpec,
     MultiplierSpec,
@@ -17,7 +20,7 @@ from sievecraft.avgprod import (
     squarefree_indicator_form_family,
     truncated_product,
 )
-from sievecraft.poly import parse
+from sievecraft.poly import IntPoly, is_squarefree_poly, parse
 
 
 def test_local_integral_trivial_family():
@@ -27,6 +30,8 @@ def test_local_integral_trivial_family():
         v, slack = local_integral(u, p)
         assert v + Fraction(slack) >= 1 - Fraction(1, p**avgprod.J_CAP)
         assert float(v) + slack == pytest.approx(1.0)
+    with pytest.raises(ValueError):
+        local_integral(u, 2, -1)
 
 
 def test_local_integral_indicator():
@@ -167,3 +172,186 @@ def test_truncated_product_indicator():
     assert v == expect
     # the only discarded mass is the v_p > J_CAP tail, ~ sum p^-25
     assert 0 <= slack < 1e-7
+
+
+# ---------------------------------------------------------------------------
+# Local integrals against an enumeration of residues mod p^(j_cap + 1)
+
+
+@st.composite
+def _bad_prime_polys(draw):
+    """c * prod (a_k x - b_k) * q: the roots b_k / a_k come from a short
+    range, so they collide mod 2, 3 and 5 and Disc is divisible by them;
+    c and the a_k put 2, 3 and 5 into the content and the lead."""
+    c = draw(st.sampled_from([1, 2, 3, 5, 6, 10, 30, 4, 9]))
+    factors = draw(
+        st.lists(
+            st.tuples(st.sampled_from([1, 1, 2, 3, 5]), st.integers(-6, 6)),
+            min_size=1,
+            max_size=3,
+        )
+    )
+    q = draw(st.sampled_from([[1], [1, 0, 1], [2, 0, 1], [5, 1, 1], [-3, 0, 1]]))
+    coeffs = [c * a for a in q]
+    for a, b in factors:  # coeffs *= (a x - b)
+        coeffs = [a * hi - b * lo for lo, hi in zip(coeffs + [0], [0] + coeffs)]
+    P = IntPoly(coeffs)
+    assume(is_squarefree_poly(P))
+    return P
+
+
+def _rules():
+    values = st.one_of(
+        st.lists(st.integers(-1, 1), min_size=7, max_size=7),
+        st.lists(st.fractions(-1, 1, max_denominator=12), min_size=7, max_size=7),
+        st.lists(st.floats(-1, 1), min_size=7, max_size=7),
+        st.lists(
+            st.complex_numbers(max_magnitude=1, allow_nan=False, allow_infinity=False),
+            min_size=7,
+            max_size=7,
+        ),
+    )
+    return values.map(lambda vals: lambda p, i, j: vals[(3 * i + 5 * j + p) % 7])
+
+
+def _enumerated_integral(P, rule, p, j_cap):
+    """(integral, slack) summed over x mod p^(j_cap + 1), where
+    v_p(P(x)) <= j_cap is already fixed; float and complex values are
+    summed exactly and rounded once, to the type of the values."""
+    mod = p ** (j_cap + 1)
+    re = im = Fraction(0)
+    kinds = set()
+    slack = 0
+    for x in range(mod):
+        y = P(x)
+        if y % mod == 0:
+            slack += 1
+            continue
+        v = rule(p, x % p, numutil.valuation(y, p))
+        kinds.add(type(v))
+        if isinstance(v, complex):
+            re, im = re + Fraction(v.real), im + Fraction(v.imag)
+        else:
+            re += Fraction(v)
+    value = re / mod
+    if complex in kinds:
+        value = complex(float(value), float(im / mod))
+    elif float in kinds:
+        value = float(value)
+    return value, float(Fraction(slack, mod))
+
+
+@settings(max_examples=120, deadline=None)
+@given(_bad_prime_polys(), _rules(), st.sampled_from([2, 3, 5, 7]), st.integers(1, 6))
+def test_local_integral_vs_enumeration(P, rule, p, j_cap):
+    while p ** (j_cap + 1) > 3000:
+        j_cap -= 1
+    got = local_integral(LocalFactorSpec(P, rule, general=True), p, j_cap)
+    want = _enumerated_integral(P, rule, p, j_cap)
+    assert got == want and type(got[0]) is type(want[0])
+
+
+def _digest(q):
+    return hashlib.sha256(f"{q.numerator:x}/{q.denominator:x}".encode()).hexdigest()[:16]
+
+
+@pytest.mark.parametrize(
+    "spec,family,digest,slack",
+    [
+        # [DERIVED] frozen from the per-depth Fraction lifting this module
+        # used before the masses were read from one lifting per prime
+        ("x", "indicator", "9bda270dcdb281e3", 2.980350262643866e-08),
+        ("x", "signed", "793f69aa4ed27fbd", 2.980350262643866e-08),
+        ("x^2 + 1", "indicator", "36413bf02f715b07", 6.710886400283777e-18),
+        ("x^2 + 1", "signed", "a7fe0408e0a794a1", 6.710886400283777e-18),
+        ("x^3 + 2", "indicator", "36e1c7b5f0baf775", 3.3554432092297733e-18),
+        ("x^3 + 2", "signed", "9d69bbe7767353ad", 3.3554432092297733e-18),
+    ],
+)
+def test_truncated_product_frozen(spec, family, digest, slack):
+    P = parse(spec)
+    u = squarefree_indicator_family(P) if family == "indicator" else signed_valuation_family(P)
+    v, s = truncated_product(u, 1000)
+    assert (_digest(v), s) == (digest, slack)
+
+
+# ---------------------------------------------------------------------------
+# The reported interval, rounded outward from the exact values
+
+
+def _check_outward(rep, t, tail):
+    assert Fraction(rep.tail_slack) >= tail
+    assert Fraction(math.nextafter(rep.tail_slack, -math.inf)) < tail
+    assert Fraction(rep.predicted_lo) <= t - tail
+    assert Fraction(math.nextafter(rep.predicted_lo, math.inf)) > t - tail
+    assert Fraction(rep.predicted_hi) >= t + tail
+    assert Fraction(math.nextafter(rep.predicted_hi, -math.inf)) < t + tail
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    st.lists(st.integers(-12, 12), min_size=2, max_size=4),
+    st.integers(2, 300),
+    st.sampled_from(["indicator", "signed"]),
+)
+def test_empirical_average_outward(coeffs, b, family):
+    assume(coeffs[-1] != 0)
+    P = IntPoly(coeffs)
+    assume(is_squarefree_poly(P))
+    u = squarefree_indicator_family(P) if family == "indicator" else signed_valuation_family(P)
+    rep = empirical_average(P, u, 200, b)
+    t, _ = truncated_product(u, b)
+    k = avgprod.J_CAP + 1
+    tail = Fraction(P.degree, b) + sum(
+        Fraction(localdens.count_roots_mod_pk(P, p, k), p**k)
+        for p in kernels.prime_sieve(b).tolist()
+    )
+    _check_outward(rep, t, tail)
+
+
+@pytest.mark.parametrize("b", [10, 97, 1000])
+def test_progression_outward(b):
+    # P = x, x = 1 mod 3, indicator: the factor at 3 is mu{x = 1 (3)} = 1/3,
+    # at every other p it is 1 - p^-2 with the slack p^-25 of x = 0 (p^25)
+    rep = average_with_multiplier(
+        parse("x"), squarefree_indicator_family(parse("x")),
+        MultiplierSpec(kind="progression", a=1, m=3), 300, b,
+    )
+    others = [p for p in kernels.prime_sieve(b).tolist() if p != 3]
+    t = Fraction(1, 3) * math.prod(1 - Fraction(1, p * p) for p in others)
+    tail = Fraction(1, b) + sum(Fraction(1, p**25) for p in others)
+    _check_outward(rep, t, tail)
+    assert rep.to_json() == json.dumps(rep.to_dict())
+
+
+# ---------------------------------------------------------------------------
+# Entry points
+
+
+def test_square_free_checked_for_every_multiplier():
+    P = parse("x^2")
+    u = squarefree_indicator_family(P)
+    for mult in (
+        MultiplierSpec(kind="progression", a=1, m=3),
+        MultiplierSpec(kind="mobius-experimental"),
+        MultiplierSpec(kind="custom", s=lambda x: 1.0),
+    ):
+        with pytest.raises(ValueError, match="square-free"):
+            average_with_multiplier(P, u, mult, 100)
+    with pytest.raises(ValueError, match="square-free"):
+        truncated_product(u, 100)
+
+
+def test_empirical_average_profiles_once(monkeypatch):
+    calls = []
+    profile = kernels.value_square_profile
+
+    def counted(*args):
+        calls.append(args)
+        return profile(*args)
+
+    monkeypatch.setattr(kernels, "value_square_profile", counted)
+    P = parse("x^3 + 2")
+    rep = empirical_average(P, squarefree_indicator_family(P), 5000)
+    assert len(calls) == 1
+    assert rep.delta_term == 2 * census.delta_census_univ(P, 5000) / 5000

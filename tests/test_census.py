@@ -4,18 +4,40 @@ import math
 import numpy as np
 import pytest
 
-from sievecraft import census, numutil
+from sievecraft import census, localdens, numutil
 from sievecraft.census import (
     count_powerfree_values,
     count_squarefree_form,
     delta_census_form,
     delta_census_univ,
-    delta_census_univ_alt,
     r_alpha_sum,
     splitting_type,
     twist_census,
 )
 from sievecraft.poly import parse
+
+
+def delta_census_univ_alt(P, n, threshold=None):
+    """Independent recount of delta_census_univ by looping over the
+    primes p in (threshold, sqrt(max |P|)] and scanning the arithmetic
+    progressions of roots mod p^2.  Intended for N <= 2000."""
+    if threshold is None:
+        threshold = math.isqrt(n)
+    vmax = sum(abs(a) * n**i for i, a in enumerate(P.coeffs))
+    hit = set()
+    for p in range(threshold + 1, math.isqrt(vmax) + 1):
+        if not numutil.is_prime(p):
+            continue
+        p2 = p * p
+        for r, e in localdens.roots_mod_pk(P, p, 2):
+            mod = p**e if e else 1
+            x = r % mod if mod > 1 else 1
+            if x == 0:
+                x = mod
+            for v in range(x, n + 1, mod):
+                if P(v) != 0 and P(v) % p2 == 0:
+                    hit.add(v)
+    return len(hit)
 
 
 def _brute_powerfree(P, n, m):

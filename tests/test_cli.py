@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from sievecraft import cli
+from sievecraft.avgprod import empirical_average, squarefree_indicator_family
 from sievecraft.census import count_powerfree_values
 from sievecraft.eulerprod import density_univ
 from sievecraft.poly import parse
@@ -124,6 +125,9 @@ def test_exit_domain(capsys):
     assert _run(capsys, "census", "--poly", "x +", "--N", "10")[0] == 2
     # ramified prime for splitting
     assert _run(capsys, "splitting", "--poly", "x^3 - 2", "--p", "3")[0] == 2
+    # square-full polynomial under every multiplier
+    for mult in (["--mobius"], ["--progression", "1,3"], []):
+        assert _run(capsys, "avgprod", "--poly", "x^2", "--N", "100", *mult)[0] == 2
 
 
 def test_exit_resource(capsys):
@@ -155,6 +159,14 @@ def test_digits_round_outward(capsys):
     data = json.loads(out)
     assert Fraction(data["main_lo"]) <= Fraction(rep.main_lo) < Fraction(data["main_lo"]) + Fraction(1, 10)
     assert Fraction(data["main_hi"]) - Fraction(1, 10) < Fraction(rep.main_hi) <= Fraction(data["main_hi"])
+    P = parse("x^3 + 2")
+    rep = empirical_average(P, squarefree_indicator_family(P), 1000)
+    code, out, _ = _run(capsys, "--digits", "4", "avgprod", "--poly", "x^3 + 2", "--N", "1000")
+    data = json.loads(out)
+    step = Fraction(1, 10**4)
+    assert Fraction(data["predicted_lo"]) <= Fraction(rep.predicted_lo) < Fraction(data["predicted_lo"]) + step
+    for key in ("predicted_hi", "tail_slack"):
+        assert Fraction(data[key]) - step < Fraction(getattr(rep, key)) <= Fraction(data[key])
 
 
 def test_console_script_entry():

@@ -2,9 +2,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from sievecraft import localdens, numutil
-from sievecraft.poly import IntPoly, parse
+from sievecraft.poly import IntPoly, is_squarefree_poly, parse
 
 
 def _brute_count(P, p, k):
@@ -168,3 +169,52 @@ def test_progression_measure():
             if P(x) != 0
         )
         assert sigma[i] == Fraction(cnt, m), i
+
+
+@st.composite
+def _bad_prime_polys(draw):
+    """c * prod (a_k x - b_k) * q with roots from a short range, so that
+    2, 3 and 5 divide Disc, the content or the lead."""
+    c = draw(st.sampled_from([1, 2, 3, 5, 6, 10, 4, 9]))
+    factors = draw(
+        st.lists(
+            st.tuples(st.sampled_from([1, 1, 2, 3, 5]), st.integers(-6, 6)),
+            min_size=1,
+            max_size=3,
+        )
+    )
+    q = draw(st.sampled_from([[1], [1, 0, 1], [2, 0, 1], [-3, 0, 1]]))
+    coeffs = [c * a for a in q]
+    for a, b in factors:  # coeffs *= (a x - b)
+        coeffs = [a * hi - b * lo for lo, hi in zip(coeffs + [0], [0] + coeffs)]
+    P = IntPoly(coeffs)
+    assume(is_squarefree_poly(P))
+    return P
+
+
+def _enumerated_measure(P, p, j, a=0, e=0):
+    """{i: mu{x = i (p), v_p(P(x)) = j, x = a (p^e)}} over x mod
+    p^max(j + 1, e), where v_p(P(x)) = j is already decided."""
+    mod = p ** max(j + 1, e)
+    cnt = dict.fromkeys(range(p), 0)
+    for x in range(a % p**e, mod, p**e):
+        y = P(x)
+        if y % mod and numutil.valuation(y, p) == j:
+            cnt[x % p] += 1
+    return {i: Fraction(c, mod) for i, c in cnt.items()}
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    _bad_prime_polys(),
+    st.sampled_from([2, 3, 5, 7]),
+    st.integers(0, 5),
+    st.integers(0, 50),
+    st.integers(0, 3),
+)
+def test_measures_vs_enumeration(P, p, j, a, e):
+    while p ** max(j + 1, e) > 3000:
+        j -= 1
+    assume(j >= 0)
+    assert localdens.valuation_measure_by_class(P, p, j) == _enumerated_measure(P, p, j)
+    assert localdens.progression_measure(P, p, j, a, e) == _enumerated_measure(P, p, j, a, e)
