@@ -1,6 +1,6 @@
 """Benchmark the compiled kernels against the pure-Python fallback, the
-batched root finder against the per-prime loop, and the local integrals of
-avgprod's prediction.
+batched root finder against the per-prime loop, the local integrals of
+avgprod's prediction and the binary-form census.
 
 Run:  python benchmarks/bench_kernels.py
 """
@@ -10,7 +10,7 @@ import time
 import numpy as np
 
 from sievecraft import _kernels_py as kpy
-from sievecraft import avgprod
+from sievecraft import avgprod, census
 from sievecraft.poly import parse
 
 try:
@@ -88,6 +88,11 @@ def main():
     u = avgprod.squarefree_indicator_family(parse("x^3 + 2"))
     tpy, _ = timeit(avgprod.truncated_product, u, 1000)
     row("truncated_product(x^3+2, 1e3)", tpy, None)
+
+    # the square profile of the form over the 1001^2 pairs; backend-independent
+    F = parse("x^3 + 2*z^3", kind="form")
+    tpy, _ = timeit(census.count_squarefree_form, F, 500)
+    row("count_squarefree_form(x^3+2z^3, 500)", tpy, None)
 
 
 if __name__ == "__main__":

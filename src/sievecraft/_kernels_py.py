@@ -9,9 +9,11 @@ Three operations dominate the runtime of the censuses and averages:
   prime factors <= B.
 
 The compiled backend (``_kernels_cy``) implements the same three functions;
-``kernels`` picks one at import time.  ``prime_sieve`` and the batched root
+``kernels`` picks one at import time.  ``prime_sieve``, the batched root
 finder ``roots_mod_primes`` (all primes at once, vectorised over the primes)
-exist here only and serve both backends.
+and the binary-form profile ``form_square_profile`` (the same profile over a
+box of pairs (x, z), read from the roots of F(t, 1) mod p) exist here only
+and serve both backends.
 """
 
 from __future__ import annotations
@@ -400,7 +402,7 @@ def _split_linear(g: np.ndarray, dg: np.ndarray, p: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Value profile sieve
+# Value profile sieves
 
 
 def value_square_profile(coeffs, n: int, b: int):
@@ -414,15 +416,7 @@ def value_square_profile(coeffs, n: int, b: int):
 
     Values |P(x)| must stay below 2^62 (int64 arithmetic).
     """
-    coeffs = [int(a) for a in coeffs]
-    cont = 0
-    for a in coeffs:
-        cont = math.gcd(cont, a)
-    if cont == 0:
-        raise ValueError("zero polynomial")
-    prim = [a // cont for a in coeffs]
-    cont = abs(cont)
-
+    prim, cont = _primitive(coeffs)
     xs64 = np.arange(n + 1, dtype=np.int64)
     vals = np.zeros(n + 1, dtype=np.int64)
     vmax = sum(abs(a) * n**i for i, a in enumerate(prim))
@@ -431,79 +425,157 @@ def value_square_profile(coeffs, n: int, b: int):
     for a in reversed(prim):
         vals = vals * xs64 + a
     np.abs(vals, out=vals)
-    vals[0] = 1
-
-    xs_out: list[np.ndarray] = []
-    ps_out: list[np.ndarray] = []
-    vs_out: list[np.ndarray] = []
     nonzero = vals != 0
+    nonzero[0] = False  # x = 0 lies outside 1..N
 
+    out: list[tuple] = []
     primes = prime_sieve(b)
     starts, all_roots = roots_mod_primes(prim, primes)
     for i, p in enumerate(primes.tolist()):
-        vcont = 0
-        c = cont
-        while c % p == 0:
-            c //= p
-            vcont += 1
-        roots = all_roots[starts[i] : starts[i + 1]].tolist()
-        for r in roots:
-            first = r if r >= 1 else p
-            idx = np.arange(first, n + 1, p, dtype=np.int64)
-            idx = idx[nonzero[idx]]
-            if idx.size == 0:
-                continue
-            sub = vals[idx]
-            v = np.ones(idx.size, dtype=np.int64)
-            sub //= p
-            while True:
-                m = sub % p == 0
-                if not m.any():
-                    break
-                sub[m] //= p
-                v[m] += 1
-            vals[idx] = sub
-            vt = v + vcont
-            hit = vt >= 2
-            if hit.any():
-                xs_out.append(idx[hit])
-                ps_out.append(np.full(int(hit.sum()), p, dtype=np.int64))
-                vs_out.append(vt[hit])
-        if vcont >= 2:
-            # content alone forces v >= 2 at every x outside the root classes
-            inroot = np.zeros(n + 1, dtype=bool)
-            for r in roots:
-                first = r if r >= 1 else p
-                inroot[first::p] = True
-            idx = np.nonzero(~inroot[1:])[0].astype(np.int64) + 1
-            idx = idx[nonzero[idx]]
-            if idx.size:
-                xs_out.append(idx)
-                ps_out.append(np.full(idx.size, p, dtype=np.int64))
-                vs_out.append(np.full(idx.size, vcont, dtype=np.int64))
-        elif vcont == 1:
-            # v = 1 + v_p(P0) can reach 2 only inside root classes (handled),
-            # except v = 1 everywhere else: below threshold, nothing to do
-            pass
+        classes = [
+            np.arange(r if r >= 1 else p, n + 1, p, dtype=np.int64)
+            for r in all_roots[starts[i] : starts[i + 1]].tolist()
+        ]
+        _divide_out(vals, nonzero, classes, p, _valuation(cont, p), out)
 
-    if cont > 1:
+    if _smooth_part(cont, primes) != cont:
         # a content prime beyond B would corrupt rem; desk-scale inputs
         # always have tiny content, so refuse rather than mishandle
-        cc = cont
-        for p in primes.tolist():
-            while cc % p == 0:
-                cc //= p
-        if cc != 1:
-            raise ValueError("content has a prime factor beyond B")
-
-    vals[~nonzero] = 0
+        raise ValueError("content has a prime factor beyond B")
     vals[0] = 1
-    if xs_out:
-        xs = np.concatenate(xs_out)
-        ps = np.concatenate(ps_out)
-        vs = np.concatenate(vs_out)
-    else:
-        xs = np.zeros(0, dtype=np.int64)
-        ps = np.zeros(0, dtype=np.int64)
-        vs = np.zeros(0, dtype=np.int64)
-    return xs, ps, vs, vals
+    return (*_entries(out), vals)
+
+
+def form_square_profile(coeffs, xlo: int, xhi: int, zlo: int, zhi: int, b: int):
+    """Square-part profile of the binary form F(x, z) = sum a_i x^i z^(d-i)
+    (coeffs[i] = a_i) over the pairs xlo <= x <= xhi, zlo <= z <= zhi, with
+    trial bound B.
+
+    The pair (x, z) is cell (z - zlo) * W + (x - xlo), W = xhi - xlo + 1.
+    Returns (cells, ps, vs, rem) as value_square_profile does: v_p(F) = v
+    >= 2 with p <= B (content included) at the listed cells, and rem[cell]
+    = |F(x, z)| with all prime factors <= B removed, 0 where F(x, z) = 0.
+
+    The cells where p divides F are read from the roots r of F(t, 1) mod
+    p: x = r z in the rows with p not dividing z; in the rows with p | z,
+    where F = a_d x^d mod p, the whole row if p | a_d, else x = 0.
+    Values |F| must stay below 2^62 (int64 arithmetic).
+    """
+    prim, cont = _primitive(coeffs)
+    d = len(prim) - 1
+    w = xhi - xlo + 1
+    vmax = sum(abs(a) for a in prim) * cont * max(abs(xlo), abs(xhi), abs(zlo), abs(zhi), 1) ** d
+    if vmax >= _INT64_SAFE:
+        raise OverflowError("|F(x, z)| exceeds int64 range; reduce N")
+    xs = np.arange(xlo, xhi + 1, dtype=np.int64)
+    zs = np.arange(zlo, zhi + 1, dtype=np.int64)
+    vals = form_values(prim, xs, zs).ravel()
+    np.abs(vals, out=vals)
+    nonzero = vals != 0
+
+    out: list[tuple] = []
+    primes = prime_sieve(b)
+    starts, all_roots = roots_mod_primes(prim, primes)
+    for i, p in enumerate(primes.tolist()):
+        unit = zs % p != 0
+        rows = np.flatnonzero(unit)
+        roots = all_roots[starts[i] : starts[i + 1]]
+        classes = [_progressions(rows * w, (roots * zs[rows, None] - xlo) % p, p, w)]
+        rows = np.flatnonzero(~unit)
+        if rows.size and d >= 1:
+            if prim[d] % p == 0:
+                classes.append((rows[:, None] * w + np.arange(w)).ravel())
+            else:
+                classes.append(_progressions(rows * w, np.full((rows.size, 1), -xlo % p), p, w))
+        _divide_out(vals, nonzero, classes, p, _valuation(cont, p), out)
+
+    # the content's primes beyond B belong to the remainder
+    vals[nonzero] *= cont // _smooth_part(cont, primes)
+    return (*_entries(out), vals)
+
+
+def form_values(coeffs, xs: np.ndarray, zs: np.ndarray) -> np.ndarray:
+    """F(x, z) = sum coeffs[i] x^i z^(d-i) as an int64 array, one row per
+    z in zs and one column per x in xs (values must fit in int64)."""
+    vals = np.zeros((zs.size, xs.size), dtype=np.int64)
+    zpow = np.ones((zs.size, 1), dtype=np.int64)
+    for k, a in enumerate(reversed(coeffs)):  # Horner in x: a_(d-k) z^k
+        if k:
+            vals *= xs
+            zpow = zpow * zs[:, None]
+        vals += a * zpow
+    return vals
+
+
+def _primitive(coeffs) -> tuple[list[int], int]:
+    coeffs = [int(a) for a in coeffs]
+    cont = 0
+    for a in coeffs:
+        cont = math.gcd(cont, a)
+    if cont == 0:
+        raise ValueError("zero polynomial")
+    return [a // cont for a in coeffs], cont
+
+
+def _valuation(c: int, p: int) -> int:
+    v = 0
+    while c % p == 0:
+        c //= p
+        v += 1
+    return v
+
+
+def _smooth_part(c: int, primes: np.ndarray) -> int:
+    """The largest divisor of c >= 1 made of the given primes."""
+    rest = c
+    if rest > 1:
+        for p in primes.tolist():
+            while rest % p == 0:
+                rest //= p
+    return c // rest
+
+
+def _progressions(base: np.ndarray, first: np.ndarray, p: int, w: int) -> np.ndarray:
+    """The cells base[i] + first[i, j] + t p for t >= 0 with first[i, j] +
+    t p < w (first < p): the class x = first mod p of each row i."""
+    cols = first[..., None] + p * np.arange(-(-w // p), dtype=np.int64)
+    return (base[:, None, None] + cols)[cols < w]
+
+
+def _divide_out(vals, nonzero, classes, p: int, vcont: int, out: list) -> None:
+    """Divide every power of the prime p out of vals at the cells of
+    classes, disjoint arrays of flat indices that hold every nonzero cell
+    whose primitive value p divides, and append (cells, p, v) to out where
+    v = vcont + v_p >= 2; with vcont >= 2 every other nonzero cell gets v =
+    vcont as well."""
+    for idx in classes:
+        idx = idx[nonzero[idx]]
+        if idx.size == 0:
+            continue
+        sub = vals[idx] // p
+        v = np.full(idx.size, 1 + vcont, dtype=np.int64)
+        live = np.flatnonzero(sub % p == 0)
+        while live.size:  # only the cells p still divides
+            sub[live] //= p
+            v[live] += 1
+            live = live[sub[live] % p == 0]
+        vals[idx] = sub
+        hit = v >= 2
+        if hit.any():
+            out.append((idx[hit], p, v[hit]))
+    if vcont >= 2:
+        rest = nonzero.copy()
+        for idx in classes:
+            rest[idx] = False
+        idx = np.flatnonzero(rest)
+        if idx.size:
+            out.append((idx, p, np.full(idx.size, vcont, dtype=np.int64)))
+
+
+def _entries(out: list) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(cells, ps, vs) as int64 arrays from the groups _divide_out made."""
+    if not out:
+        return tuple(np.zeros(0, dtype=np.int64) for _ in range(3))
+    cells = np.concatenate([c for c, _, _ in out])
+    ps = np.repeat(np.array([p for _, p, _ in out], dtype=np.int64), [c.size for c, _, _ in out])
+    return cells, ps, np.concatenate([v for _, _, v in out])

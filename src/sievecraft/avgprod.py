@@ -274,27 +274,31 @@ def empirical_average_form(
         raise ValueError("F must be square-free")
     total = 0.0 + 0.0j
     pairs = 0
-    for x in range(-n, n + 1):
-        for y in range(-n, n + 1):
-            if math.gcd(x, y) != 1:
-                continue
-            if sector is not None and not sector.contains(x, y):
-                continue
-            pairs += 1
-            v = F(x, y)
-            if v == 0:
-                continue
-            f = numutil.factorize(abs(v))
-            if not f.complete:
-                raise OverflowError("value too large to factor")
-            w = 1.0 + 0.0j
-            for p, e in f.pairs:
-                if e >= 2:
-                    # class of x*y^-1 mod p; p | y maps to the extra
-                    # "infinity" class, indexed p
-                    cls = x * pow(y, -1, p) % p if y % p else p
-                    w *= u.rule(p, cls, e)
-            total += w
+    # the profile of F with x and z swapped has one row per x, so its cells
+    # run in the x-major order in which the pairs are summed
+    for zs, xs, (cells, ps, vs, rem) in census._form_blocks(F.coeffs[::-1], -n, n):
+        ok = census._pair_mask(xs[:, None], zs, sector=sector)
+        pairs += int(np.count_nonzero(ok))
+        w = np.where(ok & (rem != 0), 1.0 + 0.0j, 0.0j)
+        # the square prime factors of each counted value, in ascending order
+        factors: dict[int, list[tuple[int, int]]] = {}
+        keep = ok[cells]
+        for c, p, e in zip(*(a[keep].tolist() for a in (cells, ps, vs))):
+            factors.setdefault(c, []).append((p, e))
+        q = census._isqrt(rem)
+        for c in np.flatnonzero(ok & census._is_square(rem)).tolist():
+            factors.setdefault(c, []).append((int(q[c]), 2))
+        for c, pe in factors.items():
+            x, y = int(xs[c // zs.size]), int(zs[c % zs.size])
+            wc = 1.0 + 0.0j
+            for p, e in pe:
+                # class of x*y^-1 mod p; p | y maps to the extra
+                # "infinity" class, indexed p
+                cls = x * pow(y, -1, p) % p if y % p else p
+                wc *= u.rule(p, cls, e)
+            w[c] = wc
+        # one addition after another, as a running sum in Python would
+        total = complex(np.add.accumulate(np.concatenate(([total], w)))[-1])
     if pairs == 0:
         raise ValueError("empty averaging domain")
     prediction = {"predicted": None}

@@ -15,7 +15,12 @@ import numpy as np
 from . import eulerprod, kernels, numutil
 from .poly import BinForm, IntPoly, discriminant, factor_rational, is_squarefree_poly
 
-_MASK_CAP = 1 << 31
+# pairs in one form census; every box the old 2^31-entry square-free table
+# admitted for a form of degree >= 2 has (2N + 1)^2 <= 92681^2 < 2^33 pairs
+_CELL_CAP = 1 << 33
+# pairs per block of rows handed to the form profile, so that its arrays
+# stay near 8 MB each whatever the box
+_BLOCK_CELLS = 1 << 20
 
 
 @dataclass
@@ -70,13 +75,27 @@ def _trial_bound(vmax: int) -> int:
     return b
 
 
-def _is_square(v: np.ndarray) -> np.ndarray:
-    """Elementwise test for perfect squares > 1 (float isqrt, exactly
-    corrected by one integer Newton refinement each way)."""
+def _cube_bound(vmax: int) -> int:
+    """The least B with B^3 > vmax (the float cube root is never above it)."""
+    b = int(vmax ** (1 / 3))
+    while b**3 <= vmax:
+        b += 1
+    return b
+
+
+def _isqrt(v: np.ndarray) -> np.ndarray:
+    """Elementwise floor(sqrt(v)) for v >= 0 (float sqrt, exactly corrected
+    by integer steps)."""
     r = np.sqrt(np.maximum(v, 0).astype(np.float64)).astype(np.int64)
     r = np.maximum(r - 1, 0)
     for _ in range(3):
         r = np.where((r + 1) * (r + 1) <= v, r + 1, r)
+    return r
+
+
+def _is_square(v: np.ndarray) -> np.ndarray:
+    """Elementwise test for perfect squares > 1."""
+    r = _isqrt(v)
     return (r * r == v) & (v > 1)
 
 
@@ -135,26 +154,8 @@ def count_squarefree_form(
         raise ValueError("F must be square-free")
     if convention not in ("full-box", "positive-quadrant"):
         raise ValueError("unknown convention")
-    vmax = sum(abs(a) for a in F.coeffs) * n**F.degree
-    if vmax >= _MASK_CAP:
-        raise OverflowError("value range too large for the square-free table")
-    mask = numutil.squarefree_table(max(vmax, 1))  # mask[0] = 0: zeros never count
     lo = 1 if convention == "positive-quadrant" else -n
-    xs = np.arange(lo, n + 1, dtype=np.int64)
-    observed = 0
-    zeros = 0
-    for y in range(lo, n + 1):
-        vals = np.zeros(len(xs), dtype=np.int64)
-        d = F.degree
-        for i in range(d, -1, -1):
-            vals = vals * xs + F.coeffs[i] * y ** (d - i)
-        ok = np.ones(len(xs), dtype=bool)
-        if coprime:
-            ok &= np.gcd(np.abs(xs), abs(y)) == 1
-        if sector is not None:
-            ok &= sector.mask(xs, y)
-        zeros += int(np.count_nonzero(ok & (vals == 0)))
-        observed += int(np.count_nonzero(ok & (mask[np.abs(vals)] == 1)))
+    observed, zeros = _count_pairs(F, lo, n, coprime, sector)
     est = eulerprod.density_form(F, 10**3, coprime=coprime)
     scale = n * n if convention == "positive-quadrant" else 4 * n * n
     report = CensusReport(
@@ -167,6 +168,59 @@ def count_squarefree_form(
     )
     report.seconds = time.monotonic() - t0
     return report
+
+
+def _count_pairs(F: BinForm, lo: int, n: int, coprime: bool, sector) -> tuple[int, int]:
+    """(pairs with F square-free and nonzero, pairs with F = 0) over the
+    box lo <= x, z <= N, counting only coprime pairs if asked and only the
+    pairs in the sector if one is given."""
+    observed = 0
+    zeros = 0
+    for xs, zs, (cells, _, _, rem) in _form_blocks(F.coeffs, lo, n):
+        ok = _pair_mask(xs, zs[:, None], coprime, sector)
+        zero = rem == 0
+        bad = zero | _is_square(rem)
+        bad[cells] = True
+        zeros += int(np.count_nonzero(ok & zero))
+        observed += int(np.count_nonzero(ok & ~bad))
+    return observed, zeros
+
+
+def _form_blocks(coeffs, lo: int, n: int):
+    """The square profile of the form (coeffs as in BinForm) over the box
+    lo <= x, z <= N, by blocks of rows: yields (xs, zs, profile), the x and
+    the z of the block and kernels.form_square_profile on it.  Its trial
+    bound B is the least with B^3 > max |F| on the box, so every remainder
+    is 1, q, q^2 or q*q' with primes q, q' > B.  Raises OverflowError,
+    before any array is made, if a value may reach 2^62 or the box holds
+    more than _CELL_CAP pairs."""
+    width = n - lo + 1
+    if width <= 0:
+        return
+    vmax = sum(abs(a) for a in coeffs) * max(n, -lo, 1) ** (len(coeffs) - 1)
+    if vmax >= 1 << 62:
+        raise OverflowError("values exceed the 64-bit budget")
+    if width * width > _CELL_CAP:
+        raise OverflowError(f"the box holds more than 2^33 pairs ({width}^2)")
+    b = _cube_bound(vmax)
+    xs = np.arange(lo, n + 1, dtype=np.int64)
+    step = max(1, _BLOCK_CELLS // width)
+    for z0 in range(lo, n + 1, step):
+        z1 = min(z0 + step, n + 1) - 1
+        profile = kernels.form_square_profile(coeffs, lo, n, z0, z1, b)
+        yield xs, np.arange(z0, z1 + 1, dtype=np.int64), profile
+
+
+def _pair_mask(x: np.ndarray, z: np.ndarray, coprime: bool = True, sector=None) -> np.ndarray:
+    """Flat mask of the pairs (x, z) of the broadcast grid that a census
+    counts: coprime ones (if asked), in the sector (if given)."""
+    x, z = (a.ravel() for a in np.broadcast_arrays(x, z))
+    ok = np.ones(x.size, dtype=bool)
+    if coprime:
+        ok &= np.gcd(x, z) == 1
+    if sector is not None:
+        ok &= sector.mask(x, z)
+    return ok
 
 
 def delta_census_univ(P: IntPoly, n: int, threshold: int | None = None) -> int:
@@ -207,21 +261,16 @@ def delta_census_form(
         threshold = n
     profile: dict[int, int] = {}
     count = 0
-    for x in range(-n, n + 1):
-        for y in range(-n, n + 1):
-            if math.gcd(x, y) != 1:
-                continue
-            v = F(x, y)
-            if v == 0:
-                continue
-            f = numutil.factorize(abs(v))
-            if not f.complete:
-                raise OverflowError("value too large to factor")
-            hits = [p for p, e in f.pairs if e >= 2 and p > threshold]
-            if hits:
-                count += 1
-                for p in hits:
-                    profile[p] = profile.get(p, 0) + 1
+    for xs, zs, (cells, ps, _, rem) in _form_blocks(F.coeffs, -n, n):
+        ok = _pair_mask(xs, zs[:, None])
+        sel = ok[cells] & (ps > threshold)
+        q = _isqrt(rem)
+        big = np.flatnonzero(ok & _is_square(rem) & (q > threshold))
+        hits = np.concatenate([cells[sel], big])
+        count += np.unique(hits).size
+        primes, counts = np.unique(np.concatenate([ps[sel], q[big]]), return_counts=True)
+        for p, c in zip(primes.tolist(), counts.tolist()):
+            profile[p] = profile.get(p, 0) + c
     if threshold >= n:
         for p, c in profile.items():
             if c > 12 * F.degree:
@@ -255,18 +304,19 @@ def twist_census(F: BinForm, n: int) -> TwistTable:
     if F.degree < 3:
         raise ValueError("deg F must be >= 3")
     out = TwistTable(form=str(F), N=n)
-    for x in range(-n, n + 1):
-        for y in range(-n, n + 1):
-            if math.gcd(x, y) != 1:
-                continue
-            out.pairs += 1
-            v = F(x, y)
-            if v == 0:
-                out.zeros += 1
-                continue
-            d0, _ = numutil.squarefree_decomposition(v)
-            d = d0 if v > 0 else -d0
-            out.table[d] = out.table.get(d, 0) + 1
+    for xs, zs, (cells, ps, vs, rem) in _form_blocks(F.coeffs, -n, n):
+        ok = _pair_mask(xs, zs[:, None])
+        zero = rem == 0
+        out.pairs += int(np.count_nonzero(ok))
+        out.zeros += int(np.count_nonzero(ok & zero))
+        # F = d y^2: y is the product of p^(v // 2) and, at a square
+        # remainder q^2, of q
+        y = np.where(_is_square(rem), _isqrt(rem), 1)
+        np.multiply.at(y, cells, ps ** (vs // 2))
+        keep = ok & ~zero
+        d = kernels.form_values(F.coeffs, xs, zs).ravel()[keep] // y[keep] ** 2
+        for k, c in zip(*(a.tolist() for a in np.unique(d, return_counts=True))):
+            out.table[k] = out.table.get(k, 0) + c
     return out
 
 

@@ -130,7 +130,8 @@ class Sector:
         return cav > 0
 
     def mask(self, xs: np.ndarray, y: int) -> np.ndarray:
-        """Vectorized membership for the points (xs[i], y)."""
+        """Vectorized membership for the points (xs[i], y), or (xs[i], y[i])
+        for an array y of the same length."""
         if self.a is None or _same_dir(self.a, self.b):
             return np.ones(len(xs), dtype=bool)
         ax, ay = self.a

@@ -237,7 +237,12 @@ def solution_classes_form(F: BinForm, p: int, n: int) -> list[tuple[str, int, in
     _form_badprimes_guard(F, p)
     out = []
     for r, e in _roots_mod_pk(F.on_x_chart(), p, n):
-        out.append(("x", r, e))
+        if e == 0:
+            # every x solves: x = r*y mod p for each r, not a congruence mod
+            # 1, which would also take in the pairs with p | y
+            out.extend(("x", r, 1) for r in range(p))
+        else:
+            out.append(("x", r, e))
     for r, e in _roots_mod_pk(F.on_z_chart(), p, n):
         if e == 0:
             out.append(("y", 0, 1))  # all r'; multiples of p form r'=0 mod p

@@ -125,6 +125,54 @@ def test_empirical_average_form():
     assert rep.empirical.real == pytest.approx(cen.observed / pairs)
 
 
+def empirical_average_form_alt(F, u, n, sector=None):
+    """Independent recount of empirical_average_form's empirical mean by
+    factoring the value at every coprime pair, summed in x-major order."""
+    total = 0.0 + 0.0j
+    pairs = 0
+    for x in range(-n, n + 1):
+        for y in range(-n, n + 1):
+            if math.gcd(x, y) != 1:
+                continue
+            if sector is not None and not sector.contains(x, y):
+                continue
+            pairs += 1
+            v = F(x, y)
+            if v == 0:
+                continue
+            w = 1.0 + 0.0j
+            for p, e in numutil.factorize(abs(v)).pairs:
+                if e >= 2:
+                    cls = x * pow(y, -1, p) % p if y % p else p
+                    w *= u.rule(p, cls, e)
+            total += w
+    return total / pairs
+
+
+def test_empirical_average_form_vs_pair_loop(monkeypatch):
+    # bit-identical to the loop over the pairs, for every rule kind, also
+    # when the running sum crosses blocks of rows
+    from sievecraft.lattice import Sector
+
+    def wave(p, i, j):
+        return complex(math.cos(p * i + j), math.sin(p + j) / 3) if j >= 2 else 1
+
+    for spec, n in (("x*z", 60), ("x^3 + 2*z^3", 25), ("4*x^3 + x*z^2 + 6*z^3", 18), ("x", 9)):
+        F = parse(spec, kind="form")
+        for u in (
+            squarefree_indicator_form_family(F),
+            LocalFactorSpec(None, lambda p, i, j: (-1) ** j if j >= 2 else 1, kind="signed"),
+            LocalFactorSpec(None, wave, general=True),
+        ):
+            for sector in (None, Sector((1, 1), (-1, 2))):
+                rep = empirical_average_form(F, u, n, sector)
+                assert rep.empirical == empirical_average_form_alt(F, u, n, sector), spec
+    monkeypatch.setattr(census, "_BLOCK_CELLS", 100)
+    F = parse("x^3 + 2*z^3", kind="form")
+    u = LocalFactorSpec(None, wave, general=True)
+    assert empirical_average_form(F, u, 25).empirical == empirical_average_form_alt(F, u, 25)
+
+
 def test_average_with_multiplier_progression():
     P = parse("x")
     u = squarefree_indicator_family(P)

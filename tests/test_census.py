@@ -1,10 +1,12 @@
 import json
 import math
+import time
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
-from sievecraft import census, localdens, numutil
+from sievecraft import census, cli, localdens, numutil
 from sievecraft.census import (
     count_powerfree_values,
     count_squarefree_form,
@@ -14,7 +16,8 @@ from sievecraft.census import (
     splitting_type,
     twist_census,
 )
-from sievecraft.poly import parse
+from sievecraft.lattice import Sector
+from sievecraft.poly import BinForm, is_squarefree_poly, parse
 
 
 def delta_census_univ_alt(P, n, threshold=None):
@@ -38,6 +41,73 @@ def delta_census_univ_alt(P, n, threshold=None):
                 if P(v) != 0 and P(v) % p2 == 0:
                     hit.add(v)
     return len(hit)
+
+
+def count_squarefree_form_alt(F, n, convention="full-box", coprime=True, sector=None):
+    """Independent recount of census._count_pairs (observed, zeros): one row
+    of values at a time, looked up in the square-free table of every
+    integer up to max |F|."""
+    vmax = sum(abs(a) for a in F.coeffs) * n**F.degree
+    mask = numutil.squarefree_table(max(vmax, 1))  # mask[0] = 0: zeros never count
+    lo = 1 if convention == "positive-quadrant" else -n
+    xs = np.arange(lo, n + 1, dtype=np.int64)
+    observed = 0
+    zeros = 0
+    for y in range(lo, n + 1):
+        vals = np.zeros(len(xs), dtype=np.int64)
+        d = F.degree
+        for i in range(d, -1, -1):
+            vals = vals * xs + F.coeffs[i] * y ** (d - i)
+        ok = np.ones(len(xs), dtype=bool)
+        if coprime:
+            ok &= np.gcd(np.abs(xs), abs(y)) == 1
+        if sector is not None:
+            ok &= sector.mask(xs, y)
+        zeros += int(np.count_nonzero(ok & (vals == 0)))
+        observed += int(np.count_nonzero(ok & (mask[np.abs(vals)] == 1)))
+    return observed, zeros
+
+
+def delta_census_form_alt(F, n, threshold=None):
+    """Independent recount of delta_census_form by factoring the value at
+    every coprime pair (without its per-prime assertion)."""
+    if threshold is None:
+        threshold = n
+    profile = {}
+    count = 0
+    for x in range(-n, n + 1):
+        for y in range(-n, n + 1):
+            if math.gcd(x, y) != 1:
+                continue
+            v = F(x, y)
+            if v == 0:
+                continue
+            hits = [p for p, e in numutil.factorize(abs(v)).pairs if e >= 2 and p > threshold]
+            if hits:
+                count += 1
+                for p in hits:
+                    profile[p] = profile.get(p, 0) + 1
+    return count, profile
+
+
+def twist_census_alt(F, n):
+    """Independent recount of twist_census: (table, zeros, pairs) from the
+    square-free decomposition of the value at every coprime pair."""
+    table = {}
+    zeros = pairs = 0
+    for x in range(-n, n + 1):
+        for y in range(-n, n + 1):
+            if math.gcd(x, y) != 1:
+                continue
+            pairs += 1
+            v = F(x, y)
+            if v == 0:
+                zeros += 1
+                continue
+            d0, _ = numutil.squarefree_decomposition(v)
+            d = d0 if v > 0 else -d0
+            table[d] = table.get(d, 0) + 1
+    return table, zeros, pairs
 
 
 def _brute_powerfree(P, n, m):
@@ -145,6 +215,114 @@ def test_twist_census():
     assert csv.startswith("d,S_d\n") and "\n3,3\n" in csv
     with pytest.raises(ValueError):
         twist_census(parse("x*z", kind="form"), 5)
+
+
+@st.composite
+def square_free_forms(draw):
+    """Square-free forms of degree 1-4 with content 1, 2, 4 or 12, leading
+    coefficients divisible by 2, 3 or 5, and forms divisible by z, by x or
+    by a linear form x - k*z (zero values inside the box)."""
+    deg = draw(st.integers(1, 4))
+    shape = draw(st.sampled_from(["plain", "z", "x", "linear"]))
+    free = deg - 1 if shape != "plain" else deg
+    g = [draw(st.integers(-4, 4)) for _ in range(free + 1)]
+    g[-1] = draw(st.sampled_from([1, -1, 2, 3, 5, -6, 10])) if free else g[-1] or 1
+    if shape == "z":  # z | F: no x^deg term
+        coeffs = g + [0]
+    elif shape == "x":  # x | F: no z^deg term
+        coeffs = [0] + g
+    elif shape == "linear":  # (x - k z) * g
+        k = draw(st.integers(-3, 3))
+        coeffs = [0] * (deg + 1)
+        for i, a in enumerate(g):
+            coeffs[i + 1] += a
+            coeffs[i] -= k * a
+    else:
+        coeffs = g
+    content = draw(st.sampled_from([1, 2, 4, 12]))
+    assume(any(coeffs))
+    F = BinForm(tuple(content * a for a in coeffs))
+    assume(is_squarefree_poly(F))
+    return F
+
+
+_SECTORS = [None, Sector((1, 0), (0, 1)), Sector((2, -1), (-1, 3))]
+
+
+@settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
+@given(
+    square_free_forms(),
+    st.sampled_from([0, 1, 2, 3, 7, 11]),
+    st.sampled_from(["full-box", "positive-quadrant"]),
+    st.booleans(),
+    st.sampled_from(_SECTORS),
+)
+def test_form_censuses_vs_pair_loops(F, n, convention, coprime, sector):
+    lo = 1 if convention == "positive-quadrant" else -n
+    assert census._count_pairs(F, lo, n, coprime, sector) == count_squarefree_form_alt(
+        F, n, convention, coprime, sector
+    )
+    for threshold in (None, 0, 2, 50):
+        assert census.delta_census_form(F, n, threshold) == delta_census_form_alt(F, n, threshold)
+    if F.degree >= 3:
+        t = twist_census(F, n)
+        assert (t.table, t.zeros, t.pairs) == twist_census_alt(F, n)
+    else:
+        with pytest.raises(ValueError):
+            twist_census(F, n)
+
+
+def test_form_censuses_across_row_blocks(monkeypatch):
+    # blocks of 1 and 2 rows give the same counts as one block
+    F = parse("4*x^3 + x*z^2 + 6*z^3", kind="form")
+    for cells in (19, 40):
+        monkeypatch.setattr(census, "_BLOCK_CELLS", cells)
+        for coprime in (True, False):
+            assert census._count_pairs(F, -9, 9, coprime, _SECTORS[1]) == count_squarefree_form_alt(
+                F, 9, coprime=coprime, sector=_SECTORS[1]
+            )
+        assert census.delta_census_form(F, 9, 2) == delta_census_form_alt(F, 9, 2)
+        t = twist_census(F, 9)
+        assert (t.table, t.zeros, t.pairs) == twist_census_alt(F, 9)
+
+
+def test_count_squarefree_form_public_vs_pair_loop():
+    for spec in ("x", "x*z", "4*x^3 + x*z^2 + 6*z^3", "x^4 - x^2*z^2 + 4*z^4", "x^3 + 2*z^3"):
+        F = parse(spec, kind="form")
+        for convention in ("full-box", "positive-quadrant"):
+            for coprime in (True, False):
+                rep = count_squarefree_form(F, 13, convention, coprime, _SECTORS[2])
+                expect = count_squarefree_form_alt(F, 13, convention, coprime, _SECTORS[2])
+                assert (rep.observed, rep.zeros) == expect, (spec, convention, coprime)
+
+
+def test_form_content_prime_beyond_trial_bound():
+    # at N = 1 the trial bound is 11 (11^3 > 1009 + 2018): the content
+    # prime 1009 is left in every remainder, and 1009^2 | F at no pair
+    F = BinForm((2018, 0, 0, 1009))
+    assert census._count_pairs(F, -1, 1, False, None) == count_squarefree_form_alt(F, 1, coprime=False)
+    assert census.delta_census_form(F, 1, 0) == delta_census_form_alt(F, 1, 0)
+    t = twist_census(F, 1)
+    assert (t.table, t.zeros, t.pairs) == twist_census_alt(F, 1)
+
+
+def test_form_census_resource_limit(capsys):
+    # (2 * 10^5 + 1)^2 pairs exceed the 2^33 budget: refused before any
+    # array is made
+    for cmd in ("census", "delta", "twists"):
+        t0 = time.monotonic()
+        assert cli.run([cmd, "--form", "x^3 + 2*z^3", "--N", "100000"]) == 3
+        assert time.monotonic() - t0 < 2
+        assert "resource" in capsys.readouterr().err
+    # values that may reach 2^62
+    assert cli.run(["census", "--form", "x^13 + 2*z^13", "--N", "30"]) == 3
+
+
+def test_count_squarefree_form_beyond_old_table_cap():
+    # 3 * 900^3 >= 2^31: refused while the census sieved a table of every
+    # value; now the box is read in blocks of rows
+    rep = count_squarefree_form(parse("x^3 + 2*z^3", kind="form"), 900, "full-box", coprime=True)
+    assert abs(rep.observed / rep.main_mid - 1) <= 0.02
 
 
 def test_splitting_type():

@@ -78,6 +78,48 @@ def test_value_square_profile_oracle():
         assert triples == expect
 
 
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(st.integers(-6, 6), min_size=1, max_size=5).filter(any),
+    st.sampled_from([1, 2, 4, 12, 7 * 9]),
+    st.integers(-7, 3),
+    st.integers(0, 9),
+    st.integers(-7, 3),
+    st.integers(0, 9),
+    st.integers(1, 40),
+)
+def test_form_square_profile_oracle(coeffs, content, xlo, w, zlo, h, b):
+    # trial-division oracle: (cell, p, v_p(F)) for v >= 2 and p <= b, and
+    # the cofactor of |F| after removing all primes <= b, at every pair
+    coeffs = [content * a for a in coeffs]
+    d = len(coeffs) - 1
+    primes = kernels.prime_sieve(b).tolist()
+    expect, rem = set(), []
+    for z in range(zlo, zlo + h + 1):
+        for x in range(xlo, xlo + w + 1):
+            val = abs(sum(a * x**i * z ** (d - i) for i, a in enumerate(coeffs)))
+            for p in primes if val else []:
+                v = 0
+                while val % p == 0:
+                    val //= p
+                    v += 1
+                if v >= 2:
+                    expect.add(((z - zlo) * (w + 1) + x - xlo, p, v))
+            rem.append(val)
+    cells, ps, vs, got = kernels.form_square_profile(coeffs, xlo, xlo + w, zlo, zlo + h, b)
+    assert set(zip(cells.tolist(), ps.tolist(), vs.tolist())) == expect
+    assert len(cells) == len(expect)
+    assert got.tolist() == rem
+
+
+def test_form_square_profile_limits():
+    with pytest.raises(OverflowError):
+        kernels.form_square_profile([1, 0, 0, 0, 1], -2**16, 2**16, 0, 0, 10)
+    # a constant form whose content 5 lies beyond B = 3 stays in the remainder
+    cells, ps, vs, rem = kernels.form_square_profile([5], 0, 2, 0, 1, 3)
+    assert cells.size == 0 and rem.tolist() == [5] * 6
+
+
 def test_backends_agree():
     if kcy is None:
         return

@@ -219,3 +219,19 @@ def test_solution_lattices_cover():
                 else:
                     assert hits == 0, (spec, x, y)
         assert len(lats) <= 2 * F.degree
+
+
+def test_solution_lattices_whole_x_chart():
+    # x^4 - x^2 z^2 + 4 z^4 = 0 mod 4 at every x when z = 1: the x chart is
+    # one whole-space class, which must not take in the pairs with 2 | z
+    # (there F = x^4 = 1 mod 4 for odd x)
+    F = parse("x^4 - x^2*z^2 + 4*z^4", kind="form")
+    for p, k in ((2, 2), (2, 3), (3, 1)):
+        lats = solution_lattices(F, p, k)
+        n = 12
+        box = [(x, y) for x in range(-n, n + 1) for y in range(-n, n + 1) if math.gcd(x, y) == 1]
+        for x, y in box:
+            hits = sum(1 for L in lats if L.contains(x, y))
+            assert hits == (1 if F(x, y) % p**k == 0 else 0), (p, k, x, y)
+        brute = sum(1 for x, y in box if F(x, y) % p**k == 0)
+        assert sum(count_coprime(L, n) for L in lats) == brute
