@@ -1,11 +1,13 @@
 """Benchmark the compiled kernels against the pure-Python fallback, the
-batched root finder against the per-prime loop, the local integrals of
-avgprod's prediction and the binary-form census.
+batched root finder against the per-prime loop, the streamed value profile
+against the whole-range one, the local integrals of avgprod's prediction and
+the binary-form census.
 
 Run:  python benchmarks/bench_kernels.py
 """
 
 import time
+import tracemalloc
 
 import numpy as np
 
@@ -83,6 +85,26 @@ def main():
         key = lambda r: set(zip(r[0].tolist(), r[1].tolist(), r[2].tolist()))
         assert key(ppy) == key(pcy) and np.array_equal(ppy[3], pcy[3])
     row("value_square_profile(x^3+2, 2e5)", tpy, tcy)
+
+    # the profile of x^2 + 1 over 1..1e6 read block by block (as the census
+    # does) against the whole-range arrays; backend-independent, with the
+    # tracemalloc peak of each
+    coeffs, n = [1, 0, 1], 10**6
+    b = census._trial_bound(census._value_bound(coeffs, n))
+
+    def streamed():
+        return sum(int(np.count_nonzero(rem == 1)) for *_, rem in kpy.value_square_blocks(coeffs, n, b))
+
+    def whole():
+        return int(np.count_nonzero(kpy.value_square_profile(coeffs, n, b)[3][1:] == 1))
+
+    for name, fn in (("streamed", streamed), ("whole-range", whole)):
+        tpy, _ = timeit(fn)
+        tracemalloc.start()
+        fn()
+        peak = tracemalloc.get_traced_memory()[1] / 2**20
+        tracemalloc.stop()
+        row(f"x^2+1 1e6 {name}, {peak:.1f} MB", tpy, None)
 
     # local integrals over the 168 primes <= 1000; backend-independent
     u = avgprod.squarefree_indicator_family(parse("x^3 + 2"))

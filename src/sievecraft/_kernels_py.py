@@ -10,10 +10,12 @@ Three operations dominate the runtime of the censuses and averages:
 
 The compiled backend (``_kernels_cy``) implements the same three functions;
 ``kernels`` picks one at import time.  ``prime_sieve``, the batched root
-finder ``roots_mod_primes`` (all primes at once, vectorised over the primes)
-and the binary-form profile ``form_square_profile`` (the same profile over a
-box of pairs (x, z), read from the roots of F(t, 1) mod p) exist here only
-and serve both backends.
+finder ``roots_mod_primes`` (all primes at once, vectorised over the primes),
+the streamed profile ``value_square_blocks`` (the value profile in blocks of
+x, which the censuses and averages read; ``value_square_profile`` here is
+their concatenation) and the binary-form profile ``form_square_blocks`` (the
+same profile over a box of pairs (x, z), read from the roots of F(t, 1) mod
+p) exist here only and serve both backends.
 """
 
 from __future__ import annotations
@@ -405,61 +407,131 @@ def _split_linear(g: np.ndarray, dg: np.ndarray, p: np.ndarray) -> np.ndarray:
 # Value profile sieves
 
 
-def value_square_profile(coeffs, n: int, b: int):
-    """Square-part profile of P(x) for x = 1..N with trial bound B.
+# values per block of the streamed univariate profile; every temporary of a
+# block stays below 128 KB, so under a malloc mmap threshold of that size the
+# blocks reuse heap memory instead of faulting in fresh pages each time
+_VALUE_BLOCK = 1 << 12
 
-    Returns (xs, ps, vs, rem):
-      * xs, ps, vs: int64 arrays with v_p(P(x)) = v >= 2 and p <= B
-        (content contributions included),
-      * rem: int64 array of length N+1; rem[x] = |P(x)| with all prime
-        factors <= B removed; rem[x] = 0 marks P(x) = 0; rem[0] = 1 unused.
 
-    Values |P(x)| must stay below 2^62 (int64 arithmetic).
+def value_square_blocks(coeffs, n: int, b: int):
+    """Square-part profile of P(x) for x = 1..N with trial bound B, as a
+    stream of blocks of consecutive x.
+
+    Yields (lo, xs, ps, vs, rem) for the blocks [lo, hi) that cover 1..N:
+      * xs, ps, vs: int64 arrays with v_p(P(x)) = v >= 2 and p <= B for
+        lo <= x < hi (content contributions included); the entries of each
+        x come in ascending p,
+      * rem: int64 array of length hi - lo; rem[x - lo] = |P(x)| with all
+        prime factors <= B removed, 0 where P(x) = 0.
+
+    The roots of P mod every p <= B are found once, before the first block.
+    In each block every root class x = r mod p is marked from its first hit
+    lo + ((r - lo) mod p) on, all classes at once; v_p is found by repeated
+    division at every hit, and the remainder by one division of each value
+    by the product of its p^v.  Values |P(x)| must stay below 2^62 (int64
+    arithmetic); a prime of the content beyond B raises ValueError.
     """
     prim, cont = _primitive(coeffs)
-    xs64 = np.arange(n + 1, dtype=np.int64)
-    vals = np.zeros(n + 1, dtype=np.int64)
-    vmax = sum(abs(a) * n**i for i, a in enumerate(prim))
-    if vmax >= _INT64_SAFE:
+    if sum(abs(a) * n**i for i, a in enumerate(prim)) >= _INT64_SAFE:
         raise OverflowError("|P(x)| exceeds int64 range; reduce N")
-    for a in reversed(prim):
-        vals = vals * xs64 + a
-    np.abs(vals, out=vals)
-    nonzero = vals != 0
-    nonzero[0] = False  # x = 0 lies outside 1..N
-
-    out: list[tuple] = []
     primes = prime_sieve(b)
-    starts, all_roots = roots_mod_primes(prim, primes)
-    for i, p in enumerate(primes.tolist()):
-        classes = [
-            np.arange(r if r >= 1 else p, n + 1, p, dtype=np.int64)
-            for r in all_roots[starts[i] : starts[i + 1]].tolist()
-        ]
-        _divide_out(vals, nonzero, classes, p, _valuation(cont, p), out)
-
-    if _smooth_part(cont, primes) != cont:
+    vcont = _content_valuations(cont, primes)
+    if math.prod(p**v for p, v in vcont.items()) != cont:
         # a content prime beyond B would corrupt rem; desk-scale inputs
         # always have tiny content, so refuse rather than mishandle
         raise ValueError("content has a prime factor beyond B")
-    vals[0] = 1
-    return (*_entries(out), vals)
+    starts, roots = roots_mod_primes(prim, primes)
+    # the root classes, prime-major; x = 0 lies outside 1..N, so r = 0 is r = p
+    cp = np.repeat(primes, np.diff(starts))
+    cr = np.where(roots == 0, cp, roots)
+    cv = np.zeros(cp.size, dtype=np.int64)  # v_p(content) at each class
+    for p, v in vcont.items():
+        cv[cp == p] = v
+    # content primes whose square divides every value
+    square = [p for p, v in vcont.items() if v >= 2]
+    size = _VALUE_BLOCK
+    for lo in range(1, n + 1, size):
+        w = min(size, n + 1 - lo)
+        x = np.arange(lo, lo + w, dtype=np.int64)
+        vals = np.zeros(w, dtype=np.int64)
+        for a in reversed(prim):
+            vals *= x
+            vals += a
+        np.abs(vals, out=vals)
+        # hit t of class c is the cell first[c] + t p[c], t < cnt[c]
+        first = (cr - lo) % cp
+        cnt = np.maximum((w - 1 - first) // cp + 1, 0)
+        skip = np.cumsum(cnt) - cnt
+        hp = np.repeat(cp, cnt)
+        idx = np.repeat(first - skip * cp, cnt) + np.arange(hp.size) * hp
+        keep = vals[idx] != 0
+        idx, hp = idx[keep], hp[keep]
+        v = np.ones(idx.size, dtype=np.int64)
+        if vcont:
+            v += np.repeat(cv, cnt)[keep]
+        sub = vals[idx] // hp
+        pv = hp.copy()
+        live = np.flatnonzero(sub % hp == 0)
+        while live.size:  # only the hits p still divides
+            q = hp[live]
+            sub[live] //= q
+            v[live] += 1
+            pv[live] *= q
+            live = live[sub[live] % q == 0]
+        div = np.ones(w, dtype=np.int64)
+        np.multiply.at(div, idx, pv)
+        hit = v >= 2
+        xs, ps, vs = x[idx[hit]], hp[hit], v[hit]
+        if square:
+            xs, ps, vs = _content_entries(xs, ps, vs, idx, hp, vals, square, vcont, lo)
+        vals //= div
+        yield lo, xs, ps, vs, vals
 
 
-def form_square_profile(coeffs, xlo: int, xhi: int, zlo: int, zhi: int, b: int):
+def _content_entries(xs, ps, vs, idx, hp, vals, square, vcont, lo):
+    """The block's entries with (x, p, v_p(content)) added at every nonzero
+    value outside the root classes of each content prime p whose square
+    divides the content, kept in ascending p for each x."""
+    parts = [(xs, ps, vs)]
+    for p in square:
+        rest = vals != 0
+        rest[idx[hp == p]] = False
+        at = np.flatnonzero(rest) + lo
+        parts.append((at, np.full(at.size, p, dtype=np.int64), np.full(at.size, vcont[p], dtype=np.int64)))
+    xs, ps, vs = (np.concatenate(a) for a in zip(*parts))
+    order = np.argsort(ps, kind="stable")
+    return xs[order], ps[order], vs[order]
+
+
+def value_square_profile(coeffs, n: int, b: int):
+    """value_square_blocks over all of x = 1..N in one piece.
+
+    Returns (xs, ps, vs, rem): the entries of every block, and rem of
+    length N+1 with rem[x] as in the blocks and rem[0] = 1 unused."""
+    rem = np.ones(n + 1, dtype=np.int64)
+    parts = [tuple(np.zeros(0, dtype=np.int64) for _ in range(3))]
+    for lo, xs, ps, vs, r in value_square_blocks(coeffs, n, b):
+        rem[lo : lo + r.size] = r
+        parts.append((xs, ps, vs))
+    return (*(np.concatenate(a) for a in zip(*parts)), rem)
+
+
+def form_square_blocks(coeffs, xlo: int, xhi: int, zlo: int, zhi: int, b: int, rows: int):
     """Square-part profile of the binary form F(x, z) = sum a_i x^i z^(d-i)
     (coeffs[i] = a_i) over the pairs xlo <= x <= xhi, zlo <= z <= zhi, with
-    trial bound B.
+    trial bound B, as a stream of blocks of `rows` consecutive z.
 
-    The pair (x, z) is cell (z - zlo) * W + (x - xlo), W = xhi - xlo + 1.
-    Returns (cells, ps, vs, rem) as value_square_profile does: v_p(F) = v
-    >= 2 with p <= B (content included) at the listed cells, and rem[cell]
-    = |F(x, z)| with all prime factors <= B removed, 0 where F(x, z) = 0.
+    Yields (zs, cells, ps, vs, rem) per block, zs its z values; the pair
+    (x, z) is cell (z - zs[0]) * W + (x - xlo) of the block, W = xhi - xlo
+    + 1.  v_p(F) = v >= 2 with p <= B (content included) at the listed
+    cells, and rem[cell] = |F(x, z)| with all prime factors <= B removed, 0
+    where F(x, z) = 0.
 
-    The cells where p divides F are read from the roots r of F(t, 1) mod
-    p: x = r z in the rows with p not dividing z; in the rows with p | z,
-    where F = a_d x^d mod p, the whole row if p | a_d, else x = 0.
-    Values |F| must stay below 2^62 (int64 arithmetic).
+    The roots r of F(t, 1) mod every p <= B are found once, before the
+    first block.  The cells where p divides F are read from them: x = r z
+    in the rows with p not dividing z; in the rows with p | z, where F =
+    a_d x^d mod p, the whole row if p | a_d, else x = 0.  Values |F| must
+    stay below 2^62 (int64 arithmetic).
     """
     prim, cont = _primitive(coeffs)
     d = len(prim) - 1
@@ -468,30 +540,35 @@ def form_square_profile(coeffs, xlo: int, xhi: int, zlo: int, zhi: int, b: int):
     if vmax >= _INT64_SAFE:
         raise OverflowError("|F(x, z)| exceeds int64 range; reduce N")
     xs = np.arange(xlo, xhi + 1, dtype=np.int64)
-    zs = np.arange(zlo, zhi + 1, dtype=np.int64)
-    vals = form_values(prim, xs, zs).ravel()
-    np.abs(vals, out=vals)
-    nonzero = vals != 0
-
-    out: list[tuple] = []
     primes = prime_sieve(b)
-    starts, all_roots = roots_mod_primes(prim, primes)
-    for i, p in enumerate(primes.tolist()):
-        unit = zs % p != 0
-        rows = np.flatnonzero(unit)
-        roots = all_roots[starts[i] : starts[i + 1]]
-        classes = [_progressions(rows * w, (roots * zs[rows, None] - xlo) % p, p, w)]
-        rows = np.flatnonzero(~unit)
-        if rows.size and d >= 1:
-            if prim[d] % p == 0:
-                classes.append((rows[:, None] * w + np.arange(w)).ravel())
-            else:
-                classes.append(_progressions(rows * w, np.full((rows.size, 1), -xlo % p), p, w))
-        _divide_out(vals, nonzero, classes, p, _valuation(cont, p), out)
-
+    vcont = _content_valuations(cont, primes)
     # the content's primes beyond B belong to the remainder
-    vals[nonzero] *= cont // _smooth_part(cont, primes)
-    return (*_entries(out), vals)
+    beyond = cont // math.prod(p**v for p, v in vcont.items())
+    starts, all_roots = roots_mod_primes(prim, primes)
+
+    def profile(zs):
+        vals = form_values(prim, xs, zs).ravel()
+        np.abs(vals, out=vals)
+        nonzero = vals != 0
+        out: list[tuple] = []
+        for i, p in enumerate(primes.tolist()):
+            unit = zs % p != 0
+            at = np.flatnonzero(unit)
+            roots = all_roots[starts[i] : starts[i + 1]]
+            classes = [_progressions(at * w, (roots * zs[at, None] - xlo) % p, p, w)]
+            at = np.flatnonzero(~unit)
+            if at.size and d >= 1:
+                if prim[d] % p == 0:
+                    classes.append((at[:, None] * w + np.arange(w)).ravel())
+                else:
+                    classes.append(_progressions(at * w, np.full((at.size, 1), -xlo % p), p, w))
+            _divide_out(vals, nonzero, classes, p, vcont.get(p, 0), out)
+        vals[nonzero] *= beyond
+        return _entries(out) + (vals,)
+
+    for z0 in range(zlo, zhi + 1, rows):
+        zs = np.arange(z0, min(z0 + rows, zhi + 1), dtype=np.int64)
+        yield (zs, *profile(zs))
 
 
 def form_values(coeffs, xs: np.ndarray, zs: np.ndarray) -> np.ndarray:
@@ -517,22 +594,15 @@ def _primitive(coeffs) -> tuple[list[int], int]:
     return [a // cont for a in coeffs], cont
 
 
-def _valuation(c: int, p: int) -> int:
-    v = 0
-    while c % p == 0:
-        c //= p
-        v += 1
-    return v
-
-
-def _smooth_part(c: int, primes: np.ndarray) -> int:
-    """The largest divisor of c >= 1 made of the given primes."""
-    rest = c
-    if rest > 1:
+def _content_valuations(c: int, primes: np.ndarray) -> dict[int, int]:
+    """{p: v_p(c)} for the given primes dividing c >= 1."""
+    out = {}
+    if c > 1:
         for p in primes.tolist():
-            while rest % p == 0:
-                rest //= p
-    return c // rest
+            while c % p == 0:
+                c //= p
+                out[p] = out.get(p, 0) + 1
+    return out
 
 
 def _progressions(base: np.ndarray, first: np.ndarray, p: int, w: int) -> np.ndarray:

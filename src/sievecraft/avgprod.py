@@ -174,27 +174,29 @@ def _prediction(predicted, tail: Fraction) -> dict:
     }
 
 
-def _product_values(P: IntPoly, u: LocalFactorSpec, n: int):
-    """(prod, profile, b): prod[x] = prod_p u_p(x) for x = 1..N (the value
-    at roots of P is 0 by convention and flagged separately), from the
-    value square profile of P over 1..N with trial bound b."""
+def _product_values(P: IntPoly, u: LocalFactorSpec, n: int, threshold: int | None = None):
+    """(prod, delta): prod[x] = prod_p u_p(x) for x = 1..N (the value at
+    roots of P is 0 by convention and flagged separately), filled block by
+    block from the value square profile of P over 1..N; with a threshold,
+    delta is census.exceptional_count over the same blocks, else 0."""
     vmax = sum(abs(a) * n**i for i, a in enumerate(P.coeffs))
     b = census._trial_bound(max(vmax, 8))
     u.check_trivial_low(2)
     u.check_trivial_low(3)
-    profile = kernels.value_square_profile(P.coeffs, n, b)
-    xs, ps, vs, rem = profile
     prod = np.ones(n + 1, dtype=complex)
-    for t in range(len(xs)):
-        x = int(xs[t])
-        p = int(ps[t])
-        prod[x] *= u.rule(p, x % p, int(vs[t]))
-    sq = census._is_square(rem)
-    for x in np.nonzero(sq)[0]:
-        p = math.isqrt(int(rem[x]))
-        prod[x] *= u.rule(p, int(x) % p, 2)
-    prod[rem == 0] = 0
-    return prod, profile, b
+    delta = 0
+    for block in kernels.value_square_blocks(P.coeffs, n, b):
+        lo, xs, ps, vs, rem = block
+        # each x's entries come in ascending p, the large prime q last
+        for x, p, v in zip(xs.tolist(), ps.tolist(), vs.tolist()):
+            prod[x] *= u.rule(p, x % p, v)
+        for x in (np.flatnonzero(census._is_square(rem)) + lo).tolist():
+            q = math.isqrt(int(rem[x - lo]))
+            prod[x] *= u.rule(q, x % q, 2)
+        prod[lo : lo + rem.size][rem == 0] = 0
+        if threshold is not None:
+            delta += census.exceptional_count(block, b, threshold)
+    return prod, delta
 
 
 def truncated_product(u: LocalFactorSpec, b: int):
@@ -224,15 +226,14 @@ def empirical_average(
     """(1/N) sum_{x=1..N} prod_p u_p(x), compared against the product of
     local integrals over p <= b_pred."""
     localdens._require_squarefree(P)
-    prod, profile, b = _product_values(P, u, n)
+    prod, delta = _product_values(P, u, n, math.isqrt(n))
     empirical = complex(np.sum(prod[1:]) / n)
     predicted, slacks = _truncated_product(P, u.rule, b_pred)
-    delta = 2 * census.exceptional_count(profile, b, math.isqrt(n)) / n
     return AverageReport(
         empirical=empirical,
         N=n,
         B=b_pred,
-        delta_term=delta,
+        delta_term=2 * delta / n,
         **_prediction(predicted, Fraction(P.degree, b_pred) + sum(slacks)),
     )
 
@@ -335,7 +336,7 @@ def average_with_multiplier(
     prediction prod_p (integral of u_p against the progression measure)
     is computed exactly over p <= b_pred."""
     localdens._require_squarefree(P)
-    prod, _, _ = _product_values(P, u, n)
+    prod, _ = _product_values(P, u, n)
     xs = np.arange(n + 1)
     if mult.kind == "progression":
         weights = (xs % mult.m == mult.a % mult.m).astype(complex)

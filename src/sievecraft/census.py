@@ -115,17 +115,7 @@ def count_powerfree_values(P: IntPoly, n: int, m: int = 2) -> CensusReport:
     if vmax >= 1 << 62:
         raise OverflowError("values exceed the 64-bit budget")
     b = _trial_bound(vmax)
-    xs, ps, vs, rem = kernels.value_square_profile(P.coeffs, n, b)
-    bad = np.zeros(n + 1, dtype=bool)
-    if m == 2:
-        bad[xs[vs >= 2]] = True
-        bad[np.nonzero(_is_square(rem))[0]] = True
-    else:
-        bad[xs[vs >= m]] = True
-        # remainders have all prime factors > B and are < B^3: m-th-power-free
-    zeros = int(np.count_nonzero(rem[1:] == 0))
-    bad[rem == 0] = True
-    observed = int(np.count_nonzero(~bad[1:]))
+    observed, zeros = _count_values(P.coeffs, n, m, b)
     est = eulerprod.density_univ(P, min(b, 10**4), m)
     report = CensusReport(
         params={"poly": str(P), "N": n, "m": m, "B": b},
@@ -137,6 +127,24 @@ def count_powerfree_values(P: IntPoly, n: int, m: int = 2) -> CensusReport:
     )
     report.seconds = time.monotonic() - t0
     return report
+
+
+def _count_values(coeffs, n: int, m: int, b: int) -> tuple[int, int]:
+    """(x in 1..N with P(x) nonzero and free of m-th powers, x with P(x) =
+    0), read block by block from the value square profile with trial bound
+    b."""
+    observed = 0
+    zeros = 0
+    for lo, xs, ps, vs, rem in kernels.value_square_blocks(coeffs, n, b):
+        bad = rem == 0
+        zeros += int(np.count_nonzero(bad))
+        if m == 2:
+            bad |= _is_square(rem)
+        # for m >= 3 the remainders, < B^3 with all prime factors > B, are
+        # m-th-power-free
+        bad[xs[vs >= m] - lo] = True
+        observed += int(np.count_nonzero(~bad))
+    return observed, zeros
 
 
 def count_squarefree_form(
@@ -189,7 +197,8 @@ def _count_pairs(F: BinForm, lo: int, n: int, coprime: bool, sector) -> tuple[in
 def _form_blocks(coeffs, lo: int, n: int):
     """The square profile of the form (coeffs as in BinForm) over the box
     lo <= x, z <= N, by blocks of rows: yields (xs, zs, profile), the x and
-    the z of the block and kernels.form_square_profile on it.  Its trial
+    the z of the block and its (cells, ps, vs, rem) from
+    kernels.form_square_blocks, which finds the roots mod p once.  The trial
     bound B is the least with B^3 > max |F| on the box, so every remainder
     is 1, q, q^2 or q*q' with primes q, q' > B.  Raises OverflowError,
     before any array is made, if a value may reach 2^62 or the box holds
@@ -202,13 +211,10 @@ def _form_blocks(coeffs, lo: int, n: int):
         raise OverflowError("values exceed the 64-bit budget")
     if width * width > _CELL_CAP:
         raise OverflowError(f"the box holds more than 2^33 pairs ({width}^2)")
-    b = _cube_bound(vmax)
     xs = np.arange(lo, n + 1, dtype=np.int64)
-    step = max(1, _BLOCK_CELLS // width)
-    for z0 in range(lo, n + 1, step):
-        z1 = min(z0 + step, n + 1) - 1
-        profile = kernels.form_square_profile(coeffs, lo, n, z0, z1, b)
-        yield xs, np.arange(z0, z1 + 1, dtype=np.int64), profile
+    rows = max(1, _BLOCK_CELLS // width)
+    for zs, *profile in kernels.form_square_blocks(coeffs, lo, n, lo, n, _cube_bound(vmax), rows):
+        yield xs, zs, profile
 
 
 def _pair_mask(x: np.ndarray, z: np.ndarray, coprime: bool = True, sector=None) -> np.ndarray:
@@ -230,23 +236,20 @@ def delta_census_univ(P: IntPoly, n: int, threshold: int | None = None) -> int:
         raise ValueError("P must be square-free")
     if threshold is None:
         threshold = math.isqrt(n)
-    vmax = _value_bound(P.coeffs, n)
-    b = _trial_bound(vmax)
-    return exceptional_count(kernels.value_square_profile(P.coeffs, n, b), b, threshold)
+    b = _trial_bound(_value_bound(P.coeffs, n))
+    blocks = kernels.value_square_blocks(P.coeffs, n, b)
+    return sum(exceptional_count(block, b, threshold) for block in blocks)
 
 
-def exceptional_count(profile, b: int, threshold: int) -> int:
-    """delta_census_univ read from the value square profile (xs, ps, vs,
-    rem) of P over x = 1..N with trial bound b."""
+def exceptional_count(block, b: int, threshold: int) -> int:
+    """delta_census_univ's count over one block (lo, xs, ps, vs, rem) of the
+    value square profile of P with trial bound b."""
     if threshold > b:
         raise ValueError("threshold exceeds the trial bound")
-    xs, ps, vs, rem = profile
-    bad = np.zeros(len(rem), dtype=bool)
-    sel = (vs >= 2) & (ps > threshold)
-    bad[xs[sel]] = True
-    bad[np.nonzero(_is_square(rem))[0]] = True
-    bad[0] = False
-    return int(np.count_nonzero(bad[1:]))
+    lo, xs, ps, vs, rem = block
+    bad = _is_square(rem)
+    bad[xs[(vs >= 2) & (ps > threshold)] - lo] = True
+    return int(np.count_nonzero(bad))
 
 
 def delta_census_form(
@@ -254,7 +257,9 @@ def delta_census_form(
 ) -> tuple[int, dict[int, int]]:
     """Coprime pairs in [-N,N]^2 whose value has p^2 | F for some prime
     p > threshold (default N); returns (count, per-prime profile).
-    Asserts the per-prime bound 12*deg F when threshold >= N."""
+    Asserts the per-prime bound 12*deg F when threshold >= N at the primes
+    not dividing the content of F (modulo the others F vanishes, and p^2
+    may divide every value)."""
     if not is_squarefree_poly(F):
         raise ValueError("F must be square-free")
     if threshold is None:
@@ -273,7 +278,7 @@ def delta_census_form(
             profile[p] = profile.get(p, 0) + c
     if threshold >= n:
         for p, c in profile.items():
-            if c > 12 * F.degree:
+            if c > 12 * F.degree and F.content() % p:
                 raise AssertionError(f"per-prime bound violated at p={p}: {c}")
     return count, profile
 

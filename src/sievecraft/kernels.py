@@ -13,7 +13,8 @@ from . import _kernels_py
 
 prime_sieve = _kernels_py.prime_sieve
 roots_mod_primes = _kernels_py.roots_mod_primes
-form_square_profile = _kernels_py.form_square_profile
+value_square_blocks = _kernels_py.value_square_blocks
+form_square_blocks = _kernels_py.form_square_blocks
 form_values = _kernels_py.form_values
 
 _choice = os.environ.get("SIEVECRAFT_KERNEL", "auto")

@@ -2,10 +2,15 @@ import hashlib
 import json
 import math
 from fractions import Fraction
+from unittest import mock
 
+import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
+from test_census import exceptional_count_alt
+from test_kernels import BLOCK_SIZES, value_polys, value_square_profile_alt
 
+from sievecraft import _kernels_py as kpy
 from sievecraft import avgprod, census, kernels, localdens, numutil
 from sievecraft.avgprod import (
     LocalFactorSpec,
@@ -390,15 +395,58 @@ def test_square_free_checked_for_every_multiplier():
         truncated_product(u, 100)
 
 
+def product_values_alt(P, u, n, threshold):
+    """Independent recount of avgprod._product_values (prod, delta) from the
+    whole-range profile: every entry, in the profile's order (ascending p
+    for each x), then the prime q > B of a square remainder q^2."""
+    vmax = sum(abs(a) * n**i for i, a in enumerate(P.coeffs))
+    b = census._trial_bound(max(vmax, 8))
+    profile = value_square_profile_alt(P.coeffs, n, b)
+    xs, ps, vs, rem = profile
+    prod = np.ones(n + 1, dtype=complex)
+    for t in range(len(xs)):
+        x = int(xs[t])
+        p = int(ps[t])
+        prod[x] *= u.rule(p, x % p, int(vs[t]))
+    for x in np.nonzero(census._is_square(rem))[0]:
+        p = math.isqrt(int(rem[x]))
+        prod[x] *= u.rule(p, int(x) % p, 2)
+    prod[rem == 0] = 0
+    return prod, exceptional_count_alt(profile, threshold)
+
+
+def _wave(p, i, j):
+    return complex(math.cos(p * i + j), math.sin(p + j) / 3) if j >= 2 else 1
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
+@given(value_polys(), BLOCK_SIZES, st.sampled_from(["indicator", "signed", "wave"]))
+def test_product_values_vs_whole_range(case, size, family):
+    # the products filled block by block are bit-identical to the ones
+    # read from the whole-range profile, and so is their sum
+    P, n = case
+    u = {
+        "indicator": squarefree_indicator_family(P),
+        "signed": signed_valuation_family(P),
+        "wave": LocalFactorSpec(P, _wave),
+    }[family]
+    with mock.patch.object(kpy, "_VALUE_BLOCK", size):
+        prod, delta = avgprod._product_values(P, u, n, math.isqrt(n))
+    expect, expect_delta = product_values_alt(P, u, n, math.isqrt(n))
+    assert prod.tobytes() == expect.tobytes()
+    assert np.sum(prod[1:]) == np.sum(expect[1:])
+    assert delta == expect_delta
+
+
 def test_empirical_average_profiles_once(monkeypatch):
     calls = []
-    profile = kernels.value_square_profile
+    blocks = kernels.value_square_blocks
 
     def counted(*args):
         calls.append(args)
-        return profile(*args)
+        return blocks(*args)
 
-    monkeypatch.setattr(kernels, "value_square_profile", counted)
+    monkeypatch.setattr(kernels, "value_square_blocks", counted)
     P = parse("x^3 + 2")
     rep = empirical_average(P, squarefree_indicator_family(P), 5000)
     assert len(calls) == 1

@@ -1,12 +1,16 @@
 import json
 import math
 import time
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
+from test_kernels import BLOCK_SIZES, value_polys, value_square_profile_alt
 
-from sievecraft import census, cli, localdens, numutil
+from sievecraft import _kernels_py as kpy
+from sievecraft import census, cli, kernels, localdens, numutil
 from sievecraft.census import (
     count_powerfree_values,
     count_squarefree_form,
@@ -41,6 +45,30 @@ def delta_census_univ_alt(P, n, threshold=None):
                 if P(v) != 0 and P(v) % p2 == 0:
                     hit.add(v)
     return len(hit)
+
+
+def count_values_alt(coeffs, n, m, b):
+    """Independent recount of census._count_values (observed, zeros) from
+    the whole-range profile: one flag per x = 0..N."""
+    xs, ps, vs, rem = value_square_profile_alt(coeffs, n, b)
+    bad = np.zeros(n + 1, dtype=bool)
+    bad[xs[vs >= m]] = True
+    if m == 2:
+        bad[np.nonzero(census._is_square(rem))[0]] = True
+    zeros = int(np.count_nonzero(rem[1:] == 0))
+    bad[rem == 0] = True
+    return int(np.count_nonzero(~bad[1:])), zeros
+
+
+def exceptional_count_alt(profile, threshold):
+    """Independent recount of delta_census_univ from the whole-range
+    profile (xs, ps, vs, rem) of P over x = 1..N."""
+    xs, ps, vs, rem = profile
+    bad = np.zeros(len(rem), dtype=bool)
+    bad[xs[(vs >= 2) & (ps > threshold)]] = True
+    bad[np.nonzero(census._is_square(rem))[0]] = True
+    bad[0] = False
+    return int(np.count_nonzero(bad[1:]))
 
 
 def count_squarefree_form_alt(F, n, convention="full-box", coprime=True, sector=None):
@@ -150,6 +178,47 @@ def test_count_powerfree_zeros_and_report():
     assert data["observed"] == rep.observed
     assert data["N"] == 100
     assert rep.main_lo <= rep.main_hi
+
+
+@settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
+@given(value_polys(), BLOCK_SIZES, st.sampled_from([50, 500]), st.sampled_from([0, 2, 7, 50]))
+def test_value_censuses_vs_whole_range(case, size, b, threshold):
+    # census (m = 2, 3) and delta read block by block equal the recounts
+    # from the whole-range profile
+    P, n = case
+    assume(all(p <= b for p, _ in numutil.factorize(P.content()).pairs))
+    whole = value_square_profile_alt(P.coeffs, n, b)
+    with mock.patch.object(kpy, "_VALUE_BLOCK", size):
+        for m in (2, 3):
+            assert census._count_values(P.coeffs, n, m, b) == count_values_alt(P.coeffs, n, m, b)
+        blocks = kernels.value_square_blocks(P.coeffs, n, b)
+        got = sum(census.exceptional_count(block, b, threshold) for block in blocks)
+    assert got == exceptional_count_alt(whole, threshold)
+
+
+def test_count_powerfree_memory_flat_in_n():
+    # the profile is streamed in blocks: the census of x at N = 2^21 peaks
+    # within 2 MB of its peak at N = 2^17 (the trial bound is 10^4 at both)
+    peaks = []
+    for n in (2**17, 2**21):
+        tracemalloc.start()
+        try:
+            count_powerfree_values(parse("x"), n)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] - peaks[0] <= 2 * 2**20, peaks
+
+
+def test_form_census_finds_roots_once(monkeypatch):
+    # N = 900 is four blocks of rows, all read from one root batch
+    calls, blocks = [], []
+    roots, values = kpy.roots_mod_primes, kpy.form_values
+    monkeypatch.setattr(kpy, "roots_mod_primes", lambda *a: calls.append(a) or roots(*a))
+    monkeypatch.setattr(kpy, "form_values", lambda *a: blocks.append(a) or values(*a))
+    F = parse("x^3 + 2*z^3", kind="form")
+    assert census._count_pairs(F, -900, 900, True, None) == (1862580, 0)
+    assert (len(calls), len(blocks)) == (1, 4)
 
 
 def test_count_squarefree_form_frozen():
@@ -294,6 +363,13 @@ def test_count_squarefree_form_public_vs_pair_loop():
                 rep = count_squarefree_form(F, 13, convention, coprime, _SECTORS[2])
                 expect = count_squarefree_form_alt(F, 13, convention, coprime, _SECTORS[2])
                 assert (rep.observed, rep.zeros) == expect, (spec, convention, coprime)
+
+
+def test_delta_census_form_content_prime_above_threshold():
+    # 3^2 divides 36z at all 14 coprime pairs of [-2, 2]^2 with z != 0,
+    # beyond 12 deg F: the per-prime bound does not hold at content primes
+    F = BinForm((36, 0))
+    assert census.delta_census_form(F, 2, 2) == delta_census_form_alt(F, 2, 2) == (14, {3: 14})
 
 
 def test_form_content_prime_beyond_trial_bound():

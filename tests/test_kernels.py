@@ -1,12 +1,14 @@
 import math
 import random
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from sievecraft import _kernels_py as kpy
 from sievecraft import kernels, numutil
+from sievecraft.poly import IntPoly, is_squarefree_poly
 
 try:
     from sievecraft import _kernels_cy as kcy
@@ -14,6 +16,62 @@ except ImportError:
     kcy = None
 
 BACKENDS = [kpy] + ([kcy] if kcy is not None else [])
+
+
+def value_square_profile_alt(coeffs, n, b):
+    """Independent recount of value_square_profile over all of 1..N at once:
+    one pass per prime p <= B over the whole range, dividing p out of the
+    values in each of its root classes (arrays of length N+1)."""
+    prim, cont = kpy._primitive(coeffs)
+    xs64 = np.arange(n + 1, dtype=np.int64)
+    vals = np.zeros(n + 1, dtype=np.int64)
+    if sum(abs(a) * n**i for i, a in enumerate(prim)) >= 2**62:
+        raise OverflowError("|P(x)| exceeds int64 range; reduce N")
+    for a in reversed(prim):
+        vals = vals * xs64 + a
+    np.abs(vals, out=vals)
+    nonzero = vals != 0
+    nonzero[0] = False
+    out = []
+    primes = kernels.prime_sieve(b)
+    starts, all_roots = kernels.roots_mod_primes(prim, primes)
+    rest = cont
+    for i, p in enumerate(primes.tolist()):
+        vcont = 0
+        while rest % p == 0:
+            rest //= p
+            vcont += 1
+        classes = [
+            np.arange(r if r >= 1 else p, n + 1, p, dtype=np.int64)
+            for r in all_roots[starts[i] : starts[i + 1]].tolist()
+        ]
+        kpy._divide_out(vals, nonzero, classes, p, vcont, out)
+    if rest != 1:
+        raise ValueError("content has a prime factor beyond B")
+    vals[0] = 1
+    return (*kpy._entries(out), vals)
+
+
+@st.composite
+def value_polys(draw):
+    """(P, N): square-free P = content * (x - r_1) ... (x - r_k) * g, with
+    integer roots r_i mostly in 1..N (so zeros fall mid-block), negative
+    values, the leading coefficient divisible by 2, 3, 5 or a prime <= 43,
+    and content 1, 4, 12 or 18 (v_p(content) >= 2 at 2 or 3)."""
+    n = draw(st.integers(1, 70))
+    roots = draw(st.lists(st.integers(-3, n), max_size=2, unique=True))
+    lead = draw(st.sampled_from([1, -1, 2, -3, 5, 30, 43, -41, 2 * 37]))
+    coeffs = draw(st.lists(st.integers(-6, 6), max_size=2)) + [lead]
+    for r in roots:  # coeffs *= (x - r)
+        coeffs = [a - r * c for a, c in zip([0] + coeffs, coeffs + [0])]
+    content = draw(st.sampled_from([1, 4, 12, 18]))
+    P = IntPoly(tuple(content * a for a in coeffs))
+    assume(is_squarefree_poly(P))
+    return P, n
+
+
+# values per block: single values, a few, the default and more than N
+BLOCK_SIZES = st.sampled_from([1, 2, 7, 4096, 10**4])
 
 
 def _profile_key(res):
@@ -79,6 +137,51 @@ def test_value_square_profile_oracle():
 
 
 @settings(max_examples=100, deadline=None)
+@given(value_polys(), st.sampled_from([3, 5, 11, 50, 10**4]), BLOCK_SIZES)
+def test_value_square_blocks_vs_whole_range(case, b, size):
+    # the blocks tile 1..N in order, hold only their own x, list each x's
+    # entries in ascending p, and together give the whole-range profile
+    P, n = case
+    if any(p > b for p, _ in numutil.factorize(P.content()).pairs):
+        with pytest.raises(ValueError, match="beyond B"):
+            next(kernels.value_square_blocks(P.coeffs, n, b))
+        return
+    with mock.patch.object(kpy, "_VALUE_BLOCK", size):
+        blocks = list(kernels.value_square_blocks(P.coeffs, n, b))
+        whole = kpy.value_square_profile(P.coeffs, n, b)
+    assert [lo for lo, *_ in blocks] == list(range(1, n + 1, size))
+    xs, ps, vs, rem = value_square_profile_alt(P.coeffs, n, b)
+    expect = sorted(zip(xs.tolist(), ps.tolist(), vs.tolist()))
+    got = []
+    for lo, bx, bp, bv, brem in blocks:
+        assert brem.size == min(size, n + 1 - lo)
+        assert brem.tolist() == rem[lo : lo + brem.size].tolist()
+        assert ((bx >= lo) & (bx < lo + brem.size)).all()
+        entries = list(zip(bx.tolist(), bp.tolist(), bv.tolist()))
+        last = {}
+        for x, p, _ in entries:
+            assert last.get(x, 0) < p
+            last[x] = p
+        got += entries
+    assert sorted(got) == expect and len(got) == len(expect)
+    assert sorted(zip(*(a.tolist() for a in whole[:3]))) == expect
+    assert whole[3].tolist() == rem.tolist()
+
+
+def test_value_square_blocks_limits():
+    # checked before the first block
+    with pytest.raises(OverflowError):
+        next(kernels.value_square_blocks([1, 0, 0, 0, 1], 2**16, 10))
+    with pytest.raises(ValueError, match="beyond B"):
+        next(kernels.value_square_blocks([5, 5], 10, 3))
+    assert list(kernels.value_square_blocks([1, 1], 0, 10)) == []
+    # a constant with 2^2 * 3 in its content: (x, 2, 2) at every x
+    ((lo, xs, ps, vs, rem),) = kernels.value_square_blocks([12], 5, 3)
+    assert (lo, xs.tolist(), ps.tolist(), vs.tolist()) == (1, [1, 2, 3, 4, 5], [2] * 5, [2] * 5)
+    assert rem.tolist() == [1] * 5
+
+
+@settings(max_examples=100, deadline=None)
 @given(
     st.lists(st.integers(-6, 6), min_size=1, max_size=5).filter(any),
     st.sampled_from([1, 2, 4, 12, 7 * 9]),
@@ -87,10 +190,12 @@ def test_value_square_profile_oracle():
     st.integers(-7, 3),
     st.integers(0, 9),
     st.integers(1, 40),
+    st.integers(1, 11),
 )
-def test_form_square_profile_oracle(coeffs, content, xlo, w, zlo, h, b):
+def test_form_square_profile_oracle(coeffs, content, xlo, w, zlo, h, b, rows):
     # trial-division oracle: (cell, p, v_p(F)) for v >= 2 and p <= b, and
-    # the cofactor of |F| after removing all primes <= b, at every pair
+    # the cofactor of |F| after removing all primes <= b, at every pair,
+    # over blocks of 1 to 11 rows
     coeffs = [content * a for a in coeffs]
     d = len(coeffs) - 1
     primes = kernels.prime_sieve(b).tolist()
@@ -106,17 +211,22 @@ def test_form_square_profile_oracle(coeffs, content, xlo, w, zlo, h, b):
                 if v >= 2:
                     expect.add(((z - zlo) * (w + 1) + x - xlo, p, v))
             rem.append(val)
-    cells, ps, vs, got = kernels.form_square_profile(coeffs, xlo, xlo + w, zlo, zlo + h, b)
-    assert set(zip(cells.tolist(), ps.tolist(), vs.tolist())) == expect
-    assert len(cells) == len(expect)
-    assert got.tolist() == rem
+    blocks = list(kernels.form_square_blocks(coeffs, xlo, xlo + w, zlo, zlo + h, b, rows))
+    assert np.concatenate([zs for zs, *_ in blocks]).tolist() == list(range(zlo, zlo + h + 1))
+    got = [
+        ((zs[0] - zlo) * (w + 1) + c, p, v)
+        for zs, cells, ps, vs, _ in blocks
+        for c, p, v in zip(cells.tolist(), ps.tolist(), vs.tolist())
+    ]
+    assert set(got) == expect and len(got) == len(expect)
+    assert np.concatenate([r for *_, r in blocks]).tolist() == rem
 
 
 def test_form_square_profile_limits():
     with pytest.raises(OverflowError):
-        kernels.form_square_profile([1, 0, 0, 0, 1], -2**16, 2**16, 0, 0, 10)
+        next(kernels.form_square_blocks([1, 0, 0, 0, 1], -2**16, 2**16, 0, 0, 10, 1))
     # a constant form whose content 5 lies beyond B = 3 stays in the remainder
-    cells, ps, vs, rem = kernels.form_square_profile([5], 0, 2, 0, 1, 3)
+    ((zs, cells, ps, vs, rem),) = kernels.form_square_blocks([5], 0, 2, 0, 1, 3, 2)
     assert cells.size == 0 and rem.tolist() == [5] * 6
 
 
