@@ -45,8 +45,9 @@ class CensusReport:
         return self.observed - self.main_mid
 
     @property
-    def discrepancy_rel(self) -> float:
-        return self.discrepancy / self.main_mid if self.main_mid else math.inf
+    def discrepancy_rel(self) -> float | None:
+        """discrepancy / main_mid; None (JSON null) for a zero main term."""
+        return self.discrepancy / self.main_mid if self.main_mid else None
 
     def to_json(self) -> str:
         out = dict(self.params)
@@ -59,7 +60,7 @@ class CensusReport:
             seconds=round(self.seconds, 3),
             method=self.method,
         )
-        return json.dumps(out)
+        return json.dumps(out, allow_nan=False)
 
 
 def _value_bound(coeffs: list[int], n: int) -> int:
@@ -344,10 +345,8 @@ def _require_irreducible(P: IntPoly) -> None:
 
 
 def _ddf_degrees(coeffs: list[int], p: int) -> list[int]:
-    from . import _kernels_py as K
-
     f = [c % p for c in coeffs]
-    f = K._ptrim(f)
+    f = kernels._ptrim(f)
     inv = pow(f[-1], -1, p)
     f = [c * inv % p for c in f]
     degs: list[int] = []
@@ -358,45 +357,41 @@ def _ddf_degrees(coeffs: list[int], p: int) -> list[int]:
         if 2 * k > len(f) - 1:
             degs.append(len(f) - 1)
             break
-        w = K._ppowmod(w, p, f, p)
-        g = K._pgcd(K._psub(w, [0, 1], p), f, p)
+        w = kernels._ppowmod(w, p, f, p)
+        g = kernels._pgcd(kernels._psub(w, [0, 1], p), f, p)
         if len(g) - 1 >= 1:
             degs.extend([k] * ((len(g) - 1) // k))
-            f = K._pquo(f, g, p)
-            w = K._prem(w, f, p)
+            f = kernels._pquo(f, g, p)
+            w = kernels._prem(w, f, p)
     return sorted(degs)
 
 
 def _radical_mod_p(f: list[int], p: int) -> list[int]:
     """Product of the distinct irreducible factors of f over F_p."""
-    from . import _kernels_py as K
-
     if len(f) - 1 < 1:
         return [1]
-    fd = K._pderiv(f, p)
+    fd = kernels._pderiv(f, p)
     if not fd:
         # f = g(x^p) = g(x)^p over F_p (a^p = a): recurse on the p-th root
         g = [f[i] for i in range(0, len(f), p)]
-        return _radical_mod_p(K._ptrim(g), p)
-    g = K._pgcd(f, fd, p)
-    w = K._pquo(f, g, p)  # distinct factors of multiplicity not div. by p
+        return _radical_mod_p(kernels._ptrim(g), p)
+    g = kernels._pgcd(f, fd, p)
+    w = kernels._pquo(f, g, p)  # distinct factors of multiplicity not div. by p
     # strip the w-factors out of g; what remains is a p-th power
     while True:
-        c = K._pgcd(g, w, p)
+        c = kernels._pgcd(g, w, p)
         if len(c) - 1 < 1:
             break
-        g = K._pquo(g, c, p)
+        g = kernels._pquo(g, c, p)
     rest = _radical_mod_p(g, p)
-    return K._pmul(w, rest, p)
+    return kernels._pmul(w, rest, p)
 
 
 def _local_splitting(P: IntPoly, p: int) -> tuple[bool, int]:
     """(has a degree-1 factor, number of distinct irreducible factors)
     of P mod p; for ramified p this factors the radical of P mod p, an
     interpretive stand-in for the prime decomposition."""
-    from . import _kernels_py as K
-
-    f = K._ptrim([c % p for c in P.coeffs])
+    f = kernels._ptrim([c % p for c in P.coeffs])
     if len(f) - 1 < 1:
         return False, 0
     sf = _radical_mod_p(f, p)

@@ -10,7 +10,7 @@ import random
 import sys
 from fractions import Fraction
 
-from . import avgprod, census, eulerprod, exponents, lattice, soil
+from . import avgprod, census, eulerprod, exponents, soil
 from .poly import ParseError, parse
 
 SCHEMA = "sievecraft/1"
@@ -56,7 +56,7 @@ def _rounded(obj, digits: int, key: str | None = None):
 
 def _emit(payload: dict, digits: int) -> None:
     payload = {"schema": SCHEMA, **payload}
-    print(json.dumps(_rounded(payload, digits)))
+    print(json.dumps(_rounded(payload, digits), allow_nan=False))
 
 
 def build_parser() -> argparse.ArgumentParser:

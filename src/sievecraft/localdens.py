@@ -4,7 +4,6 @@ measures mu_p({v_p(P(x)) = j})."""
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 
 from . import kernels, numutil
@@ -182,11 +181,6 @@ def sols_bound(P: IntPoly, p: int) -> int:
 # Binary forms
 
 
-def _form_badprimes_guard(F: BinForm, p: int) -> None:
-    if F.content() % p == 0:
-        raise ValueError("form content divisible by p unsupported")
-
-
 def ell_form(F: BinForm, p: int) -> int:
     """#{(x,y) mod p^2 : p^2 | F(x,y)}."""
     _require_squarefree(F)
@@ -213,7 +207,6 @@ def coprime_count_form(F: BinForm, p: int) -> int:
 
 
 def _coprime_count_form(F: BinForm, p: int) -> int:
-    _form_badprimes_guard(F, p)
     n1 = _count_roots_mod_pk(F.on_x_chart(), p, 2)
     # roots r' of F(1, r') mod p^2 with p | r'
     n2 = 0
@@ -234,7 +227,6 @@ def solution_classes_form(F: BinForm, p: int, n: int) -> list[tuple[str, int, in
     parts are disjoint and cover {(x,y) coprime to p : p^n | F(x,y)}.
     """
     _require_squarefree(F)
-    _form_badprimes_guard(F, p)
     out = []
     for r, e in _roots_mod_pk(F.on_x_chart(), p, n):
         if e == 0:
@@ -256,13 +248,12 @@ def solution_classes_form(F: BinForm, p: int, n: int) -> list[tuple[str, int, in
 
 
 def valuation_measure(P: IntPoly, p: int, j: int) -> Fraction:
-    """mu_p({x in Z_p : v_p(P(x)) = j}) = c_j/p^j - c_(j+1)/p^(j+1)."""
+    """mu_p({x in Z_p : v_p(P(x)) = j}) = c_j/p^j - c_(j+1)/p^(j+1): the
+    per-class measures of one walk of the lifting tree, summed."""
     if j < 0:
         raise ValueError("j must be >= 0")
     _require_squarefree(P)
-    cj = 1 if j == 0 else _count_roots_mod_pk(P, p, j)
-    cj1 = _count_roots_mod_pk(P, p, j + 1)
-    return Fraction(cj, p**j) - Fraction(cj1, p ** (j + 1))
+    return sum(_measure_by_class(P, p, j).values(), Fraction(0))
 
 
 def valuation_measure_by_class(P: IntPoly, p: int, j: int) -> dict[int, Fraction]:

@@ -1,5 +1,6 @@
 """Elementary arithmetic functions: v_p, sq(n), tau_k, mu, omega, rad,
-factorization by trial division, and the square-free table.
+factorization by trial division, and the Mobius and smallest-prime-factor
+tables.
 """
 
 from __future__ import annotations
@@ -171,14 +172,6 @@ def rad(n: int) -> int:
     for p, _ in _complete_factorization(n).pairs:
         out *= p
     return out
-
-
-def squarefree_table(n: int) -> np.ndarray:
-    """uint8 array, entry i = 1 iff i is square-free (i in 1..N); entry 0
-    is 0."""
-    if n < 1:
-        raise ValueError("N must be >= 1")
-    return kernels.squarefree_mask(n)
 
 
 def mobius_table(n: int) -> np.ndarray:

@@ -9,8 +9,6 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import numutil
-
 
 @dataclass(frozen=True)
 class IntPoly:
@@ -335,27 +333,9 @@ def discriminant(p: IntPoly) -> int:
     return sign * res // p.lead
 
 
-def _poly_gcd_q(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    def trim(c):
-        while c and c[-1] == 0:
-            c.pop()
-        return c
-
-    a, b = trim(a[:]), trim(b[:])
-    while b:
-        db = len(b) - 1
-        while len(a) - 1 >= db and a:
-            q = a[-1] / b[-1]
-            shift = len(a) - 1 - db
-            for i, bi in enumerate(b):
-                a[shift + i] -= q * bi
-            trim(a)
-        a, b = b, a
-    return a
-
-
 def is_squarefree_poly(p) -> bool:
-    """True iff gcd(P, P') is constant (forms: both charts plus the
+    """True iff P has no repeated factor over Q: Disc(P) != 0, which holds
+    exactly when gcd(P, P') is constant (forms: both charts plus the
     monomial factors x, z checked for multiplicity)."""
     if isinstance(p, BinForm):
         c = p.coeffs
@@ -371,11 +351,7 @@ def is_squarefree_poly(p) -> bool:
         raise ValueError("zero polynomial")
     if p.degree == 0:
         return True
-    g = _poly_gcd_q(
-        [Fraction(a) for a in p.coeffs],
-        [Fraction(a) for a in p.derivative().coeffs],
-    )
-    return len(g) <= 1
+    return discriminant(p) != 0
 
 
 # ---------------------------------------------------------------------------
@@ -508,11 +484,3 @@ def deg_irr(p: IntPoly) -> int:
     """Degree of the largest irreducible factor over Q."""
     _, _, factors = factor_rational(p)
     return max(f.degree for f, _ in factors)
-
-
-def remultiply(sign: int, content: int, factors) -> IntPoly:
-    out = IntPoly((sign * content,))
-    for f, m in factors:
-        for _ in range(m):
-            out = out * f
-    return out

@@ -10,7 +10,6 @@ from hypothesis import HealthCheck, assume, given, settings, strategies as st
 from test_census import exceptional_count_alt
 from test_kernels import BLOCK_SIZES, value_polys, value_square_profile_alt
 
-from sievecraft import _kernels_py as kpy
 from sievecraft import avgprod, census, kernels, localdens, numutil
 from sievecraft.avgprod import (
     LocalFactorSpec,
@@ -430,7 +429,7 @@ def test_product_values_vs_whole_range(case, size, family):
         "signed": signed_valuation_family(P),
         "wave": LocalFactorSpec(P, _wave),
     }[family]
-    with mock.patch.object(kpy, "_VALUE_BLOCK", size):
+    with mock.patch.object(kernels, "_VALUE_BLOCK", size):
         prod, delta = avgprod._product_values(P, u, n, math.isqrt(n))
     expect, expect_delta = product_values_alt(P, u, n, math.isqrt(n))
     assert prod.tobytes() == expect.tobytes()

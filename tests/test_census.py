@@ -7,9 +7,8 @@ from unittest import mock
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
-from test_kernels import BLOCK_SIZES, value_polys, value_square_profile_alt
+from test_kernels import BLOCK_SIZES, squarefree_mask, value_polys, value_square_profile_alt
 
-from sievecraft import _kernels_py as kpy
 from sievecraft import census, cli, kernels, localdens, numutil
 from sievecraft.census import (
     count_powerfree_values,
@@ -76,7 +75,7 @@ def count_squarefree_form_alt(F, n, convention="full-box", coprime=True, sector=
     of values at a time, looked up in the square-free table of every
     integer up to max |F|."""
     vmax = sum(abs(a) for a in F.coeffs) * n**F.degree
-    mask = numutil.squarefree_table(max(vmax, 1))  # mask[0] = 0: zeros never count
+    mask = squarefree_mask(max(vmax, 1))  # mask[0] = 0: zeros never count
     lo = 1 if convention == "positive-quadrant" else -n
     xs = np.arange(lo, n + 1, dtype=np.int64)
     observed = 0
@@ -188,7 +187,7 @@ def test_value_censuses_vs_whole_range(case, size, b, threshold):
     P, n = case
     assume(all(p <= b for p, _ in numutil.factorize(P.content()).pairs))
     whole = value_square_profile_alt(P.coeffs, n, b)
-    with mock.patch.object(kpy, "_VALUE_BLOCK", size):
+    with mock.patch.object(kernels, "_VALUE_BLOCK", size):
         for m in (2, 3):
             assert census._count_values(P.coeffs, n, m, b) == count_values_alt(P.coeffs, n, m, b)
         blocks = kernels.value_square_blocks(P.coeffs, n, b)
@@ -213,9 +212,9 @@ def test_count_powerfree_memory_flat_in_n():
 def test_form_census_finds_roots_once(monkeypatch):
     # N = 900 is four blocks of rows, all read from one root batch
     calls, blocks = [], []
-    roots, values = kpy.roots_mod_primes, kpy.form_values
-    monkeypatch.setattr(kpy, "roots_mod_primes", lambda *a: calls.append(a) or roots(*a))
-    monkeypatch.setattr(kpy, "form_values", lambda *a: blocks.append(a) or values(*a))
+    roots, values = kernels.roots_mod_primes, kernels.form_values
+    monkeypatch.setattr(kernels, "roots_mod_primes", lambda *a: calls.append(a) or roots(*a))
+    monkeypatch.setattr(kernels, "form_values", lambda *a: blocks.append(a) or values(*a))
     F = parse("x^3 + 2*z^3", kind="form")
     assert census._count_pairs(F, -900, 900, True, None) == (1862580, 0)
     assert (len(calls), len(blocks)) == (1, 4)

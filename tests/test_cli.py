@@ -46,6 +46,42 @@ def test_census_form(capsys):
     assert json.loads(out)["observed"] == 132
 
 
+def test_census_form_with_content(capsys):
+    # content 12 = 2^2 * 3: every value is divisible by 4, so the count and
+    # the main term are both 0
+    code, out, _ = _run(
+        capsys, "census", "--form", "12*x^3 + 24*z^3 + 36*x*z^2", "--N", "100", "--all-pairs"
+    )
+    assert code == 0
+    data = json.loads(out)
+    assert (data["observed"], data["main_lo"], data["main_hi"]) == (0, 0.0, 0.0)
+    # content 3: a positive main term
+    code, out, _ = _run(capsys, "census", "--form", "3*x^3 + 6*z^3", "--N", "60")
+    assert code == 0
+    data = json.loads(out)
+    assert 0 < data["main_lo"] <= data["main_hi"] and data["observed"] > 0
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+def test_zero_main_term_is_strict_json(capsys):
+    # a zero main term has no relative discrepancy: null, not Infinity
+    for argv in (
+        ["census", "--poly", "4*x + 4", "--N", "100"],
+        ["census", "--form", "4*x^3 + 8*z^3", "--N", "20"],
+    ):
+        code, out, _ = _run(capsys, *argv)
+        assert code == 0
+        assert json.loads(out, parse_constant=_reject_constant)["discrepancy_rel"] is None
+    code, out, _ = _run(capsys, "density", "--form", "4*x^3 + 8*z^3", "--coprime")
+    assert code == 0
+    assert json.loads(out, parse_constant=_reject_constant)["status"] == "zero_density"
+    rep = count_powerfree_values(parse("4*x + 4"), 100)
+    assert json.loads(rep.to_json(), parse_constant=_reject_constant)["discrepancy_rel"] is None
+
+
 def test_delta(capsys):
     code, out, _ = _run(capsys, "delta", "--poly", "x^3 + 2", "--N", "100")
     assert code == 0

@@ -6,23 +6,39 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from sievecraft import _kernels_py as kpy
 from sievecraft import kernels, numutil
 from sievecraft.poly import IntPoly, is_squarefree_poly
 
-try:
-    from sievecraft import _kernels_cy as kcy
-except ImportError:
-    kcy = None
 
-BACKENDS = [kpy] + ([kcy] if kcy is not None else [])
+def squarefree_mask(n):
+    """uint8 array of length n+1; entry i is 1 iff i is square-free (i >= 1),
+    entry 0 is 0: sieved by the squares of the primes up to sqrt(n)."""
+    mask = np.ones(n + 1, dtype=np.uint8)
+    mask[0] = 0
+    for p in range(2, math.isqrt(n) + 1):
+        if mask[p]:  # p survived, so no q^2 <= p divides it: p is prime
+            mask[p * p :: p * p] = 0
+    return mask
+
+
+def value_square_profile(coeffs, n, b):
+    """kernels.value_square_blocks over all of x = 1..N in one piece.
+
+    Returns (xs, ps, vs, rem): the entries of every block, and rem of
+    length N+1 with rem[x] as in the blocks and rem[0] = 1 unused."""
+    rem = np.ones(n + 1, dtype=np.int64)
+    parts = [tuple(np.zeros(0, dtype=np.int64) for _ in range(3))]
+    for lo, xs, ps, vs, r in kernels.value_square_blocks(coeffs, n, b):
+        rem[lo : lo + r.size] = r
+        parts.append((xs, ps, vs))
+    return (*(np.concatenate(a) for a in zip(*parts)), rem)
 
 
 def value_square_profile_alt(coeffs, n, b):
-    """Independent recount of value_square_profile over all of 1..N at once:
+    """Independent recount of value_square_blocks over all of 1..N at once:
     one pass per prime p <= B over the whole range, dividing p out of the
     values in each of its root classes (arrays of length N+1)."""
-    prim, cont = kpy._primitive(coeffs)
+    prim, cont = kernels._primitive(coeffs)
     xs64 = np.arange(n + 1, dtype=np.int64)
     vals = np.zeros(n + 1, dtype=np.int64)
     if sum(abs(a) * n**i for i, a in enumerate(prim)) >= 2**62:
@@ -45,11 +61,11 @@ def value_square_profile_alt(coeffs, n, b):
             np.arange(r if r >= 1 else p, n + 1, p, dtype=np.int64)
             for r in all_roots[starts[i] : starts[i + 1]].tolist()
         ]
-        kpy._divide_out(vals, nonzero, classes, p, vcont, out)
+        kernels._divide_out(vals, nonzero, classes, p, vcont, out)
     if rest != 1:
         raise ValueError("content has a prime factor beyond B")
     vals[0] = 1
-    return (*kpy._entries(out), vals)
+    return (*kernels._entries(out), vals)
 
 
 @st.composite
@@ -74,21 +90,15 @@ def value_polys(draw):
 BLOCK_SIZES = st.sampled_from([1, 2, 7, 4096, 10**4])
 
 
-def _profile_key(res):
-    xs, ps, vs, rem = res
-    return set(zip(xs.tolist(), ps.tolist(), vs.tolist())), rem.tolist()
-
-
 def test_prime_sieve():
     assert kernels.prime_sieve(30).tolist() == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
     assert kernels.prime_sieve(1).size == 0
 
 
 def test_squarefree_mask_oracle():
-    for mod in BACKENDS:
-        mask = mod.squarefree_mask(200)
-        for n in range(1, 201):
-            assert mask[n] == (numutil.mobius(n) != 0)
+    mask = squarefree_mask(200)
+    for n in range(1, 201):
+        assert mask[n] == (numutil.mobius(n) != 0)
 
 
 def test_poly_roots_mod_p_oracle():
@@ -102,16 +112,14 @@ def test_poly_roots_mod_p_oracle():
         expect = sorted(
             x for x in range(p) if sum(a * x**i for i, a in enumerate(coeffs)) % p == 0
         )
-        for mod in BACKENDS:
-            assert mod.poly_roots_mod_p(coeffs, p) == expect, (coeffs, p)
+        assert kernels.poly_roots_mod_p(coeffs, p) == expect, (coeffs, p)
 
 
 def test_poly_roots_large_prime():
     # x^3 + 2 mod 10007: oracle by direct scan
     p = 10007
     expect = sorted(x for x in range(p) if (x**3 + 2) % p == 0)
-    for mod in BACKENDS:
-        assert mod.poly_roots_mod_p([2, 0, 0, 1], p) == expect
+    assert kernels.poly_roots_mod_p([2, 0, 0, 1], p) == expect
 
 
 def test_value_square_profile_oracle():
@@ -119,21 +127,20 @@ def test_value_square_profile_oracle():
     # and the cofactor of P(x) after removing all primes <= b.
     coeffs = [2, 0, 0, 1]
     n, b = 400, 11
-    for mod in BACKENDS:
-        xs, ps, vs, rem = mod.value_square_profile(coeffs, n, b)
-        triples = set(zip(xs.tolist(), ps.tolist(), vs.tolist()))
-        expect = set()
-        for x in range(1, n + 1):
-            val = x**3 + 2
-            for p in (2, 3, 5, 7, 11):
-                v = 0
-                while val % p == 0:
-                    val //= p
-                    v += 1
-                if v >= 2:
-                    expect.add((x, p, v))
-            assert rem[x] == val, x
-        assert triples == expect
+    xs, ps, vs, rem = value_square_profile(coeffs, n, b)
+    triples = set(zip(xs.tolist(), ps.tolist(), vs.tolist()))
+    expect = set()
+    for x in range(1, n + 1):
+        val = x**3 + 2
+        for p in (2, 3, 5, 7, 11):
+            v = 0
+            while val % p == 0:
+                val //= p
+                v += 1
+            if v >= 2:
+                expect.add((x, p, v))
+        assert rem[x] == val, x
+    assert triples == expect
 
 
 @settings(max_examples=100, deadline=None)
@@ -146,9 +153,9 @@ def test_value_square_blocks_vs_whole_range(case, b, size):
         with pytest.raises(ValueError, match="beyond B"):
             next(kernels.value_square_blocks(P.coeffs, n, b))
         return
-    with mock.patch.object(kpy, "_VALUE_BLOCK", size):
+    with mock.patch.object(kernels, "_VALUE_BLOCK", size):
         blocks = list(kernels.value_square_blocks(P.coeffs, n, b))
-        whole = kpy.value_square_profile(P.coeffs, n, b)
+        whole = value_square_profile(P.coeffs, n, b)
     assert [lo for lo, *_ in blocks] == list(range(1, n + 1, size))
     xs, ps, vs, rem = value_square_profile_alt(P.coeffs, n, b)
     expect = sorted(zip(xs.tolist(), ps.tolist(), vs.tolist()))
@@ -230,22 +237,6 @@ def test_form_square_profile_limits():
     assert cells.size == 0 and rem.tolist() == [5] * 6
 
 
-def test_backends_agree():
-    if kcy is None:
-        return
-    rng = random.Random(3)
-    for _ in range(30):
-        coeffs = [rng.randint(-9, 9) for _ in range(rng.randint(2, 6))]
-        if coeffs[-1] == 0:
-            coeffs[-1] = 1
-        n = rng.randint(50, 3000)
-        b = rng.choice([10, 50, 500])
-        assert _profile_key(kpy.value_square_profile(coeffs, n, b)) == _profile_key(
-            kcy.value_square_profile(coeffs, n, b)
-        )
-    assert np.array_equal(kpy.squarefree_mask(10**5), kcy.squarefree_mask(10**5))
-
-
 # ---------------------------------------------------------------------------
 # roots_mod_primes: the batched root finder against the scalar one
 
@@ -284,7 +275,7 @@ def test_roots_mod_primes_vs_scalar(coeffs):
     for a in coeffs:
         cont = math.gcd(cont, a)
     primes = [p for p in _PRIMES if cont % p]
-    expect = [kpy.poly_roots_mod_p(coeffs, p) for p in primes]
+    expect = [kernels.poly_roots_mod_p(coeffs, p) for p in primes]
     assert _batched(coeffs, primes) == expect
 
 

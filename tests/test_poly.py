@@ -62,6 +62,19 @@ def test_is_squarefree():
     assert not is_squarefree_poly(parse("x^2 - 2*x + 1"))
     assert is_squarefree_poly(parse("x*z", kind="form"))
     assert not is_squarefree_poly(parse("x^2*z", kind="form"))
+    # degree 1, and content (a constant factor is not a repeated factor)
+    for spec in ("x", "3*x + 1", "4*x + 4", "-9*x", "6*x^2 + 12", "4*x^3 + 8"):
+        assert is_squarefree_poly(parse(spec)), spec
+    for spec in ("4*x^2 - 8*x + 4", "2*x^3 - 4*x^2 + 2*x", "-12*x^2", "9*x^4 + 18*x^2 + 9"):
+        assert not is_squarefree_poly(parse(spec)), spec
+    # against the multiplicities of the rational factorization
+    rng = random.Random(5)
+    for _ in range(40):
+        p = IntPoly([rng.choice([1, 2, 3, 4, 6])])
+        for _ in range(rng.randint(1, 3)):
+            p = p * IntPoly([rng.randint(-3, 3), rng.choice([1, 2, -3])])
+        _, _, factors = factor_rational(p)
+        assert is_squarefree_poly(p) == all(m == 1 for _, m in factors), p.coeffs
 
 
 def test_factor_rational_examples():
