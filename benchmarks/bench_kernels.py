@@ -1,39 +1,49 @@
 """Benchmark the batched root finder against the per-prime loop, the streamed
-value profile, the local integrals of avgprod's prediction and the
-binary-form census.
+value profile, the Euler product, the local integrals of avgprod's
+prediction and the binary-form census.
 
 Run:  python benchmarks/bench_kernels.py
+
+Each row is the median of 5 runs in milliseconds; the last line of the
+output gives the rows as JSON, with the backend, numpy version and core
+count.
 """
 
+import json
+import os
+import statistics
 import time
 import tracemalloc
 
 import numpy as np
 
-from sievecraft import avgprod, census, kernels
+from sievecraft import avgprod, census, eulerprod, kernels
 from sievecraft.poly import parse
 
 
-def timeit(fn, *args, repeat=3):
-    best = float("inf")
+def timeit(fn, *args, repeat):
+    times = []
     out = None
     for _ in range(repeat):
         t0 = time.perf_counter()
         out = fn(*args)
-        best = min(best, time.perf_counter() - t0)
-    return best, out
-
-
-def row(name, t):
-    print(f"{name:<38} {t * 1e3:8.1f}")
+        times.append(time.perf_counter() - t0)
+    return statistics.median(times), out
 
 
 def main():
-    print(f"{'kernel':<38} {'ms':>8}")
+    k = 5
+    rows = {}
+
+    def row(name, t):
+        rows[name] = round(t * 1e3, 2)
+        print(f"{name:<40} {t * 1e3:8.1f}")
+
+    print(f"{'kernel':<40} {'ms':>8}")
 
     coeffs = [2, 0, 0, 1]  # x^3 + 2
     primes = [p for p in range(2, 3000) if all(p % q for q in range(2, p))]
-    t, _ = timeit(lambda: [kernels.poly_roots_mod_p(coeffs, p) for p in primes])
+    t, _ = timeit(lambda: [kernels.poly_roots_mod_p(coeffs, p) for p in primes], repeat=k)
     row("poly_roots_mod_p (430 primes)", t)
 
     # every prime <= 1e5: the per-prime loop against the batched kernel
@@ -47,10 +57,25 @@ def main():
         return [roots[starts[i] : starts[i + 1]].tolist() for i in range(primes.size)]
 
     tl, rl = timeit(roots_loop, repeat=1)
-    tb, rb = timeit(roots_batch)
+    tb, rb = timeit(roots_batch, repeat=k)
     assert rb == rl
     row("poly_roots_mod_p (9592 primes)", tl)
     row("roots_mod_primes, batched (9592 p)", tb)
+
+    # the batches of the perfbench workloads: census --poly 'x^3 + 2' --N 1e5,
+    # census --poly 'x^2 + 1' --N 1e6 and density of the seed-2 S3 cubic at
+    # B = 3e4
+    for name, text, b in [
+        ("x^3+2, B=116442", "x^3 + 2", 116442),
+        ("x^2+1, B=12501", "x^2 + 1", 12501),
+        ("S3 cubic, B=3e4", "x^3 - 3*x^2 - 6*x + 14", 30000),
+    ]:
+        primes = kernels.prime_sieve(b)
+        t, _ = timeit(kernels.roots_mod_primes, parse(text).coeffs, primes, repeat=k)
+        row(f"roots_mod_primes {name}", t)
+
+    t, _ = timeit(eulerprod.density_univ, parse("x^3 + 2"), 10**5, repeat=k)
+    row("density_univ(x^3+2, 1e5)", t)
 
     # the profile of x^2 + 1 over 1..1e6 read block by block, as the census
     # does, with its tracemalloc peak
@@ -60,7 +85,7 @@ def main():
     def streamed():
         return sum(int(np.count_nonzero(rem == 1)) for *_, rem in kernels.value_square_blocks(coeffs, n, b))
 
-    t, _ = timeit(streamed)
+    t, _ = timeit(streamed, repeat=k)
     tracemalloc.start()
     streamed()
     peak = tracemalloc.get_traced_memory()[1] / 2**20
@@ -69,13 +94,16 @@ def main():
 
     # local integrals over the 168 primes <= 1000
     u = avgprod.squarefree_indicator_family(parse("x^3 + 2"))
-    t, _ = timeit(avgprod.truncated_product, u, 1000)
+    t, _ = timeit(avgprod.truncated_product, u, 1000, repeat=k)
     row("truncated_product(x^3+2, 1e3)", t)
 
     # the square profile of the form over the 1001^2 pairs
     F = parse("x^3 + 2*z^3", kind="form")
-    t, _ = timeit(census.count_squarefree_form, F, 500)
+    t, _ = timeit(census.count_squarefree_form, F, 500, repeat=k)
     row("count_squarefree_form(x^3+2z^3, 500)", t)
+
+    meta = {"backend": kernels.BACKEND, "numpy": np.__version__, "nproc": os.cpu_count(), "repeat": k}
+    print(json.dumps({**meta, "ms": rows}))
 
 
 if __name__ == "__main__":

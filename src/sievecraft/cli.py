@@ -126,7 +126,7 @@ def _cmd_density(args, digits):
             "B": est.B,
             "lower": est.lower,
             "upper": est.upper,
-            "truncated": float(est.truncated),
+            "truncated": est.num / est.den,
             "status": est.status,
         },
         digits,

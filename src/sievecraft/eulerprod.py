@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from . import kernels, localdens, numutil
@@ -14,30 +14,56 @@ from .poly import BinForm, IntPoly, discriminant, is_squarefree_poly
 @dataclass
 class EulerEstimate:
     """Interval [lower, upper] containing the infinite product, with the
-    truncated part kept exact."""
+    truncated part kept exact as num / den (not in lowest terms): the
+    product of the factors 1 - hits[i] / primes[i]^k."""
 
     lower: float
     upper: float
-    truncated: Fraction
+    num: int
+    den: int
     B: int
-    factors: list[tuple[int, Fraction]] = field(default_factory=list)
+    primes: list[int]
+    hits: list[int]
+    k: int
     status: str = "ok"  # ok | widened | zero_density
+
+    @property
+    def truncated(self) -> Fraction:
+        return Fraction(self.num, self.den)
+
+    @property
+    def factors(self) -> list[tuple[int, Fraction]]:
+        return [(p, Fraction(p**self.k - h, p**self.k)) for p, h in zip(self.primes, self.hits)]
 
     @property
     def midpoint(self) -> float:
         return (self.lower + self.upper) / 2
 
 
+def ratio_down(num: int, den: int) -> float:
+    """The largest float <= num / den (den > 0), without reducing the
+    fraction: int true division rounds correctly, and one cross-multiplication
+    with the float's own ratio tells which side of num / den it fell."""
+    x = num / den
+    a, b = x.as_integer_ratio()
+    return x if a * den <= num * b else math.nextafter(x, -math.inf)
+
+
+def ratio_up(num: int, den: int) -> float:
+    """The smallest float >= num / den (den > 0); see ratio_down."""
+    x = num / den
+    a, b = x.as_integer_ratio()
+    return x if a * den >= num * b else math.nextafter(x, math.inf)
+
+
 def float_down(q: Fraction) -> float:
     """The largest float <= q."""
-    x = float(q)
-    return x if Fraction(x) <= q else math.nextafter(x, -math.inf)
+    return ratio_down(q.numerator, q.denominator)
 
 
 def float_up(q: Fraction) -> float:
     """The smallest float >= q."""
-    x = float(q)
-    return x if Fraction(x) >= q else math.nextafter(x, math.inf)
+    return ratio_up(q.numerator, q.denominator)
 
 
 def _prime_factors(d: int, what: str) -> list[int]:
@@ -69,18 +95,18 @@ def _estimate(
 ) -> EulerEstimate:
     """The product of the factors 1 - hits/p^k over the primes, exact, and
     the interval [T * tail_lo, T] around it, rounded outward."""
-    factors = []
-    for p, h in zip(primes, hits):
+    nums = []
+    for i, (p, h) in enumerate(zip(primes, hits)):
         q = p**k
-        factors.append((p, Fraction(q - h, q)))
         if h >= q:
-            return EulerEstimate(0.0, 0.0, Fraction(0), B, factors, "zero_density")
-    # one integer product each for the numerators and the denominators and
-    # a single gcd, in place of a Fraction product with a gcd per prime
-    num = _product(f.numerator for _, f in factors)
-    trunc = Fraction(num, _product(f.denominator for _, f in factors))
-    lower = float_down(trunc * max(tail_lo, Fraction(0)))
-    return EulerEstimate(lower, float_up(trunc), trunc, B, factors, status)
+            return EulerEstimate(0.0, 0.0, 0, 1, B, primes[: i + 1], hits[: i + 1], k, "zero_density")
+        nums.append(q - h)
+    # one integer product each for the numerators and the denominators, and
+    # no gcd: the ends are rounded from the unreduced num / den
+    num, den = _product(nums), _product(primes) ** k
+    tail = max(tail_lo, Fraction(0))
+    lower = ratio_down(num * tail.numerator, den * tail.denominator)
+    return EulerEstimate(lower, ratio_up(num, den), num, den, B, primes, hits, k, status)
 
 
 def _truncation_primes(B: int, bad: list[int]) -> tuple[list[int], str]:

@@ -179,17 +179,26 @@ def _peval(c: list[int], x: int, p: int) -> int:
 # ---------------------------------------------------------------------------
 # Roots mod many primes at once
 #
-# Row i of every array below is a polynomial over Z/p_i, coefficients low to
-# high.  All residues are < p_i < 2^31, so every product of two residues fits
-# in int64 and is reduced before it is added to anything.
+# Column j of every array below is a polynomial over Z/p_j, coefficients low
+# to high down the rows, so that each coefficient is one contiguous row over
+# the primes.  All residues are < p_j < 2^26, so a product of two is < 2^52
+# and up to 2^11 such products sum in int64 before a reduction: a squaring
+# mod a monic f of degree k <= 1024 adds at most k products to a coefficient
+# and its top-down reduction at most k - 1 more, (2k - 1) 2^52 < 2^63.
 
 _SCALAR_MAX_P = 43  # poly_roots_mod_p scans all residues up to here
-_BATCH_P_LIMIT = 1 << 31
-# primes per block of the x^p and gcd stage: its temporary arrays hold at
-# most 1024 * (2 deg - 1) int64, so the batch adds little to a run's peak
-# memory
+_BATCH_P_LIMIT = 1 << 26
+_BATCH_MAX_DEG = 1024
+# primes per block of the x^p and gcd stage, and factors per chunk of the
+# split: their temporary arrays hold at most 2048 * (deg + 1) int64, so the
+# batch adds little to a run's peak memory
 _BATCH_ROWS = 1024
 _NO_ROOT = np.iinfo(np.int64).max
+# round j of the split tries the shift a = j * _SHIFT_STEP + 1 mod p: a prime
+# above every batched p, so the shifts run through distinct residues in an
+# order unrelated to their size (a = 0 never splits x^d + c, and small
+# consecutive shifts tend to fail on the same factors)
+_SHIFT_STEP = 2147483659
 
 
 def roots_mod_primes(coeffs, primes) -> tuple[np.ndarray, np.ndarray]:
@@ -198,10 +207,13 @@ def roots_mod_primes(coeffs, primes) -> tuple[np.ndarray, np.ndarray]:
     Returns CSR-style int64 arrays (starts, roots): the roots mod primes[i]
     are roots[starts[i]:starts[i+1]], the list poly_roots_mod_p(coeffs,
     primes[i]) gives.  Primes up to 43, primes dividing the leading
-    coefficient and primes >= 2^31 go through poly_roots_mod_p (which raises
-    ValueError where the polynomial vanishes identically); all the others
-    are solved together: x^p mod (f, p) by square-and-multiply, then
-    gcd(x^p - x, f), split into linear factors by Cantor-Zassenhaus.
+    coefficient and primes >= 2^26 (and every prime, above degree 1024) go
+    through poly_roots_mod_p, which raises ValueError where the polynomial
+    vanishes identically; all the others are solved together, with every
+    partial sum in int64: x^p mod (f, p) by square-and-multiply, then
+    gcd(x^p - x, f), split into linear factors by Cantor-Zassenhaus with
+    (x + a)^((p-1)/2) at the shifts a = j * _SHIFT_STEP + 1 mod p, j = 0,
+    1, ...; both powers come from one _powmod.
     """
     c = [int(a) for a in coeffs]
     while len(c) > 1 and c[-1] == 0:
@@ -210,7 +222,7 @@ def roots_mod_primes(coeffs, primes) -> tuple[np.ndarray, np.ndarray]:
     primes = np.asarray(primes, dtype=np.int64).reshape(-1)
     # row i: the roots mod primes[i], then _NO_ROOT in the unused slots
     table = np.full((primes.size, max(d, 1)), _NO_ROOT, dtype=np.int64)
-    batch = (primes > _SCALAR_MAX_P) & (primes < _BATCH_P_LIMIT)
+    batch = (primes > _SCALAR_MAX_P) & (primes < _BATCH_P_LIMIT) & (d <= _BATCH_MAX_DEG)
     batch &= _residues(c[-1], primes) != 0
     for i in np.nonzero(~batch)[0].tolist():
         r = poly_roots_mod_p(c, int(primes[i]))
@@ -218,13 +230,14 @@ def roots_mod_primes(coeffs, primes) -> tuple[np.ndarray, np.ndarray]:
     sel = np.nonzero(batch)[0]
     if sel.size and d >= 1:
         p = primes[sel]
-        gs, dgs = [], []
+        inv = _inverse(_residues(c[-1], p), p)
+        g = np.empty((d + 1, p.size), dtype=np.int64)
+        dg = np.empty(p.size, dtype=np.int64)
         for lo in range(0, p.size, _BATCH_ROWS):
-            pc = p[lo : lo + _BATCH_ROWS]
-            g, dg = _linear_part(np.stack([_residues(a, pc) for a in c], axis=1), pc)
-            gs.append(g)
-            dgs.append(dg)
-        table[sel] = _split_linear(np.concatenate(gs), np.concatenate(dgs), p)
+            hi = min(lo + _BATCH_ROWS, p.size)
+            mod = np.stack([_residues(a, p[lo:hi]) for a in c[:-1]]) * inv[lo:hi] % p[lo:hi]
+            g[:, lo:hi], dg[lo:hi] = _linear_part(mod, p[lo:hi])
+        table[sel] = _split_linear(g, dg, p)
     # sort each row by compare-exchange of its few columns
     for i in range(d):
         for j in range(i + 1, d):
@@ -243,22 +256,16 @@ def _residues(a: int, primes: np.ndarray) -> np.ndarray:
     return np.array([a % int(p) for p in primes], dtype=np.int64)
 
 
-def _linear_part(f: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """gcd(x^p - x, f) and its degree, one row per prime, lead(f) a unit
-    mod p: the product of the distinct linear factors of f mod p."""
-    d = f.shape[1] - 1
-    mod = f[:, :d] * _inverse(f[:, d], p)[:, None] % p[:, None]
-    x = np.zeros((p.size, d + 1), dtype=np.int64)
-    x[:, 1] = 1
-    xp = _powmod(_reduce(x, mod, p), p, mod, p)
-    xp_minus_x = np.concatenate([xp, np.zeros((p.size, 1), dtype=np.int64)], axis=1)
-    xp_minus_x[:, 1] = (xp_minus_x[:, 1] - 1) % p
-    return _gcd(_monic_full(mod), xp_minus_x, p)
-
-
-def _monic_full(mod: np.ndarray) -> np.ndarray:
-    """The monic polynomials whose lower coefficients are the rows of mod."""
-    return np.concatenate([mod, np.ones((mod.shape[0], 1), dtype=np.int64)], axis=1)
+def _linear_part(mod: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """gcd(x^p - x, f) and its degree, one column per prime, for the monic f
+    whose lower coefficients are the columns of mod: the product of the
+    distinct linear factors of f mod p."""
+    d = mod.shape[0]
+    f = np.concatenate([mod, np.ones((1, p.size), dtype=np.int64)])
+    xp_minus_x = np.zeros_like(f)
+    xp_minus_x[:d] = _powmod(0, p, mod, p)
+    xp_minus_x[1] -= 1
+    return _gcd(f, xp_minus_x % p, p)
 
 
 def _inverse(a: np.ndarray, p: np.ndarray) -> np.ndarray:
@@ -267,60 +274,66 @@ def _inverse(a: np.ndarray, p: np.ndarray) -> np.ndarray:
     out = np.ones_like(a)
     base = a % p
     for _ in range(int(e.max()).bit_length()):
-        out = out * (1 + (e & 1) * (base - 1)) % p  # times base where e is odd
+        out = np.where(e & 1, out * base % p, out)
         base = base * base % p
         e = e >> 1
     return out
 
 
 def _reduce(a: np.ndarray, mod: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """a modulo the monic polynomials (mod, leading 1 implied), row-wise;
-    overwrites a."""
-    k = mod.shape[1]
-    pc = p[:, None]
-    for top in range(a.shape[1] - 1, k - 1, -1):
-        lead = a[:, top] % p
-        a[:, top - k : top] -= lead[:, None] * mod % pc
-    return a[:, :k] % pc
+    """a modulo the monic polynomials (mod, leading 1 implied), column-wise,
+    top-down with one % per lead coefficient and one at the end; overwrites
+    a, whose entries may be any sums of up to 2^11 - k residue products."""
+    k = mod.shape[0]
+    for top in range(a.shape[0] - 1, k - 1, -1):
+        a[top - k : top] -= a[top] % p * mod
+    return a[:k] % p
 
 
-def _mulmod(a: np.ndarray, b: np.ndarray, mod: np.ndarray, p: np.ndarray) -> np.ndarray:
-    k = mod.shape[1]
-    pc = p[:, None]
-    prod = np.zeros((p.size, 2 * k - 1), dtype=np.int64)
-    for i in range(k):
-        prod[:, i : i + k] += a[:, i : i + 1] * b % pc
-    return _reduce(prod, mod, p)
+def _powmod(a, e: np.ndarray, mod: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """(x + a)^e modulo (mod, p), column-wise, by left-to-right
+    square-and-multiply over the bits of the per-column exponents e; the
+    shift a is 0 or one residue per column.
 
-
-def _powmod(base: np.ndarray, e: np.ndarray, mod: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """base^e modulo (mod, p), row-wise, by left-to-right square-and-multiply
-    over the bits of the per-row exponents e."""
+    The square sums the symmetric products out_i out_j without a reduction;
+    the multiply by x + a is a shift, a times the column and one reduction
+    step x^k = -mod, taken everywhere and kept where the bit is set."""
+    k = mod.shape[0]
     out = np.zeros_like(mod)
-    out[:, 0] = 1
+    out[0] = 1
+    sq = np.empty((2 * k - 1, p.size), dtype=np.int64)
     for bit in range(int(e.max()).bit_length() - 1, -1, -1):
-        out = _mulmod(out, out, mod, p)
-        odd = ((e >> bit) & 1) == 1
-        out[odd] = _mulmod(out[odd], base[odd], mod[odd], p[odd])
+        twice = out + out
+        np.multiply(out, out, out=sq[::2])
+        sq[1::2] = 0
+        for i in range(k - 1):
+            sq[2 * i + 1 : i + k] += out[i] * twice[i + 1 :]
+        out = _reduce(sq, mod, p)
+        step = mod * -out[k - 1]
+        step[1:] += out[:-1]
+        if np.ndim(a):
+            step += a * out
+        step %= p
+        out = np.where((e >> bit) & 1 == 1, step, out)
     return out
 
 
 def _degrees(a: np.ndarray) -> np.ndarray:
-    """Degree of each row, -1 for the zero polynomial."""
-    deg = np.full(a.shape[0], -1, dtype=np.int64)
-    for j in range(a.shape[1]):
-        deg[a[:, j] != 0] = j
+    """Degree of each column, -1 for the zero polynomial."""
+    deg = np.full(a.shape[1], -1, dtype=np.int64)
+    for j in range(a.shape[0]):
+        deg[a[j] != 0] = j
     return deg
 
 
 def _gcd(a: np.ndarray, b: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Row-wise gcd(a, b) over Z/p and its degree, up to a unit factor.
+    """Column-wise gcd(a, b) over Z/p and its degree, up to a unit factor;
+    overwrites a and b.
 
     Euclid on pseudo-remainders: a <- lead(b) a - lead(a) x^s b lowers
     deg a without an inverse."""
-    a, b = a.copy(), b.copy()
     da, db = _degrees(a), _degrees(b)
-    cols = np.arange(a.shape[1])
+    rows = np.arange(a.shape[0])[:, None]
     while True:
         live = db >= 0
         if not live.any():
@@ -328,66 +341,67 @@ def _gcd(a: np.ndarray, b: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.nd
         step = np.nonzero(live & (da >= db))[0]
         swap = np.nonzero(live & (da < db))[0]
         if step.size:
-            pc = p[step, None]
-            src = cols[None, :] - (da[step] - db[step])[:, None]
-            shifted = np.take_along_axis(b[step], np.maximum(src, 0), axis=1)
+            src = rows - (da[step] - db[step])
+            shifted = np.take_along_axis(b[:, step], np.maximum(src, 0), axis=0)
             shifted[src < 0] = 0
-            la = a[step, da[step]][:, None]
-            lb = b[step, db[step]][:, None]
-            a[step] = (lb * a[step] % pc - la * shifted % pc) % pc
-            da[step] = _degrees(a[step])
+            la, lb = a[da[step], step], b[db[step], step]
+            a[:, step] = (lb * a[:, step] - la * shifted) % p[step]
+            da[step] = _degrees(a[:, step])
         if swap.size:
-            a[swap], b[swap] = b[swap], a[swap]
+            a[:, swap], b[:, swap] = b[:, swap], a[:, swap]
             da[swap], db[swap] = db[swap], da[swap]
 
 
 def _split_linear(g: np.ndarray, dg: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """The roots of the rows of g, each a product of distinct linear factors
-    mod p, one row per prime, _NO_ROOT in the unused slots.
+    """The roots of the columns of g, each a product of distinct linear
+    factors mod p, one row per prime, _NO_ROOT in the unused slots.
 
-    Pending factors of degree k >= 2 are grouped by k and split together by
-    shift a = 0, 1, ...: gcd with (x+a)^((p-1)/2) - 1 and + 1, and the root
-    -a itself.  A factor of degree k owns k slots of its row, from `slot`
-    on, and hands them on to the factors it splits into."""
-    table = np.full((p.size, g.shape[1] - 1), _NO_ROOT, dtype=np.int64)
-    pending: dict[int, list[tuple[np.ndarray, np.ndarray, np.ndarray]]] = {}
-
-    def emit(idx: np.ndarray, slot: np.ndarray, h: np.ndarray, dh: np.ndarray) -> None:
-        for k in sorted(set(dh[dh >= 1].tolist())):
-            at = np.nonzero(dh == k)[0]
-            i = idx[at]
-            pi = p[i]
-            mono = h[at, :k] * _inverse(h[at, k], pi)[:, None] % pi[:, None]
-            if k == 1:
-                table[i, slot[at]] = -mono[:, 0] % pi
-            else:
-                pending.setdefault(k, []).append((i, slot[at], mono))
-
-    emit(np.arange(p.size), np.zeros(p.size, dtype=np.int64), g, dg)
-    a = 0
-    while pending:
-        groups, pending = pending, {}
-        for k, parts in groups.items():
-            idx, slot, mod = (np.concatenate(part) for part in zip(*parts))
-            pi = p[idx]
-            shift = np.zeros_like(mod)
-            shift[:, 0] = a % pi
-            shift[:, 1] = 1
-            w = _powmod(shift, (pi - 1) // 2, mod, pi)
-            full = _monic_full(mod)
-            for sign in (1, -1):
-                h = np.concatenate([w, np.zeros((idx.size, 1), dtype=np.int64)], axis=1)
-                h[:, 0] = (h[:, 0] - sign) % pi
-                hg, dh = _gcd(full, h, pi)
-                emit(idx, slot, hg, dh)
-                slot = slot + dh
-            val = np.zeros(idx.size, dtype=np.int64)
-            for col in range(k, -1, -1):
-                val = (val * (-a % pi) + full[:, col]) % pi
-            hit = np.nonzero(val == 0)[0]
-            table[idx[hit], slot[hit]] = -a % pi[hit]
-        a += 1
-    return table
+    Each round makes the pending factors monic with one _inverse, reads the
+    roots of the linear ones, and splits those of degree k >= 2, grouped by
+    k, at the shift a = j * _SHIFT_STEP + 1 mod p of round j: gcd with
+    (x+a)^((p-1)/2) - 1 and + 1, and the root -a itself.  A factor of degree
+    k owns k slots of its row, from `slot` on, and hands them on to the
+    factors it splits into."""
+    table = np.full((p.size, g.shape[0] - 1), _NO_ROOT, dtype=np.int64)
+    idx, slot, h, dh = np.arange(p.size), np.zeros(p.size, dtype=np.int64), g, dg
+    j = 0
+    while True:
+        live = dh >= 1
+        idx, slot, h, dh = idx[live], slot[live], h[:, live], dh[live]
+        if not idx.size:
+            return table
+        pi = p[idx]
+        h *= _inverse(h[dh, np.arange(idx.size)], pi)
+        h %= pi
+        lin = dh == 1
+        table[idx[lin], slot[lin]] = -h[0, lin] % pi[lin]
+        parts = []
+        for k in sorted(set(dh[dh >= 2].tolist())):
+            group = np.nonzero(dh == k)[0]
+            for lo in range(0, group.size, _BATCH_ROWS):
+                at = group[lo : lo + _BATCH_ROWS]
+                i, s, pk = idx[at], slot[at], pi[at]
+                a = (j * _SHIFT_STEP + 1) % pk
+                w = _powmod(a, (pk - 1) // 2, h[:k, at], pk)
+                # gcd(f, w - 1) and gcd(f, w + 1) side by side
+                f2 = np.tile(h[:, at], 2)
+                w2 = np.zeros_like(f2)
+                w2[:k] = np.tile(w, 2)
+                p2 = np.tile(pk, 2)
+                w2[0] = (w2[0] + np.repeat([-1, 1], at.size)) % p2
+                val = np.zeros(at.size, dtype=np.int64)
+                for row in range(k, -1, -1):
+                    val = (val * (pk - a) + f2[row, : at.size]) % pk
+                hg, dhg = _gcd(f2, w2, p2)
+                dplus, dminus = dhg[: at.size], dhg[at.size :]
+                parts.append((i, s, hg[:, : at.size], dplus))
+                parts.append((i, s + dplus, hg[:, at.size :], dminus))
+                hit = np.nonzero(val == 0)[0]
+                table[i[hit], (s + dplus + dminus)[hit]] = (pk - a)[hit] % pk[hit]
+        if not parts:
+            return table
+        idx, slot, h, dh = (np.concatenate(x, axis=-1) for x in zip(*parts))
+        j += 1
 
 
 # ---------------------------------------------------------------------------

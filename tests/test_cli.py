@@ -205,6 +205,19 @@ def test_digits_round_outward(capsys):
         assert Fraction(data[key]) - step < Fraction(getattr(rep, key)) <= Fraction(data[key])
 
 
+def test_density_enclosure_unreduced(capsys):
+    # ends rounded from the unreduced num / den: lower <= exact lower end
+    # <= truncated <= upper, and truncated is the exact product to nearest
+    est = density_univ(parse("x^3 + 2"), 100000)
+    code, out, _ = _run(capsys, "--digits", "17", "density", "--poly", "x^3 + 2", "--B", "100000")
+    assert code == 0
+    data = json.loads(out)
+    exact_lo = est.truncated * (1 - Fraction(3, 100000))
+    assert Fraction(data["lower"]) <= exact_lo <= Fraction(data["truncated"]) <= Fraction(data["upper"])
+    assert data["truncated"] == float(est.truncated)
+    assert (data["lower"], data["upper"]) == (est.lower, est.upper)
+
+
 def test_console_script_entry():
     with pytest.raises(SystemExit) as exc:
         cli.main()

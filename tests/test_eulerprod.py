@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from sievecraft import kernels, localdens
-from sievecraft.eulerprod import density_form, density_univ
+from sievecraft.eulerprod import density_form, density_univ, float_down, float_up, ratio_down, ratio_up
 from sievecraft.poly import IntPoly, is_squarefree_poly, parse
 
 
@@ -168,3 +168,37 @@ def test_density_form_outward_enclosure(B):
     for coprime in (False, True):
         est = density_form(F, B, coprime=coprime)
         _check_enclosure(est, 1 - Fraction(2 * F.degree + 1, B))
+
+
+# numerators and denominators of a few bits and of more than 1000 bits
+_SIZES = st.sampled_from([8, 60, 1001, 1100])
+
+
+@st.composite
+def _ratios(draw):
+    """(n, d), d > 0, with n / d inside the float range: random integers of
+    mixed sizes, or a float's own ratio times a common factor of up to 2^1100
+    (so that the exact case comes unreduced)."""
+    if draw(st.booleans()):
+        n = draw(st.integers(-(2 ** draw(_SIZES)), 2 ** draw(_SIZES)))
+        d = draw(st.integers(1, 2 ** draw(_SIZES)))
+        assume(abs(n) < d * 2**1023)
+        return n, d
+    a, b = draw(st.floats(allow_nan=False, allow_infinity=False)).as_integer_ratio()
+    m = draw(st.integers(1, 2**1100))
+    return a * m, b * m
+
+
+@settings(max_examples=400, deadline=None)
+@given(_ratios())
+def test_ratio_rounding_vs_fraction(nd):
+    # num / den unreduced rounds outward to the same floats as the reduced
+    # Fraction, and those are the nearest floats on either side of it
+    n, d = nd
+    q = Fraction(n, d)
+    lo, hi = ratio_down(n, d), ratio_up(n, d)
+    assert (lo, hi) == (float_down(q), float_up(q))
+    assert Fraction(lo) <= q <= Fraction(hi)
+    above, below = math.nextafter(lo, math.inf), math.nextafter(hi, -math.inf)
+    assert math.isinf(above) or Fraction(above) > q
+    assert math.isinf(below) or Fraction(below) < q

@@ -247,16 +247,20 @@ def _batched(coeffs, primes):
     return [roots[starts[i] : starts[i + 1]].tolist() for i in range(len(primes))]
 
 
-# beyond the scalar cut at 43, up to 2^31 - 1 (the largest batched prime:
-# residue products just below 2^62) and past it
-_PRIMES = kernels.prime_sieve(400).tolist() + [10007, 65537, 2147483647, 2147483659]
+# beyond the scalar cut at 43, the largest batched prime 2^26 - 5 (residue
+# products just below 2^52) and the next prime, 2^26 + 15, which goes through
+# poly_roots_mod_p, as do 2^31 - 1 and 2^31 + 11
+_PRIMES = kernels.prime_sieve(400).tolist() + [10007, 65537, 67108859, 67108879, 2147483647, 2147483659]
 
 
 @st.composite
 def _polys(draw):
     """lead * prod (x - r_i) + m * noise: roots drawn from a short range
     repeat, so Disc is divisible by the primes of m (some above 43), and
-    the leading coefficient carries small and not-so-small primes."""
+    the leading coefficient carries small and not-so-small primes.  Or a
+    binomial x^d + c, whose factors the shift a = 0 never splits."""
+    if draw(st.booleans()):
+        return [draw(st.integers(-40, 40).filter(bool))] + [0] * (draw(st.integers(2, 6)) - 1) + [1]
     deg = draw(st.integers(1, 6))
     roots = draw(st.lists(st.integers(-6, 6), min_size=deg, max_size=deg))
     lead = draw(st.sampled_from([1, -1, 2, 3, 6, -30, 47, 2 * 59, 210]))
@@ -280,11 +284,21 @@ def test_roots_mod_primes_vs_scalar(coeffs):
 
 
 def test_roots_mod_primes_edge_cases():
+    # _PRIMES straddles the batch limit
+    assert 67108859 < kernels._BATCH_P_LIMIT <= 67108879
     assert _batched([5], [2, 3, 47, 101]) == [[], [], [], []]
     assert _batched([0, 0, 1], [2, 53]) == [[0], [0]]  # repeated root
     assert _batched([2, 0, 0, 1], []) == []
     with pytest.raises(ValueError):  # vanishes identically mod 47
         kernels.roots_mod_primes([47, 94], [53, 47])
+    # above _BATCH_MAX_DEG the int64 sums could overflow: every prime goes
+    # through poly_roots_mod_p
+    primes = [53, 97, 101]
+    expect = [kernels.poly_roots_mod_p([2, 0, 0, 1], p) for p in primes]
+    with mock.patch.object(kernels, "_BATCH_MAX_DEG", 2):
+        with mock.patch.object(kernels, "poly_roots_mod_p", wraps=kernels.poly_roots_mod_p) as scalar:
+            assert _batched([2, 0, 0, 1], primes) == expect
+    assert scalar.call_count == len(primes)
 
 
 def test_roots_mod_primes_exhaustive():
@@ -306,3 +320,12 @@ def test_roots_mod_primes_exhaustive():
         assert len(roots) == want, p
         assert all((r**3 + 2) % p == 0 for r in roots)
         assert roots == sorted(set(roots))
+    for d in (4, 6):
+        # x^d - 1 splits into linear factors exactly when d | p - 1: its
+        # roots are the gcd(d, p - 1) d-th roots of unity, found by the
+        # longest chains of splits
+        ps = [p for p in primes if d == 4 or p > 3]
+        for p, roots in zip(ps, _batched([-1] + [0] * (d - 1) + [1], ps)):
+            assert len(roots) == math.gcd(d, p - 1), (d, p)
+            assert all(pow(r, d, p) == 1 for r in roots)
+            assert roots == sorted(set(roots))
