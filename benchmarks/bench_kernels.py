@@ -97,10 +97,13 @@ def main():
     t, _ = timeit(avgprod.truncated_product, u, 1000, repeat=k)
     row("truncated_product(x^3+2, 1e3)", t)
 
-    # the square profile of the form over the 1001^2 pairs
+    # the square profile of the form over the 1001^2 pairs: the coprime
+    # census reads the coprime-only profile, --all-pairs the full one
     F = parse("x^3 + 2*z^3", kind="form")
     t, _ = timeit(census.count_squarefree_form, F, 500, repeat=k)
     row("count_squarefree_form(x^3+2z^3, 500)", t)
+    t, _ = timeit(lambda: census.count_squarefree_form(F, 500, coprime=False), repeat=k)
+    row("count_squarefree_form(..., all pairs)", t)
 
     meta = {"backend": kernels.BACKEND, "numpy": np.__version__, "nproc": os.cpu_count(), "repeat": k}
     print(json.dumps({**meta, "ms": rows}))

@@ -277,7 +277,7 @@ def empirical_average_form(
     pairs = 0
     # the profile of F with x and z swapped has one row per x, so its cells
     # run in the x-major order in which the pairs are summed
-    for zs, xs, (cells, ps, vs, rem) in census._form_blocks(F.coeffs[::-1], -n, n):
+    for zs, xs, (cells, ps, vs, rem) in census._form_blocks(F.coeffs[::-1], -n, n, True):
         ok = census._pair_mask(xs[:, None], zs, sector=sector)
         pairs += int(np.count_nonzero(ok))
         w = np.where(ok & (rem != 0), 1.0 + 0.0j, 0.0j)
@@ -287,7 +287,7 @@ def empirical_average_form(
         for c, p, e in zip(*(a[keep].tolist() for a in (cells, ps, vs))):
             factors.setdefault(c, []).append((p, e))
         q = census._isqrt(rem)
-        for c in np.flatnonzero(ok & census._is_square(rem)).tolist():
+        for c in np.flatnonzero(ok & (q * q == rem) & (q > 1)).tolist():
             factors.setdefault(c, []).append((int(q[c]), 2))
         for c, pe in factors.items():
             x, y = int(xs[c // zs.size]), int(zs[c % zs.size])

@@ -95,8 +95,10 @@ def _isqrt(v: np.ndarray) -> np.ndarray:
 
 
 def _is_square(v: np.ndarray) -> np.ndarray:
-    """Elementwise test for perfect squares > 1."""
-    r = _isqrt(v)
+    """Elementwise test for perfect squares > 1, exact for 0 <= v < 2^62:
+    at v = s^2 the float sqrt is within 2^-21 of s, so it rounds to s, and
+    at any other v the int64 check r * r == v fails."""
+    r = np.rint(np.sqrt(v)).astype(np.int64)
     return (r * r == v) & (v > 1)
 
 
@@ -185,7 +187,7 @@ def _count_pairs(F: BinForm, lo: int, n: int, coprime: bool, sector) -> tuple[in
     pairs in the sector if one is given."""
     observed = 0
     zeros = 0
-    for xs, zs, (cells, _, _, rem) in _form_blocks(F.coeffs, lo, n):
+    for xs, zs, (cells, _, _, rem) in _form_blocks(F.coeffs, lo, n, coprime):
         ok = _pair_mask(xs, zs[:, None], coprime, sector)
         zero = rem == 0
         bad = zero | _is_square(rem)
@@ -195,11 +197,12 @@ def _count_pairs(F: BinForm, lo: int, n: int, coprime: bool, sector) -> tuple[in
     return observed, zeros
 
 
-def _form_blocks(coeffs, lo: int, n: int):
+def _form_blocks(coeffs, lo: int, n: int, coprime: bool):
     """The square profile of the form (coeffs as in BinForm) over the box
     lo <= x, z <= N, by blocks of rows: yields (xs, zs, profile), the x and
     the z of the block and its (cells, ps, vs, rem) from
-    kernels.form_square_blocks, which finds the roots mod p once.  The trial
+    kernels.form_square_blocks, which finds the roots mod p once; with
+    coprime set, the profile is exact only at the coprime pairs.  The trial
     bound B is the least with B^3 > max |F| on the box, so every remainder
     is 1, q, q^2 or q*q' with primes q, q' > B.  Raises OverflowError,
     before any array is made, if a value may reach 2^62 or the box holds
@@ -214,18 +217,35 @@ def _form_blocks(coeffs, lo: int, n: int):
         raise OverflowError(f"the box holds more than 2^33 pairs ({width}^2)")
     xs = np.arange(lo, n + 1, dtype=np.int64)
     rows = max(1, _BLOCK_CELLS // width)
-    for zs, *profile in kernels.form_square_blocks(coeffs, lo, n, lo, n, _cube_bound(vmax), rows):
+    b = _cube_bound(vmax)
+    for zs, *profile in kernels.form_square_blocks(coeffs, lo, n, lo, n, b, rows, coprime):
         yield xs, zs, profile
 
 
 def _pair_mask(x: np.ndarray, z: np.ndarray, coprime: bool = True, sector=None) -> np.ndarray:
     """Flat mask of the pairs (x, z) of the broadcast grid that a census
-    counts: coprime ones (if asked), in the sector (if given)."""
-    x, z = (a.ravel() for a in np.broadcast_arrays(x, z))
-    ok = np.ones(x.size, dtype=bool)
-    if coprime:
-        ok &= np.gcd(x, z) == 1
+    counts: coprime ones (if asked), in the sector (if given).  x and z are
+    runs of consecutive integers, one of them a column (shape (k, 1)).
+
+    The coprime pairs are sieved: for each prime p <= max |x|, |z|, the
+    rows divisible by p are cleared at the columns divisible by p, and
+    then (0, 0)."""
+    rows, cols = (x, z) if np.shape(x)[1:] == (1,) else (z, x)
+    rows, cols = np.ravel(rows), np.ravel(cols)
+    ok = np.ones((rows.size, cols.size), dtype=bool)
+    if coprime and ok.size:
+        i, j = -int(rows[0]), -int(cols[0])  # the cell of (0, 0)
+        ps = kernels.prime_sieve(max(abs(i), abs(j), abs(int(rows[-1])), abs(int(cols[-1]))))
+        # the first row and the first column divisible by p
+        pi, pj = i % ps, j % ps
+        live = (pi < rows.size) & (pj < cols.size)
+        for p, a, b in zip(ps[live].tolist(), pi[live].tolist(), pj[live].tolist()):
+            ok[a::p, b::p] = False
+        if 0 <= i < rows.size and 0 <= j < cols.size:
+            ok[i, j] = False
+    ok = ok.ravel()
     if sector is not None:
+        x, z = (a.ravel() for a in np.broadcast_arrays(x, z))
         ok &= sector.mask(x, z)
     return ok
 
@@ -267,11 +287,11 @@ def delta_census_form(
         threshold = n
     profile: dict[int, int] = {}
     count = 0
-    for xs, zs, (cells, ps, _, rem) in _form_blocks(F.coeffs, -n, n):
+    for xs, zs, (cells, ps, _, rem) in _form_blocks(F.coeffs, -n, n, True):
         ok = _pair_mask(xs, zs[:, None])
         sel = ok[cells] & (ps > threshold)
         q = _isqrt(rem)
-        big = np.flatnonzero(ok & _is_square(rem) & (q > threshold))
+        big = np.flatnonzero(ok & (q * q == rem) & (q > max(threshold, 1)))
         hits = np.concatenate([cells[sel], big])
         count += np.unique(hits).size
         primes, counts = np.unique(np.concatenate([ps[sel], q[big]]), return_counts=True)
@@ -310,14 +330,15 @@ def twist_census(F: BinForm, n: int) -> TwistTable:
     if F.degree < 3:
         raise ValueError("deg F must be >= 3")
     out = TwistTable(form=str(F), N=n)
-    for xs, zs, (cells, ps, vs, rem) in _form_blocks(F.coeffs, -n, n):
+    for xs, zs, (cells, ps, vs, rem) in _form_blocks(F.coeffs, -n, n, True):
         ok = _pair_mask(xs, zs[:, None])
         zero = rem == 0
         out.pairs += int(np.count_nonzero(ok))
         out.zeros += int(np.count_nonzero(ok & zero))
         # F = d y^2: y is the product of p^(v // 2) and, at a square
         # remainder q^2, of q
-        y = np.where(_is_square(rem), _isqrt(rem), 1)
+        q = _isqrt(rem)
+        y = np.where((q * q == rem) & (q > 1), q, 1)
         np.multiply.at(y, cells, ps ** (vs // 2))
         keep = ok & ~zero
         d = kernels.form_values(F.coeffs, xs, zs).ravel()[keep] // y[keep] ** 2

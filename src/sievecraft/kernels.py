@@ -8,7 +8,8 @@
   v_p(P(x))) with v >= 2 and p <= B, and the remainder of |P(x)| after
   removing all prime factors <= B, streamed in blocks of x,
 * ``form_square_blocks`` -- the same profile for a binary form F(x, z) over a
-  box of pairs, read from the roots of F(t, 1) mod p, in blocks of rows,
+  box of pairs, read from the roots of F(t, 1) mod p, in blocks of rows, at
+  every pair or only at the coprime ones,
 * ``form_values`` -- the values of a binary form over a grid.
 """
 
@@ -504,7 +505,9 @@ def _content_entries(xs, ps, vs, idx, hp, vals, square, vcont, lo):
     return xs[order], ps[order], vs[order]
 
 
-def form_square_blocks(coeffs, xlo: int, xhi: int, zlo: int, zhi: int, b: int, rows: int):
+def form_square_blocks(
+    coeffs, xlo: int, xhi: int, zlo: int, zhi: int, b: int, rows: int, coprime: bool = False
+):
     """Square-part profile of the binary form F(x, z) = sum a_i x^i z^(d-i)
     (coeffs[i] = a_i) over the pairs xlo <= x <= xhi, zlo <= z <= zhi, with
     trial bound B, as a stream of blocks of `rows` consecutive z.
@@ -520,6 +523,12 @@ def form_square_blocks(coeffs, xlo: int, xhi: int, zlo: int, zhi: int, b: int, r
     in the rows with p not dividing z; in the rows with p | z, where F =
     a_d x^d mod p, the whole row if p | a_d, else x = 0.  Values |F| must
     stay below 2^62 (int64 arithmetic).
+
+    With coprime set, the class x = 0 of the rows with p | z is skipped at
+    the primes p not dividing a_d (of the primitive part): its cells are
+    the pairs with p | gcd(x, z).  The entries and rem are then exact at
+    every pair with gcd(x, z) = 1 and unspecified at the other pairs (rem
+    stays in 0 <= rem <= |F|).
     """
     prim, cont = _primitive(coeffs)
     d = len(prim) - 1
@@ -548,7 +557,7 @@ def form_square_blocks(coeffs, xlo: int, xhi: int, zlo: int, zhi: int, b: int, r
             if at.size and d >= 1:
                 if prim[d] % p == 0:
                     classes.append((at[:, None] * w + np.arange(w)).ravel())
-                else:
+                elif not coprime:
                     classes.append(_progressions(at * w, np.full((at.size, 1), -xlo % p), p, w))
             _divide_out(vals, nonzero, classes, p, vcont.get(p, 0), out)
         vals[nonzero] *= beyond

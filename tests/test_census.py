@@ -153,6 +153,14 @@ def test_is_square_helper():
     got = census._is_square(v)
     expect = [x > 1 and math.isqrt(x) ** 2 == x for x in v.tolist()]
     assert got.tolist() == expect
+    # the top of the exact range: s^2 and s^2 +- 1 next to 2^62, and
+    # random values below 2^62, against math.isqrt
+    s = np.arange(2**31 - 2000, 2**31, dtype=np.int64)
+    rng = np.random.default_rng(8)
+    v = np.concatenate([s * s, s * s - 1, s * s + 1, rng.integers(0, 2**62, 20000), rng.integers(0, 2**20, 2000)])
+    expect = [x > 1 and math.isqrt(x) ** 2 == x for x in v.tolist()]
+    assert census._is_square(v).tolist() == expect
+    assert census._isqrt(v).tolist() == [math.isqrt(x) for x in v.tolist()]
 
 
 def test_count_powerfree_frozen():
@@ -338,6 +346,47 @@ def test_form_censuses_vs_pair_loops(F, n, convention, coprime, sector):
     else:
         with pytest.raises(ValueError):
             twist_census(F, n)
+
+
+def test_coprime_form_profile_entries():
+    # x^3 + 2z^3 over [-500, 500]^2 in one block: the coprime profile skips
+    # the classes x = 0 of the rows with p | z and keeps the full profile's
+    # entries and remainders at every coprime pair
+    (xs, zs, full), = census._form_blocks([2, 0, 0, 1], -500, 500, False)
+    (_, _, part), = census._form_blocks([2, 0, 0, 1], -500, 500, True)
+    ok = (np.gcd(xs, zs[:, None]) == 1).ravel()
+
+    def at_coprime(cells, ps, vs, _):
+        return sorted(zip(*(a[ok[cells]].tolist() for a in (cells, ps, vs))))
+
+    assert (full[0].size, part[0].size) == (507520, 54200)
+    assert at_coprime(*part) == at_coprime(*full) and len(at_coprime(*full)) == 33936
+    assert np.array_equal(part[3][ok], full[3][ok])
+
+
+def _gcd_mask(x, z, sector=None):
+    x, z = (a.ravel() for a in np.broadcast_arrays(x, z))
+    ok = np.gcd(x, z) == 1
+    return ok & sector.mask(x, z) if sector is not None else ok
+
+
+@pytest.mark.parametrize(
+    "xlo, xhi, zlo, zhi",
+    [(0, 0, 0, 0), (-1, 1, -1, 1), (-2, 2, -2, 2), (1, 1, 1, 2), (0, 1, 0, 1), (-30, 30, -30, 30),
+     (1, 30, 1, 30), (-60, 40, 7, 19), (5, 97, -13, -2), (4, 4, 6, 6), (-3, 8, 0, 0), (2, 1, 0, 5)],
+)
+def test_pair_mask_vs_gcd(xlo, xhi, zlo, zhi):
+    # the sieved coprime mask equals gcd(x, z) == 1 in both orientations,
+    # with and without a sector
+    xs = np.arange(xlo, xhi + 1, dtype=np.int64)
+    zs = np.arange(zlo, zhi + 1, dtype=np.int64)
+    for sector in (None, _SECTORS[2]):
+        for x, z in ((xs, zs[:, None]), (xs[:, None], zs)):
+            assert census._pair_mask(x, z, True, sector).tolist() == _gcd_mask(x, z, sector).tolist()
+            expect = np.ones(np.broadcast_shapes(x.shape, z.shape), dtype=bool).ravel()
+            if sector is not None:
+                expect = sector.mask(*(a.ravel() for a in np.broadcast_arrays(x, z)))
+            assert census._pair_mask(x, z, False, sector).tolist() == expect.tolist()
 
 
 def test_form_censuses_across_row_blocks(monkeypatch):

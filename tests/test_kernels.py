@@ -191,6 +191,7 @@ def test_value_square_blocks_limits():
 @settings(max_examples=100, deadline=None)
 @given(
     st.lists(st.integers(-6, 6), min_size=1, max_size=5).filter(any),
+    st.sampled_from([1, 2, 3, 5, 30]),
     st.sampled_from([1, 2, 4, 12, 7 * 9]),
     st.integers(-7, 3),
     st.integers(0, 9),
@@ -198,35 +199,45 @@ def test_value_square_blocks_limits():
     st.integers(0, 9),
     st.integers(1, 40),
     st.integers(1, 11),
+    st.booleans(),
 )
-def test_form_square_profile_oracle(coeffs, content, xlo, w, zlo, h, b, rows):
+def test_form_square_profile_oracle(coeffs, lead, content, xlo, w, zlo, h, b, rows, coprime):
     # trial-division oracle: (cell, p, v_p(F)) for v >= 2 and p <= b, and
     # the cofactor of |F| after removing all primes <= b, at every pair,
-    # over blocks of 1 to 11 rows
-    coeffs = [content * a for a in coeffs]
+    # over blocks of 1 to 11 rows; the x^d coefficient times 2, 3, 5 or
+    # 30 keeps the rows with p | z whole in coprime mode.  In coprime mode
+    # only the coprime pairs are compared, and elsewhere 0 <= rem <= |F|
+    # with rem = 0 exactly where F = 0
+    coeffs = [content * a for a in coeffs[:-1] + [lead * coeffs[-1]]]
     d = len(coeffs) - 1
     primes = kernels.prime_sieve(b).tolist()
-    expect, rem = set(), []
+    expect, rem, size, keep = set(), [], [], []
     for z in range(zlo, zlo + h + 1):
         for x in range(xlo, xlo + w + 1):
             val = abs(sum(a * x**i * z ** (d - i) for i, a in enumerate(coeffs)))
+            size.append(val)
+            keep.append(not coprime or math.gcd(x, z) == 1)
             for p in primes if val else []:
                 v = 0
                 while val % p == 0:
                     val //= p
                     v += 1
-                if v >= 2:
+                if v >= 2 and keep[-1]:
                     expect.add(((z - zlo) * (w + 1) + x - xlo, p, v))
             rem.append(val)
-    blocks = list(kernels.form_square_blocks(coeffs, xlo, xlo + w, zlo, zlo + h, b, rows))
+    blocks = list(kernels.form_square_blocks(coeffs, xlo, xlo + w, zlo, zlo + h, b, rows, coprime))
     assert np.concatenate([zs for zs, *_ in blocks]).tolist() == list(range(zlo, zlo + h + 1))
     got = [
         ((zs[0] - zlo) * (w + 1) + c, p, v)
         for zs, cells, ps, vs, _ in blocks
         for c, p, v in zip(cells.tolist(), ps.tolist(), vs.tolist())
     ]
+    got = [e for e in got if keep[e[0]]]
     assert set(got) == expect and len(got) == len(expect)
-    assert np.concatenate([r for *_, r in blocks]).tolist() == rem
+    out = np.concatenate([r for *_, r in blocks]).tolist()
+    assert len(out) == len(rem)
+    for r, e, f, k in zip(out, rem, size, keep):
+        assert r == e if k else (0 <= r <= f and (r == 0) == (f == 0))
 
 
 def test_form_square_profile_limits():
