@@ -1,6 +1,6 @@
-"""Benchmark the batched root finder against the per-prime loop, the streamed
-value profile, the Euler product, the local integrals of avgprod's
-prediction and the binary-form census.
+"""Benchmark the batched root finder against the per-prime loop, the root
+counts without the split, the streamed value profile, the Euler product, the
+local integrals of avgprod's prediction and the binary-form census.
 
 Run:  python benchmarks/bench_kernels.py
 
@@ -14,6 +14,7 @@ import os
 import statistics
 import time
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 
@@ -61,6 +62,10 @@ def main():
     assert rb == rl
     row("poly_roots_mod_p (9592 primes)", tl)
     row("roots_mod_primes, batched (9592 p)", tb)
+    # only the number of roots, as the Euler products read them: no split
+    tc, counts = timeit(kernels.root_counts_mod_primes, coeffs, primes, repeat=k)
+    assert counts.tolist() == [len(r) for r in rl]
+    row("root_counts_mod_primes (9592 p)", tc)
 
     # the batches of the perfbench workloads: census --poly 'x^3 + 2' --N 1e5,
     # census --poly 'x^2 + 1' --N 1e6 and density of the seed-2 S3 cubic at
@@ -73,8 +78,18 @@ def main():
         primes = kernels.prime_sieve(b)
         t, _ = timeit(kernels.roots_mod_primes, parse(text).coeffs, primes, repeat=k)
         row(f"roots_mod_primes {name}", t)
+        if name.startswith("S3"):
+            t, _ = timeit(kernels.root_counts_mod_primes, parse(text).coeffs, primes, repeat=k)
+            row(f"root_counts_mod_primes {name}", t)
 
-    t, _ = timeit(eulerprod.density_univ, parse("x^3 + 2"), 10**5, repeat=k)
+    # the Euler product of density --poly 'x^3 + 2' --B 1e5: its float ends
+    # alone, and the whole density
+    P = parse("x^3 + 2")
+    est = eulerprod.density_univ(P, 10**5)
+    tail = 1 - Fraction(P.degree, 10**5)
+    t, _ = timeit(eulerprod._estimate, est.primes, est.hits, 2, 10**5, est.status, tail, repeat=k)
+    row("_estimate(x^3+2, 1e5)", t)
+    t, _ = timeit(eulerprod.density_univ, P, 10**5, repeat=k)
     row("density_univ(x^3+2, 1e5)", t)
 
     # the profile of x^2 + 1 over 1..1e6 read block by block, as the census

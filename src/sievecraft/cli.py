@@ -4,9 +4,11 @@ library, and prints a JSON or CSV report."""
 from __future__ import annotations
 
 import argparse
+import decimal
 import json
 import math
 import random
+import re
 import sys
 from fractions import Fraction
 
@@ -59,6 +61,24 @@ def _emit(payload: dict, digits: int) -> None:
     print(json.dumps(_rounded(payload, digits), allow_nan=False))
 
 
+_SCIENTIFIC = re.compile(r"[+-]?(\d+\.?\d*|\.\d+)[eE][+-]?\d+")
+
+
+def _integer(text: str) -> int:
+    """An int, also written in scientific notation when that denotes an
+    integer exactly: 1e6 and 2.5e3, but not 1.5e0 or 1e-3."""
+    if _SCIENTIFIC.fullmatch(text.strip()):
+        d = decimal.Decimal(text)
+        # at most 4300 digits, CPython's default cap for int(str): 1e999999999
+        # is refused rather than expanded
+        if d == d.to_integral_value() and d.adjusted() < 4300:
+            return int(d)
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+
+
 def build_parser() -> argparse.ArgumentParser:
     top = _Parser(prog="sievecraft", description=__doc__)
     top.add_argument("--digits", type=int, default=12, help="float precision in reports")
@@ -68,7 +88,7 @@ def build_parser() -> argparse.ArgumentParser:
     g = p.add_mutually_exclusive_group(required=True)
     g.add_argument("--poly")
     g.add_argument("--form")
-    p.add_argument("--B", type=int, default=10**4)
+    p.add_argument("--B", type=_integer, default=10**4)
     p.add_argument("--m", type=int, default=2)
     p.add_argument("--coprime", action="store_true")
 
@@ -76,7 +96,7 @@ def build_parser() -> argparse.ArgumentParser:
     g = p.add_mutually_exclusive_group(required=True)
     g.add_argument("--poly")
     g.add_argument("--form")
-    p.add_argument("--N", type=int, required=True)
+    p.add_argument("--N", type=_integer, required=True)
     p.add_argument("--m", type=int, default=2)
     p.add_argument("--convention", choices=["full-box", "positive-quadrant"], default="full-box")
     p.add_argument("--all-pairs", action="store_true", help="forms: drop the coprimality restriction")
@@ -85,21 +105,21 @@ def build_parser() -> argparse.ArgumentParser:
     g = p.add_mutually_exclusive_group(required=True)
     g.add_argument("--poly")
     g.add_argument("--form")
-    p.add_argument("--N", type=int, required=True)
-    p.add_argument("--threshold", type=int)
+    p.add_argument("--N", type=_integer, required=True)
+    p.add_argument("--threshold", type=_integer)
 
     p = sub.add_parser("twists", help="twist table d*y^2 = F(x,z) as CSV")
     p.add_argument("--form", required=True)
-    p.add_argument("--N", type=int, required=True)
+    p.add_argument("--N", type=_integer, required=True)
 
     p = sub.add_parser("tables", help="group exponent tables as CSV")
     p.add_argument("--alpha", default="paper", help="'paper' or a numeric override")
 
     p = sub.add_parser("avgprod", help="average of a local-factor product")
     p.add_argument("--poly", required=True)
-    p.add_argument("--N", type=int, required=True)
+    p.add_argument("--N", type=_integer, required=True)
     p.add_argument("--family", choices=["indicator", "signed"], default="indicator")
-    p.add_argument("--B", type=int, default=10**3)
+    p.add_argument("--B", type=_integer, default=10**3)
     p.add_argument("--progression", help="a,m: restrict with the multiplier 1_{n=a mod m}")
     p.add_argument("--mobius", action="store_true", help="weight by mu(n) (no prediction)")
 
@@ -126,7 +146,7 @@ def _cmd_density(args, digits):
             "B": est.B,
             "lower": est.lower,
             "upper": est.upper,
-            "truncated": est.num / est.den,
+            "truncated": est.nearest,
             "status": est.status,
         },
         digits,

@@ -4,8 +4,10 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from . import kernels, localdens, numutil
 from .poly import BinForm, IntPoly, discriminant, is_squarefree_poly
@@ -13,19 +15,27 @@ from .poly import BinForm, IntPoly, discriminant, is_squarefree_poly
 
 @dataclass
 class EulerEstimate:
-    """Interval [lower, upper] containing the infinite product, with the
-    truncated part kept exact as num / den (not in lowest terms): the
-    product of the factors 1 - hits[i] / primes[i]^k."""
+    """Interval [lower, upper] containing the infinite product, and the
+    truncated part T, the product of the factors 1 - hits[i] / primes[i]^k,
+    rounded to nearest as `nearest`.  T is kept exact as num / den (not in
+    lowest terms), built on first access."""
 
     lower: float
     upper: float
-    num: int
-    den: int
+    nearest: float
     B: int
     primes: list[int]
     hits: list[int]
     k: int
     status: str = "ok"  # ok | widened | zero_density
+
+    @cached_property
+    def num(self) -> int:
+        return _product(p**self.k - h for p, h in zip(self.primes, self.hits))
+
+    @cached_property
+    def den(self) -> int:
+        return _product(self.primes) ** self.k
 
     @property
     def truncated(self) -> Fraction:
@@ -90,23 +100,53 @@ def _product(xs) -> int:
     return parts[0] if parts else 1
 
 
+# bits of the fixed-point enclosure of the truncated product, and the factors
+# multiplied into it per floor / ceiling step
+_PRECISION = 192
+_ENCLOSURE_BLOCK = 32
+
+
+def _enclosure(qs: list[int], nums: list[int]) -> tuple[int, int]:
+    """Integers lo <= 2^_PRECISION * prod nums[i] / qs[i] <= hi (all
+    0 < nums[i] <= qs[i]): the product of each block of factors floored
+    into lo and ceiled into hi, so hi - lo <= 2 * #blocks."""
+    lo = hi = 1 << _PRECISION
+    for i in range(0, len(qs), _ENCLOSURE_BLOCK):
+        n, q = math.prod(nums[i : i + _ENCLOSURE_BLOCK]), math.prod(qs[i : i + _ENCLOSURE_BLOCK])
+        lo = lo * n // q
+        hi = -(-hi * n // q)
+    return lo, hi
+
+
 def _estimate(
     primes: list[int], hits: list[int], k: int, B: int, status: str, tail_lo: Fraction
 ) -> EulerEstimate:
-    """The product of the factors 1 - hits/p^k over the primes, exact, and
-    the interval [T * tail_lo, T] around it, rounded outward."""
-    nums = []
-    for i, (p, h) in enumerate(zip(primes, hits)):
-        q = p**k
-        if h >= q:
-            return EulerEstimate(0.0, 0.0, 0, 1, B, primes[: i + 1], hits[: i + 1], k, "zero_density")
-        nums.append(q - h)
-    # one integer product each for the numerators and the denominators, and
-    # no gcd: the ends are rounded from the unreduced num / den
-    num, den = _product(nums), _product(primes) ** k
+    """The product T of the factors 1 - hits/p^k over the primes (each
+    0 <= hits[i] <= primes[i]^k), to nearest, and the interval
+    [T * tail_lo, T] around it, rounded outward.
+
+    Each of the three floats is rounded from both ends of the fixed-point
+    enclosure of T; only where they differ is it rounded from the exact,
+    unreduced num / den (Ziv's strategy), so the floats are those of the
+    exact T either way."""
+    qs = [p**k for p in primes]
+    nums = [q - h for q, h in zip(qs, hits)]
+    if min(nums) <= 0:
+        i = next(i for i, n in enumerate(nums) if n <= 0)
+        return EulerEstimate(0.0, 0.0, 0.0, B, primes[: i + 1], hits[: i + 1], k, "zero_density")
     tail = max(tail_lo, Fraction(0))
-    lower = ratio_down(num * tail.numerator, den * tail.denominator)
-    return EulerEstimate(lower, ratio_up(num, den), num, den, B, primes, hits, k, status)
+    lo, hi = _enclosure(qs, nums)
+    est = EulerEstimate(0.0, 0.0, 0.0, B, primes, hits, k, status)
+
+    def rounded(rnd, a: int, b: int) -> float:
+        # rnd(T * a / b), for rnd monotone
+        x = rnd(lo * a, b << _PRECISION)
+        return x if x == rnd(hi * a, b << _PRECISION) else rnd(est.num * a, est.den * b)
+
+    est.lower = rounded(ratio_down, tail.numerator, tail.denominator)
+    est.upper = rounded(ratio_up, 1, 1)
+    est.nearest = rounded(operator.truediv, 1, 1)
+    return est
 
 
 def _truncation_primes(B: int, bad: list[int]) -> tuple[list[int], str]:
@@ -119,8 +159,8 @@ def _truncation_primes(B: int, bad: list[int]) -> tuple[list[int], str]:
 def _root_counts(coeffs, primes: list[int], bad: list[int]) -> list[int | None]:
     """Per prime, the number of roots of coeffs mod p; None at the bad
     primes, which the caller lifts."""
-    starts, _ = kernels.roots_mod_primes(coeffs, [p for p in primes if p not in bad])
-    good = iter((starts[1:] - starts[:-1]).tolist())
+    bad = set(bad)
+    good = iter(kernels.root_counts_mod_primes(coeffs, [p for p in primes if p not in bad]).tolist())
     return [None if p in bad else next(good) for p in primes]
 
 

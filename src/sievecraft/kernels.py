@@ -3,7 +3,8 @@
 * ``prime_sieve`` -- all primes up to N,
 * ``poly_roots_mod_p`` -- roots of an integer polynomial mod one prime, and
   ``roots_mod_primes`` -- the roots mod every prime of a list at once,
-  vectorised over the primes,
+  vectorised over the primes, and ``root_counts_mod_primes`` -- only their
+  number,
 * ``value_square_blocks`` -- for P and x = 1..N, the exact pairs (p,
   v_p(P(x))) with v >= 2 and p <= B, and the remainder of |P(x)| after
   removing all prime factors <= B, streamed in blocks of x,
@@ -216,29 +217,14 @@ def roots_mod_primes(coeffs, primes) -> tuple[np.ndarray, np.ndarray]:
     (x + a)^((p-1)/2) at the shifts a = j * _SHIFT_STEP + 1 mod p, j = 0,
     1, ...; both powers come from one _powmod.
     """
-    c = [int(a) for a in coeffs]
-    while len(c) > 1 and c[-1] == 0:
-        c.pop()
-    d = len(c) - 1
-    primes = np.asarray(primes, dtype=np.int64).reshape(-1)
+    primes, scalar, sel, g, dg = _linear_parts(coeffs, primes)
+    d = g.shape[0] - 1
     # row i: the roots mod primes[i], then _NO_ROOT in the unused slots
     table = np.full((primes.size, max(d, 1)), _NO_ROOT, dtype=np.int64)
-    batch = (primes > _SCALAR_MAX_P) & (primes < _BATCH_P_LIMIT) & (d <= _BATCH_MAX_DEG)
-    batch &= _residues(c[-1], primes) != 0
-    for i in np.nonzero(~batch)[0].tolist():
-        r = poly_roots_mod_p(c, int(primes[i]))
+    for i, r in scalar:
         table[i, : len(r)] = r
-    sel = np.nonzero(batch)[0]
-    if sel.size and d >= 1:
-        p = primes[sel]
-        inv = _inverse(_residues(c[-1], p), p)
-        g = np.empty((d + 1, p.size), dtype=np.int64)
-        dg = np.empty(p.size, dtype=np.int64)
-        for lo in range(0, p.size, _BATCH_ROWS):
-            hi = min(lo + _BATCH_ROWS, p.size)
-            mod = np.stack([_residues(a, p[lo:hi]) for a in c[:-1]]) * inv[lo:hi] % p[lo:hi]
-            g[:, lo:hi], dg[lo:hi] = _linear_part(mod, p[lo:hi])
-        table[sel] = _split_linear(g, dg, p)
+    if sel.size:
+        table[sel] = _split_linear(g, dg, primes[sel])
     # sort each row by compare-exchange of its few columns
     for i in range(d):
         for j in range(i + 1, d):
@@ -249,6 +235,49 @@ def roots_mod_primes(coeffs, primes) -> tuple[np.ndarray, np.ndarray]:
     starts = np.zeros(primes.size + 1, dtype=np.int64)
     np.cumsum(found.sum(axis=1), out=starts[1:])
     return starts, table[found]
+
+
+def root_counts_mod_primes(coeffs, primes) -> np.ndarray:
+    """The number of distinct roots of the polynomial modulo each prime, as
+    int64: the lengths of the rows of roots_mod_primes, on the same paths,
+    but a batched prime reads its count as the degree of gcd(x^p - x, f)
+    and skips the split."""
+    primes, scalar, sel, _, dg = _linear_parts(coeffs, primes)
+    counts = np.zeros(primes.size, dtype=np.int64)
+    counts[sel] = dg
+    for i, r in scalar:
+        counts[i] = len(r)
+    return counts
+
+
+def _linear_parts(coeffs, primes):
+    """The front half of roots_mod_primes and root_counts_mod_primes.
+
+    Returns (primes, scalar, sel, g, dg): primes as an int64 array; scalar,
+    the pairs (i, poly_roots_mod_p(coeffs, primes[i])) of the primes off the
+    batch; sel, the indices of the batched primes; and column j of g, with
+    dg[j] its degree, the linear part gcd(x^p - x, f) mod p = primes[sel[j]]
+    of the monic f = coeffs / lead.  g has deg + 1 rows."""
+    c = [int(a) for a in coeffs]
+    while len(c) > 1 and c[-1] == 0:
+        c.pop()
+    d = len(c) - 1
+    primes = np.asarray(primes, dtype=np.int64).reshape(-1)
+    batch = (primes > _SCALAR_MAX_P) & (primes < _BATCH_P_LIMIT) & (d <= _BATCH_MAX_DEG)
+    batch &= _residues(c[-1], primes) != 0
+    scalar = [(i, poly_roots_mod_p(c, int(primes[i]))) for i in np.nonzero(~batch)[0].tolist()]
+    # a nonzero constant has no roots: its batched primes stay out of sel
+    sel = np.nonzero(batch)[0] if d >= 1 else np.zeros(0, dtype=np.int64)
+    p = primes[sel]
+    g = np.empty((d + 1, p.size), dtype=np.int64)
+    dg = np.empty(p.size, dtype=np.int64)
+    if p.size:
+        inv = _inverse(_residues(c[-1], p), p)
+        for lo in range(0, p.size, _BATCH_ROWS):
+            hi = min(lo + _BATCH_ROWS, p.size)
+            mod = np.stack([_residues(a, p[lo:hi]) for a in c[:-1]]) * inv[lo:hi] % p[lo:hi]
+            g[:, lo:hi], dg[lo:hi] = _linear_part(mod, p[lo:hi])
+    return primes, scalar, sel, g, dg
 
 
 def _residues(a: int, primes: np.ndarray) -> np.ndarray:

@@ -152,6 +152,20 @@ def test_exit_usage(capsys):
     assert _run(capsys)[0] == 64
 
 
+def test_scientific_integer_arguments(capsys):
+    # the ROADMAP's reference commands write N and B in scientific notation
+    plain = _run(capsys, "census", "--poly", "x", "--N", "1000000")
+    assert _run(capsys, "census", "--poly", "x", "--N", "1e6") == plain
+    assert plain[0] == 0 and json.loads(plain[1])["N"] == 1000000
+    assert _run(capsys, "density", "--poly", "x", "--B", "1e3") == _run(capsys, "density", "--poly", "x", "--B", "1000")
+    assert _run(capsys, "delta", "--poly", "x^2 + 1", "--N", "2.5e3", "--threshold", "5E1") == _run(
+        capsys, "delta", "--poly", "x^2 + 1", "--N", "2500", "--threshold", "50"
+    )
+    for bad in ("1.5e0", "1e-3", "1e", "1e999999999", "abc"):
+        code, out, err = _run(capsys, "density", "--poly", "x", "--B", bad)
+        assert (code, out) == (64, "") and f"invalid int value: {bad!r}" in err
+
+
 def test_exit_domain(capsys):
     # square-full polynomial: domain error
     code, _, err = _run(capsys, "density", "--poly", "x^2 - 2*x + 1")

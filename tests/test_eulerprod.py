@@ -1,10 +1,11 @@
 import math
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from sievecraft import kernels, localdens
+from sievecraft import cli, eulerprod, kernels, localdens
 from sievecraft.eulerprod import density_form, density_univ, float_down, float_up, ratio_down, ratio_up
 from sievecraft.poly import IntPoly, is_squarefree_poly, parse
 
@@ -202,3 +203,69 @@ def test_ratio_rounding_vs_fraction(nd):
     above, below = math.nextafter(lo, math.inf), math.nextafter(hi, -math.inf)
     assert math.isinf(above) or Fraction(above) > q
     assert math.isinf(below) or Fraction(below) < q
+
+
+# ---------------------------------------------------------------------------
+# _estimate: the floats from the fixed-point enclosure, or from num / den
+
+_EST_PRIMES = kernels.prime_sieve(10**5).tolist() + [2**31 - 1, 2**61 - 1]
+
+
+@st.composite
+def _factor_lists(draw):
+    """(primes, hits, k, tail_lo): hits mostly small, as at good primes,
+    sometimes anywhere in [0, p^k], which drives the product towards 0 (and
+    to zero density at h = p^k); the tail bound may be negative."""
+    k = draw(st.sampled_from([2, 3, 4]))
+    primes = draw(st.lists(st.sampled_from(_EST_PRIMES), min_size=1, max_size=300))
+    wide = draw(st.booleans())
+    hits = [draw(st.integers(0, p**k if wide else min(6, p**k))) for p in primes]
+    tail_lo = 1 - Fraction(draw(st.integers(0, 10**6)), draw(st.integers(1, 10**6)))
+    return primes, hits, k, tail_lo
+
+
+def _check_estimate(primes, hits, k, tail_lo):
+    est = eulerprod._estimate(primes, hits, k, 10**5, "ok", tail_lo)
+    t = Fraction(1)
+    for i, (p, h) in enumerate(zip(primes, hits)):
+        if h >= p**k:
+            assert est.status == "zero_density" and est.primes == primes[: i + 1]
+            assert (est.lower, est.upper, est.nearest) == (0.0, 0.0, 0.0)
+            assert est.truncated == 0
+            return
+        t *= Fraction(p**k - h, p**k)
+    assert est.status == "ok"
+    assert est.lower == float_down(t * max(tail_lo, Fraction(0)))
+    assert est.upper == float_up(t)
+    assert est.nearest == float(t)
+    assert est.truncated == t
+
+
+@pytest.mark.parametrize("precision", [eulerprod._PRECISION, 3])
+@settings(max_examples=150, deadline=None)
+@given(_factor_lists())
+def test_estimate_vs_fraction(precision, case):
+    # a 3-bit enclosure decides almost nothing: the exact fallback runs
+    with mock.patch.object(eulerprod, "_PRECISION", precision):
+        _check_estimate(*case)
+
+
+def test_estimate_fallback_only_when_undecided():
+    P = parse("x^3 + 2")
+    exact = density_univ(P, 1000)
+    assert "num" not in vars(exact)  # decided by the enclosure
+    with mock.patch.object(eulerprod, "_PRECISION", 3):
+        est = density_univ(P, 1000)
+    assert "num" in vars(est)
+    assert (est.lower, est.upper, est.nearest) == (exact.lower, exact.upper, exact.nearest)
+
+
+def test_density_without_exact_product(capsys):
+    # at B = 1e5 the enclosure decides every float: the 145k-bit products
+    # are never formed, yet stay available on demand
+    with mock.patch.object(eulerprod, "_product", side_effect=AssertionError("exact product formed")):
+        assert cli.run(["density", "--poly", "x^3 + 2", "--B", "100000"]) == 0
+        est = density_univ(parse("x^3 + 2"), 100000)
+    assert '"status": "ok"' in capsys.readouterr().out
+    num = math.prod(p * p - h for p, h in zip(est.primes, est.hits))
+    assert est.truncated == Fraction(num, math.prod(est.primes) ** 2)

@@ -340,3 +340,36 @@ def test_roots_mod_primes_exhaustive():
             assert len(roots) == math.gcd(d, p - 1), (d, p)
             assert all(pow(r, d, p) == 1 for r in roots)
             assert roots == sorted(set(roots))
+
+
+# ---------------------------------------------------------------------------
+# root_counts_mod_primes: the number of roots without the split
+
+
+@settings(max_examples=100, deadline=None)
+@given(_polys())
+def test_root_counts_mod_primes_vs_roots(coeffs):
+    cont = 0
+    for a in coeffs:
+        cont = math.gcd(cont, a)
+    primes = [p for p in _PRIMES if cont % p]
+    starts, _ = kernels.roots_mod_primes(coeffs, primes)
+    assert kernels.root_counts_mod_primes(coeffs, primes).tolist() == np.diff(starts).tolist()
+    # above _BATCH_MAX_DEG every prime goes through poly_roots_mod_p
+    with mock.patch.object(kernels, "_BATCH_MAX_DEG", 2):
+        counts = kernels.root_counts_mod_primes(coeffs, primes)
+    assert counts.tolist() == np.diff(starts).tolist()
+
+
+def test_root_counts_mod_primes_exhaustive():
+    # x^d - 1 has gcd(d, p - 1) distinct roots mod every p: the d-th roots
+    # of unity in the cyclic group of order p - 1
+    primes = kernels.prime_sieve(10**4).tolist()
+    for d in (4, 6):
+        counts = kernels.root_counts_mod_primes([-1] + [0] * (d - 1) + [1], primes)
+        assert counts.tolist() == [math.gcd(d, p - 1) for p in primes]
+    assert kernels.root_counts_mod_primes([5], [2, 3, 47, 101]).tolist() == [0, 0, 0, 0]
+    assert kernels.root_counts_mod_primes([0, 0, 1], [2, 53]).tolist() == [1, 1]  # repeated root
+    assert kernels.root_counts_mod_primes([2, 0, 0, 1], []).tolist() == []
+    with pytest.raises(ValueError):  # vanishes identically mod 47
+        kernels.root_counts_mod_primes([47, 94], [53, 47])
