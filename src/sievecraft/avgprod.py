@@ -179,8 +179,7 @@ def _product_values(P: IntPoly, u: LocalFactorSpec, n: int, threshold: int | Non
     roots of P is 0 by convention and flagged separately), filled block by
     block from the value square profile of P over 1..N; with a threshold,
     delta is census.exceptional_count over the same blocks, else 0."""
-    vmax = sum(abs(a) * n**i for i, a in enumerate(P.coeffs))
-    b = census._trial_bound(max(vmax, 8))
+    b = census._trial_bound(census._value_bound(P.coeffs, n))
     u.check_trivial_low(2)
     u.check_trivial_low(3)
     prod = np.ones(n + 1, dtype=complex)
@@ -190,9 +189,10 @@ def _product_values(P: IntPoly, u: LocalFactorSpec, n: int, threshold: int | Non
         # each x's entries come in ascending p, the large prime q last
         for x, p, v in zip(xs.tolist(), ps.tolist(), vs.tolist()):
             prod[x] *= u.rule(p, x % p, v)
-        for x in (np.flatnonzero(census._is_square(rem)) + lo).tolist():
-            q = math.isqrt(int(rem[x - lo]))
-            prod[x] *= u.rule(q, x % q, 2)
+        q = census._square_root(rem)
+        at = np.flatnonzero(q)
+        for x, p in zip((at + lo).tolist(), q[at].tolist()):
+            prod[x] *= u.rule(p, x % p, 2)
         prod[lo : lo + rem.size][rem == 0] = 0
         if threshold is not None:
             delta += census.exceptional_count(block, b, threshold)
@@ -286,8 +286,8 @@ def empirical_average_form(
         keep = ok[cells]
         for c, p, e in zip(*(a[keep].tolist() for a in (cells, ps, vs))):
             factors.setdefault(c, []).append((p, e))
-        q = census._isqrt(rem)
-        for c in np.flatnonzero(ok & (q * q == rem) & (q > 1)).tolist():
+        q = census._square_root(rem)
+        for c in np.flatnonzero(ok & (q > 0)).tolist():
             factors.setdefault(c, []).append((int(q[c]), 2))
         for c, pe in factors.items():
             x, y = int(xs[c // zs.size]), int(zs[c % zs.size])

@@ -49,18 +49,19 @@ class CensusReport:
         """discrepancy / main_mid; None (JSON null) for a zero main term."""
         return self.discrepancy / self.main_mid if self.main_mid else None
 
+    def to_dict(self) -> dict:
+        return {
+            **self.params,
+            "observed": self.observed,
+            "main_lo": self.main_lo,
+            "main_hi": self.main_hi,
+            "discrepancy_rel": self.discrepancy_rel,
+            "zeros": self.zeros,
+            "method": self.method,
+        }
+
     def to_json(self) -> str:
-        out = dict(self.params)
-        out.update(
-            observed=self.observed,
-            main_lo=self.main_lo,
-            main_hi=self.main_hi,
-            discrepancy_rel=self.discrepancy_rel,
-            zeros=self.zeros,
-            seconds=round(self.seconds, 3),
-            method=self.method,
-        )
-        return json.dumps(out, allow_nan=False)
+        return json.dumps({**self.to_dict(), "seconds": round(self.seconds, 3)}, allow_nan=False)
 
 
 def _value_bound(coeffs: list[int], n: int) -> int:
@@ -84,22 +85,13 @@ def _cube_bound(vmax: int) -> int:
     return b
 
 
-def _isqrt(v: np.ndarray) -> np.ndarray:
-    """Elementwise floor(sqrt(v)) for v >= 0 (float sqrt, exactly corrected
-    by integer steps)."""
-    r = np.sqrt(np.maximum(v, 0).astype(np.float64)).astype(np.int64)
-    r = np.maximum(r - 1, 0)
-    for _ in range(3):
-        r = np.where((r + 1) * (r + 1) <= v, r + 1, r)
-    return r
-
-
-def _is_square(v: np.ndarray) -> np.ndarray:
-    """Elementwise test for perfect squares > 1, exact for 0 <= v < 2^62:
+def _square_root(v: np.ndarray) -> np.ndarray:
+    """Elementwise s where v = s^2 > 1, else 0, exact for 0 <= v < 2^62:
     at v = s^2 the float sqrt is within 2^-21 of s, so it rounds to s, and
     at any other v the int64 check r * r == v fails."""
     r = np.rint(np.sqrt(v)).astype(np.int64)
-    return (r * r == v) & (v > 1)
+    r *= (r * r == v) & (v > 1)
+    return r
 
 
 def count_powerfree_values(P: IntPoly, n: int, m: int = 2) -> CensusReport:
@@ -142,7 +134,7 @@ def _count_values(coeffs, n: int, m: int, b: int) -> tuple[int, int]:
         bad = rem == 0
         zeros += int(np.count_nonzero(bad))
         if m == 2:
-            bad |= _is_square(rem)
+            bad |= _square_root(rem) > 0
         # for m >= 3 the remainders, < B^3 with all prime factors > B, are
         # m-th-power-free
         bad[xs[vs >= m] - lo] = True
@@ -190,7 +182,7 @@ def _count_pairs(F: BinForm, lo: int, n: int, coprime: bool, sector) -> tuple[in
     for xs, zs, (cells, _, _, rem) in _form_blocks(F.coeffs, lo, n, coprime):
         ok = _pair_mask(xs, zs[:, None], coprime, sector)
         zero = rem == 0
-        bad = zero | _is_square(rem)
+        bad = zero | (_square_root(rem) > 0)
         bad[cells] = True
         zeros += int(np.count_nonzero(ok & zero))
         observed += int(np.count_nonzero(ok & ~bad))
@@ -268,7 +260,7 @@ def exceptional_count(block, b: int, threshold: int) -> int:
     if threshold > b:
         raise ValueError("threshold exceeds the trial bound")
     lo, xs, ps, vs, rem = block
-    bad = _is_square(rem)
+    bad = _square_root(rem) > 0
     bad[xs[(vs >= 2) & (ps > threshold)] - lo] = True
     return int(np.count_nonzero(bad))
 
@@ -290,8 +282,8 @@ def delta_census_form(
     for xs, zs, (cells, ps, _, rem) in _form_blocks(F.coeffs, -n, n, True):
         ok = _pair_mask(xs, zs[:, None])
         sel = ok[cells] & (ps > threshold)
-        q = _isqrt(rem)
-        big = np.flatnonzero(ok & (q * q == rem) & (q > max(threshold, 1)))
+        q = _square_root(rem)
+        big = np.flatnonzero(ok & (q > max(threshold, 1)))
         hits = np.concatenate([cells[sel], big])
         count += np.unique(hits).size
         primes, counts = np.unique(np.concatenate([ps[sel], q[big]]), return_counts=True)
@@ -337,8 +329,7 @@ def twist_census(F: BinForm, n: int) -> TwistTable:
         out.zeros += int(np.count_nonzero(ok & zero))
         # F = d y^2: y is the product of p^(v // 2) and, at a square
         # remainder q^2, of q
-        q = _isqrt(rem)
-        y = np.where((q * q == rem) & (q > 1), q, 1)
+        y = np.maximum(_square_root(rem), 1)
         np.multiply.at(y, cells, ps ** (vs // 2))
         keep = ok & ~zero
         d = kernels.form_values(F.coeffs, xs, zs).ravel()[keep] // y[keep] ** 2
@@ -356,7 +347,7 @@ def splitting_type(P: IntPoly, p: int) -> list[int]:
         raise ValueError("p must be prime")
     if (discriminant(P) * P.lead) % p == 0:
         raise ValueError("p divides Disc(P)*lead(P); splitting type undefined here")
-    return _ddf_degrees(P.coeffs, p)
+    return kernels.distinct_factor_degrees(P.coeffs, p)
 
 
 def _require_irreducible(P: IntPoly) -> None:
@@ -365,58 +356,11 @@ def _require_irreducible(P: IntPoly) -> None:
         raise ValueError("P must be irreducible")
 
 
-def _ddf_degrees(coeffs: list[int], p: int) -> list[int]:
-    f = [c % p for c in coeffs]
-    f = kernels._ptrim(f)
-    inv = pow(f[-1], -1, p)
-    f = [c * inv % p for c in f]
-    degs: list[int] = []
-    w = [0, 1]  # x
-    k = 0
-    while len(f) - 1 >= 1:
-        k += 1
-        if 2 * k > len(f) - 1:
-            degs.append(len(f) - 1)
-            break
-        w = kernels._ppowmod(w, p, f, p)
-        g = kernels._pgcd(kernels._psub(w, [0, 1], p), f, p)
-        if len(g) - 1 >= 1:
-            degs.extend([k] * ((len(g) - 1) // k))
-            f = kernels._pquo(f, g, p)
-            w = kernels._prem(w, f, p)
-    return sorted(degs)
-
-
-def _radical_mod_p(f: list[int], p: int) -> list[int]:
-    """Product of the distinct irreducible factors of f over F_p."""
-    if len(f) - 1 < 1:
-        return [1]
-    fd = kernels._pderiv(f, p)
-    if not fd:
-        # f = g(x^p) = g(x)^p over F_p (a^p = a): recurse on the p-th root
-        g = [f[i] for i in range(0, len(f), p)]
-        return _radical_mod_p(kernels._ptrim(g), p)
-    g = kernels._pgcd(f, fd, p)
-    w = kernels._pquo(f, g, p)  # distinct factors of multiplicity not div. by p
-    # strip the w-factors out of g; what remains is a p-th power
-    while True:
-        c = kernels._pgcd(g, w, p)
-        if len(c) - 1 < 1:
-            break
-        g = kernels._pquo(g, c, p)
-    rest = _radical_mod_p(g, p)
-    return kernels._pmul(w, rest, p)
-
-
 def _local_splitting(P: IntPoly, p: int) -> tuple[bool, int]:
     """(has a degree-1 factor, number of distinct irreducible factors)
     of P mod p; for ramified p this factors the radical of P mod p, an
     interpretive stand-in for the prime decomposition."""
-    f = kernels._ptrim([c % p for c in P.coeffs])
-    if len(f) - 1 < 1:
-        return False, 0
-    sf = _radical_mod_p(f, p)
-    degs = _ddf_degrees([c for c in sf], p)
+    degs = kernels.distinct_factor_degrees(P.coeffs, p)
     return (1 in degs), len(degs)
 
 

@@ -160,18 +160,7 @@ def _cmd_census(args, digits):
         rep = census.count_squarefree_form(
             parse(args.form, kind="form"), args.N, args.convention, coprime=not args.all_pairs
         )
-    _emit(
-        {
-            **rep.params,
-            "observed": rep.observed,
-            "main_lo": rep.main_lo,
-            "main_hi": rep.main_hi,
-            "discrepancy_rel": rep.discrepancy_rel,
-            "zeros": rep.zeros,
-            "method": rep.method,
-        },
-        digits,
-    )
+    _emit(rep.to_dict(), digits)
 
 
 def _cmd_delta(args, digits):

@@ -5,6 +5,8 @@
   ``roots_mod_primes`` -- the roots mod every prime of a list at once,
   vectorised over the primes, and ``root_counts_mod_primes`` -- only their
   number,
+* ``distinct_factor_degrees`` -- the degrees of the distinct irreducible
+  factors of an integer polynomial mod one prime,
 * ``value_square_blocks`` -- for P and x = 1..N, the exact pairs (p,
   v_p(P(x))) with v >= 2 and p <= B, and the remainder of |P(x)| after
   removing all prime factors <= B, streamed in blocks of x,
@@ -63,23 +65,24 @@ def _pmul(a: list[int], b: list[int], p: int) -> list[int]:
     return _ptrim(out)
 
 
-def _prem(a: list[int], b: list[int], p: int) -> list[int]:
-    """Remainder of a by b over Z/p (b nonzero)."""
-    a = a[:]
-    db, lb = len(b) - 1, b[-1]
-    inv = pow(lb, p - 2, p)
-    while len(a) - 1 >= db and a:
-        q = a[-1] * inv % p
-        shift = len(a) - 1 - db
+def _pdivmod(a: list[int], b: list[int], p: int) -> tuple[list[int], list[int]]:
+    """(quotient, remainder) of a by b over Z/p (b nonzero)."""
+    r = a[:]
+    q = [0] * (len(a) - len(b) + 1)
+    inv = pow(b[-1], p - 2, p)
+    while len(r) >= len(b):
+        c = r[-1] * inv % p
+        shift = len(r) - len(b)
+        q[shift] = c
         for i, bi in enumerate(b):
-            a[shift + i] = (a[shift + i] - q * bi) % p
-        _ptrim(a)
-    return a
+            r[shift + i] = (r[shift + i] - c * bi) % p
+        _ptrim(r)
+    return _ptrim(q), r
 
 
 def _pgcd(a: list[int], b: list[int], p: int) -> list[int]:
     while b:
-        a, b = b, _prem(a, b, p)
+        a, b = b, _pdivmod(a, b, p)[1]
     if a:
         inv = pow(a[-1], p - 2, p)
         a = [x * inv % p for x in a]
@@ -93,11 +96,11 @@ def _pderiv(a: list[int], p: int) -> list[int]:
 def _ppowmod(base: list[int], e: int, mod: list[int], p: int) -> list[int]:
     """base^e modulo (mod, p)."""
     result = [1]
-    base = _prem(base, mod, p)
+    base = _pdivmod(base, mod, p)[1]
     while e:
         if e & 1:
-            result = _prem(_pmul(result, base, p), mod, p)
-        base = _prem(_pmul(base, base, p), mod, p)
+            result = _pdivmod(_pmul(result, base, p), mod, p)[1]
+        base = _pdivmod(_pmul(base, base, p), mod, p)[1]
         e >>= 1
     return result
 
@@ -109,6 +112,14 @@ def _psub(a: list[int], b: list[int], p: int) -> list[int]:
     for i, bi in enumerate(b):
         out[i] = (out[i] - bi) % p
     return _ptrim(out)
+
+
+def _peval(c: list[int], x: int, m: int) -> int:
+    """c(x) mod m."""
+    acc = 0
+    for a in reversed(c):
+        acc = (acc * x + a) % m
+    return acc
 
 
 def _extract_roots(s: list[int], p: int, out: list[int]) -> None:
@@ -127,25 +138,9 @@ def _extract_roots(s: list[int], p: int, out: list[int]) -> None:
         g = _pgcd(h, s, p)
         if 0 < len(g) - 1 < deg:
             _extract_roots(g, p, out)
-            _extract_roots(_pquo(s, g, p), p, out)
+            _extract_roots(_pdivmod(s, g, p)[0], p, out)
             return
         a += 1
-
-
-def _pquo(a: list[int], b: list[int], p: int) -> list[int]:
-    """Exact quotient of a by b over Z/p."""
-    a = a[:]
-    out = [0] * (len(a) - len(b) + 1)
-    db, lb = len(b) - 1, b[-1]
-    inv = pow(lb, p - 2, p)
-    while len(a) - 1 >= db and a:
-        q = a[-1] * inv % p
-        shift = len(a) - 1 - db
-        out[shift] = q
-        for i, bi in enumerate(b):
-            a[shift + i] = (a[shift + i] - q * bi) % p
-        _ptrim(a)
-    return _ptrim(out)
 
 
 def poly_roots_mod_p(coeffs, p: int) -> list[int]:
@@ -160,22 +155,58 @@ def poly_roots_mod_p(coeffs, p: int) -> list[int]:
         return []
     if p <= 43:
         return [x for x in range(p) if _peval(c, x, p) == 0]
-    # remove repeated factors, then isolate the linear part
-    g = _pgcd(c, _pderiv(c, p), p)
-    sf = _pquo(c, g, p) if len(g) > 1 else c
-    xp = _ppowmod([0, 1], p, sf, p)
-    lin = _pgcd(_psub(xp, [0, 1], p), sf, p)
+    # gcd(x^p - x, c): the product of x - r over the distinct roots r
+    lin = _pgcd(_psub(_ppowmod([0, 1], p, c, p), [0, 1], p), c, p)
     roots: list[int] = []
-    if len(lin) > 1:
-        _extract_roots(lin, p, roots)
+    _extract_roots(lin, p, roots)
     return sorted(roots)
 
 
-def _peval(c: list[int], x: int, p: int) -> int:
-    acc = 0
-    for a in reversed(c):
-        acc = (acc * x + a) % p
-    return acc
+def distinct_factor_degrees(coeffs, p: int) -> list[int]:
+    """Sorted degrees of the distinct irreducible factors of the polynomial
+    (low-to-high coeffs) mod the prime p, one per factor: the
+    distinct-degree factorisation of its radical; [] where it is constant
+    or vanishes mod p."""
+    f = _pmod(coeffs, p)
+    if len(f) < 2:
+        return []
+    f = _radical_mod_p(f, p)
+    inv = pow(f[-1], -1, p)
+    f = [c * inv % p for c in f]
+    degs: list[int] = []
+    w = [0, 1]  # x
+    k = 0
+    while len(f) - 1 >= 1:
+        k += 1
+        if 2 * k > len(f) - 1:
+            degs.append(len(f) - 1)
+            break
+        w = _ppowmod(w, p, f, p)
+        g = _pgcd(_psub(w, [0, 1], p), f, p)
+        if len(g) - 1 >= 1:
+            degs.extend([k] * ((len(g) - 1) // k))
+            f = _pdivmod(f, g, p)[0]
+            w = _pdivmod(w, f, p)[1]
+    return sorted(degs)
+
+
+def _radical_mod_p(f: list[int], p: int) -> list[int]:
+    """Product of the distinct irreducible factors of f over F_p."""
+    if len(f) - 1 < 1:
+        return [1]
+    fd = _pderiv(f, p)
+    if not fd:
+        # f = g(x^p) = g(x)^p over F_p (a^p = a): recurse on the p-th root
+        return _radical_mod_p(_ptrim(f[::p]), p)
+    g = _pgcd(f, fd, p)
+    w = _pdivmod(f, g, p)[0]  # distinct factors of multiplicity not div. by p
+    # strip the w-factors out of g; what remains is a p-th power
+    while True:
+        c = _pgcd(g, w, p)
+        if len(c) - 1 < 1:
+            break
+        g = _pdivmod(g, c, p)[0]
+    return _pmul(w, _radical_mod_p(g, p), p)
 
 
 # ---------------------------------------------------------------------------
@@ -460,18 +491,9 @@ def value_square_blocks(coeffs, n: int, b: int):
     lo + ((r - lo) mod p) on, all classes at once; v_p is found by repeated
     division at every hit, and the remainder by one division of each value
     by the product of its p^v.  Values |P(x)| must stay below 2^62 (int64
-    arithmetic); a prime of the content beyond B raises ValueError.
+    arithmetic).
     """
-    prim, cont = _primitive(coeffs)
-    if sum(abs(a) * n**i for i, a in enumerate(prim)) >= _INT64_SAFE:
-        raise OverflowError("|P(x)| exceeds int64 range; reduce N")
-    primes = prime_sieve(b)
-    vcont = _content_valuations(cont, primes)
-    if math.prod(p**v for p, v in vcont.items()) != cont:
-        # a content prime beyond B would corrupt rem; desk-scale inputs
-        # always have tiny content, so refuse rather than mishandle
-        raise ValueError("content has a prime factor beyond B")
-    starts, roots = roots_mod_primes(prim, primes)
+    prim, primes, vcont, beyond, starts, roots = _profile_setup(coeffs, b, n, 1, "P(x)")
     # the root classes, prime-major; x = 0 lies outside 1..N, so r = 0 is r = p
     cp = np.repeat(primes, np.diff(starts))
     cr = np.where(roots == 0, cp, roots)
@@ -500,38 +522,21 @@ def value_square_blocks(coeffs, n: int, b: int):
         v = np.ones(idx.size, dtype=np.int64)
         if vcont:
             v += np.repeat(cv, cnt)[keep]
-        sub = vals[idx] // hp
-        pv = hp.copy()
-        live = np.flatnonzero(sub % hp == 0)
-        while live.size:  # only the hits p still divides
-            q = hp[live]
-            sub[live] //= q
-            v[live] += 1
-            pv[live] *= q
-            live = live[sub[live] % q == 0]
+        # div: the product of the powers p^v_p, each a value over its stripped value
         div = np.ones(w, dtype=np.int64)
-        np.multiply.at(div, idx, pv)
+        sub = _strip(vals[idx], hp, v)
+        np.multiply.at(div, idx, np.floor_divide(vals[idx], sub, out=sub))
         hit = v >= 2
-        xs, ps, vs = x[idx[hit]], hp[hit], v[hit]
+        cells, ps, vs = idx[hit], hp[hit], v[hit]
         if square:
-            xs, ps, vs = _content_entries(xs, ps, vs, idx, hp, vals, square, vcont, lo)
+            out = [_content_entry(vals != 0, [idx[hp == p]], p, vcont[p]) for p in square]
+            cells, ps, vs = _entries([(cells, ps, vs)] + out)
+            order = np.argsort(ps, kind="stable")  # each x's entries in ascending p
+            cells, ps, vs = cells[order], ps[order], vs[order]
         vals //= div
-        yield lo, xs, ps, vs, vals
-
-
-def _content_entries(xs, ps, vs, idx, hp, vals, square, vcont, lo):
-    """The block's entries with (x, p, v_p(content)) added at every nonzero
-    value outside the root classes of each content prime p whose square
-    divides the content, kept in ascending p for each x."""
-    parts = [(xs, ps, vs)]
-    for p in square:
-        rest = vals != 0
-        rest[idx[hp == p]] = False
-        at = np.flatnonzero(rest) + lo
-        parts.append((at, np.full(at.size, p, dtype=np.int64), np.full(at.size, vcont[p], dtype=np.int64)))
-    xs, ps, vs = (np.concatenate(a) for a in zip(*parts))
-    order = np.argsort(ps, kind="stable")
-    return xs[order], ps[order], vs[order]
+        if beyond > 1:
+            vals *= beyond
+        yield lo, cells + lo, ps, vs, vals
 
 
 def form_square_blocks(
@@ -559,18 +564,11 @@ def form_square_blocks(
     every pair with gcd(x, z) = 1 and unspecified at the other pairs (rem
     stays in 0 <= rem <= |F|).
     """
-    prim, cont = _primitive(coeffs)
+    top = max(abs(xlo), abs(xhi), abs(zlo), abs(zhi), 1)
+    prim, primes, vcont, beyond, starts, all_roots = _profile_setup(coeffs, b, top, top, "F(x, z)")
     d = len(prim) - 1
     w = xhi - xlo + 1
-    vmax = sum(abs(a) for a in prim) * cont * max(abs(xlo), abs(xhi), abs(zlo), abs(zhi), 1) ** d
-    if vmax >= _INT64_SAFE:
-        raise OverflowError("|F(x, z)| exceeds int64 range; reduce N")
     xs = np.arange(xlo, xhi + 1, dtype=np.int64)
-    primes = prime_sieve(b)
-    vcont = _content_valuations(cont, primes)
-    # the content's primes beyond B belong to the remainder
-    beyond = cont // math.prod(p**v for p, v in vcont.items())
-    starts, all_roots = roots_mod_primes(prim, primes)
 
     def profile(zs):
         vals = form_values(prim, xs, zs).ravel()
@@ -588,8 +586,19 @@ def form_square_blocks(
                     classes.append((at[:, None] * w + np.arange(w)).ravel())
                 elif not coprime:
                     classes.append(_progressions(at * w, np.full((at.size, 1), -xlo % p), p, w))
-            _divide_out(vals, nonzero, classes, p, vcont.get(p, 0), out)
-        vals[nonzero] *= beyond
+            vc = vcont.get(p, 0)
+            for idx in classes:
+                idx = idx[nonzero[idx]]
+                if idx.size:
+                    v = np.full(idx.size, 1 + vc, dtype=np.int64)
+                    vals[idx] = _strip(vals[idx], p, v)
+                    hit = v >= 2
+                    if hit.any():
+                        out.append((idx[hit], p, v[hit]))
+            if vc >= 2:
+                out.append(_content_entry(nonzero, classes, p, vc))
+        if beyond > 1:
+            vals[nonzero] *= beyond
         return _entries(out) + (vals,)
 
     for z0 in range(zlo, zhi + 1, rows):
@@ -620,15 +629,57 @@ def _primitive(coeffs) -> tuple[list[int], int]:
     return [a // cont for a in coeffs], cont
 
 
-def _content_valuations(c: int, primes: np.ndarray) -> dict[int, int]:
-    """{p: v_p(c)} for the given primes dividing c >= 1."""
-    out = {}
-    if c > 1:
-        for p in primes.tolist():
-            while c % p == 0:
-                c //= p
-                out[p] = out.get(p, 0) + 1
-    return out
+def _profile_setup(coeffs, b: int, xmax: int, zmax: int, name: str):
+    """What both square profiles read before their first block: (prim,
+    primes, vcont, beyond, starts, roots), with prim the primitive part of
+    coeffs, primes those <= B, vcont = {p: v_p(content)} at them, beyond
+    the rest of the content (a factor of every remainder), and (starts,
+    roots) the roots of prim mod the primes from roots_mod_primes.
+
+    Raises OverflowError, before any root is sought, where the values --
+    prim at |x| <= xmax, |z| <= zmax (coeffs[i] of x^i z^(d-i)), times
+    beyond -- may reach 2^62."""
+    prim, cont = _primitive(coeffs)
+    d = len(prim) - 1
+    vmax = sum(abs(a) * xmax**i * zmax ** (d - i) for i, a in enumerate(prim))
+    # past 2^62 the check fails whatever the content: then sieve nothing
+    primes = prime_sieve(b if vmax < _INT64_SAFE else 0)
+    vcont = {}
+    beyond = cont
+    for p in primes.tolist() if cont > 1 else []:
+        while beyond % p == 0:
+            beyond //= p
+            vcont[p] = vcont.get(p, 0) + 1
+    if vmax * beyond >= _INT64_SAFE:
+        raise OverflowError(f"|{name}| exceeds int64 range; reduce N")
+    return prim, primes, vcont, beyond, *roots_mod_primes(prim, primes)
+
+
+def _strip(val: np.ndarray, hp, v: np.ndarray) -> np.ndarray:
+    """Divide each value of val, in place, by the highest power of its
+    prime hp that divides it, and return val: hp holds one prime per value,
+    or is one prime for all, and divides every value once.  Adds the
+    further powers to the counts v, in place."""
+    val //= hp
+    live = np.flatnonzero(val % hp == 0)
+    each = np.ndim(hp) > 0
+    while live.size:  # only the values p still divides
+        q = hp[live] if each else hp
+        val[live] //= q
+        v[live] += 1
+        live = live[val[live] % q == 0]
+    return val
+
+
+def _content_entry(nonzero: np.ndarray, classes: list, p: int, vc: int) -> tuple:
+    """The entries (cells, p, vs) of a content prime p with v_p(content) =
+    vc >= 2 at the nonzero cells outside classes, the index arrays of the
+    cells where p divides the primitive value: v_p = vc there."""
+    rest = nonzero.copy()
+    for idx in classes:
+        rest[idx] = False
+    cells = np.flatnonzero(rest)
+    return cells, p, np.full(cells.size, vc, dtype=np.int64)
 
 
 def _progressions(base: np.ndarray, first: np.ndarray, p: int, w: int) -> np.ndarray:
@@ -638,40 +689,11 @@ def _progressions(base: np.ndarray, first: np.ndarray, p: int, w: int) -> np.nda
     return (base[:, None, None] + cols)[cols < w]
 
 
-def _divide_out(vals, nonzero, classes, p: int, vcont: int, out: list) -> None:
-    """Divide every power of the prime p out of vals at the cells of
-    classes, disjoint arrays of flat indices that hold every nonzero cell
-    whose primitive value p divides, and append (cells, p, v) to out where
-    v = vcont + v_p >= 2; with vcont >= 2 every other nonzero cell gets v =
-    vcont as well."""
-    for idx in classes:
-        idx = idx[nonzero[idx]]
-        if idx.size == 0:
-            continue
-        sub = vals[idx] // p
-        v = np.full(idx.size, 1 + vcont, dtype=np.int64)
-        live = np.flatnonzero(sub % p == 0)
-        while live.size:  # only the cells p still divides
-            sub[live] //= p
-            v[live] += 1
-            live = live[sub[live] % p == 0]
-        vals[idx] = sub
-        hit = v >= 2
-        if hit.any():
-            out.append((idx[hit], p, v[hit]))
-    if vcont >= 2:
-        rest = nonzero.copy()
-        for idx in classes:
-            rest[idx] = False
-        idx = np.flatnonzero(rest)
-        if idx.size:
-            out.append((idx, p, np.full(idx.size, vcont, dtype=np.int64)))
-
-
 def _entries(out: list) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(cells, ps, vs) as int64 arrays from the groups _divide_out made."""
+    """(cells, ps, vs) as int64 arrays from the groups (cells, p, vs) of
+    the profiles, p one prime per cell or one for the group."""
     if not out:
         return tuple(np.zeros(0, dtype=np.int64) for _ in range(3))
-    cells = np.concatenate([c for c, _, _ in out])
-    ps = np.repeat(np.array([p for _, p, _ in out], dtype=np.int64), [c.size for c, _, _ in out])
-    return cells, ps, np.concatenate([v for _, _, v in out])
+    cells, ps, vs = zip(*out)
+    ps = [np.full(c.size, p, dtype=np.int64) for c, p in zip(cells, ps)]
+    return np.concatenate(cells), np.concatenate(ps), np.concatenate(vs)

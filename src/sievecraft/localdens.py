@@ -70,7 +70,7 @@ def _lift_levels_primitive(coeffs: list[int], p: int, k: int) -> list[list[tuple
         levels[j - 1].append((r, j))
         if j == k:
             return
-        if _eval_mod(dcoeffs, r, p) != 0:
+        if kernels._peval(dcoeffs, r, p) != 0:
             # simple root: unique lift to p^k by Newton iteration, whose
             # residues are the unique lifts at the depths in between
             x = r
@@ -78,8 +78,8 @@ def _lift_levels_primitive(coeffs: list[int], p: int, k: int) -> list[list[tuple
             while prec < k:
                 prec = min(2 * prec, k)
                 mod = p**prec
-                fx = _eval_mod(coeffs, x, mod)
-                dfx = _eval_mod(dcoeffs, x, mod)
+                fx = kernels._peval(coeffs, x, mod)
+                dfx = kernels._peval(dcoeffs, x, mod)
                 dinv = pow(dfx, -1, mod)  # unit since P'(r) != 0 mod p
                 x = (x - fx * dinv) % mod
             for d in range(j + 1, k + 1):
@@ -87,7 +87,7 @@ def _lift_levels_primitive(coeffs: list[int], p: int, k: int) -> list[list[tuple
             return
         # singular: the p children solve mod p^(j+1) together or not at all
         pj = p**j
-        fr = _eval_mod(coeffs, r, pj * p)
+        fr = kernels._peval(coeffs, r, pj * p)
         if fr % pj != 0:
             raise AssertionError("lift invariant broken")
         if fr != 0:
@@ -102,13 +102,6 @@ def _lift_levels_primitive(coeffs: list[int], p: int, k: int) -> list[list[tuple
     for r in kernels.poly_roots_mod_p(coeffs, p):
         lift(r, 1)
     return levels
-
-
-def _eval_mod(coeffs: list[int], x: int, mod: int) -> int:
-    acc = 0
-    for a in reversed(coeffs):
-        acc = (acc * x + a) % mod
-    return acc
 
 
 def _class_is_solution(coeffs: list[int], r: int, e: int, p: int, k: int) -> bool:

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 from test_census import exceptional_count_alt
-from test_kernels import BLOCK_SIZES, value_polys, value_square_profile_alt
+from test_kernels import BLOCK_SIZES, square_roots, value_polys, value_square_profile_alt
 
 from sievecraft import avgprod, census, kernels, localdens, numutil
 from sievecraft.avgprod import (
@@ -93,6 +93,11 @@ def test_empirical_average_matches_census():
     assert rep.empirical.real * n == pytest.approx(
         count_powerfree_values(P, n).observed
     )
+    # the content prime 10007 lies beyond the trial bound 10^4: 10007 (x + 1)
+    # is square-free at 7 of x = 1..10, as x + 1 is
+    P = parse("10007*x + 10007")
+    rep = empirical_average(P, squarefree_indicator_family(P), 10)
+    assert rep.empirical == pytest.approx(0.7) and rep.delta_term == 0
 
 
 def test_poncho_inequality():
@@ -407,9 +412,8 @@ def product_values_alt(P, u, n, threshold):
         x = int(xs[t])
         p = int(ps[t])
         prod[x] *= u.rule(p, x % p, int(vs[t]))
-    for x in np.nonzero(census._is_square(rem))[0]:
-        p = math.isqrt(int(rem[x]))
-        prod[x] *= u.rule(p, int(x) % p, 2)
+    for x, p in square_roots(rem).items():
+        prod[x] *= u.rule(p, x % p, 2)
     prod[rem == 0] = 0
     return prod, exceptional_count_alt(profile, threshold)
 

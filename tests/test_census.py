@@ -7,7 +7,7 @@ from unittest import mock
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
-from test_kernels import BLOCK_SIZES, squarefree_mask, value_polys, value_square_profile_alt
+from test_kernels import BLOCK_SIZES, square_roots, squarefree_mask, value_polys, value_square_profile_alt
 
 from sievecraft import census, cli, kernels, localdens, numutil
 from sievecraft.census import (
@@ -53,7 +53,7 @@ def count_values_alt(coeffs, n, m, b):
     bad = np.zeros(n + 1, dtype=bool)
     bad[xs[vs >= m]] = True
     if m == 2:
-        bad[np.nonzero(census._is_square(rem))[0]] = True
+        bad[list(square_roots(rem))] = True
     zeros = int(np.count_nonzero(rem[1:] == 0))
     bad[rem == 0] = True
     return int(np.count_nonzero(~bad[1:])), zeros
@@ -65,7 +65,7 @@ def exceptional_count_alt(profile, threshold):
     xs, ps, vs, rem = profile
     bad = np.zeros(len(rem), dtype=bool)
     bad[xs[(vs >= 2) & (ps > threshold)]] = True
-    bad[np.nonzero(census._is_square(rem))[0]] = True
+    bad[list(square_roots(rem))] = True
     bad[0] = False
     return int(np.count_nonzero(bad[1:]))
 
@@ -149,18 +149,16 @@ def _brute_powerfree(P, n, m):
 
 
 def test_is_square_helper():
+    # s at v = s^2 > 1, else 0
     v = np.array([0, 1, 2, 4, 9, 15, 16, 10**12, 10**12 + 1, (10**6 + 3) ** 2])
-    got = census._is_square(v)
-    expect = [x > 1 and math.isqrt(x) ** 2 == x for x in v.tolist()]
-    assert got.tolist() == expect
+    assert census._square_root(v).tolist() == [0, 0, 0, 2, 3, 0, 4, 10**6, 0, 10**6 + 3]
     # the top of the exact range: s^2 and s^2 +- 1 next to 2^62, and
     # random values below 2^62, against math.isqrt
     s = np.arange(2**31 - 2000, 2**31, dtype=np.int64)
     rng = np.random.default_rng(8)
     v = np.concatenate([s * s, s * s - 1, s * s + 1, rng.integers(0, 2**62, 20000), rng.integers(0, 2**20, 2000)])
-    expect = [x > 1 and math.isqrt(x) ** 2 == x for x in v.tolist()]
-    assert census._is_square(v).tolist() == expect
-    assert census._isqrt(v).tolist() == [math.isqrt(x) for x in v.tolist()]
+    roots = square_roots(v)
+    assert census._square_root(v).tolist() == [roots.get(i, 0) for i in range(v.size)]
 
 
 def test_count_powerfree_frozen():
@@ -184,6 +182,7 @@ def test_count_powerfree_zeros_and_report():
     data = json.loads(rep.to_json())
     assert data["observed"] == rep.observed
     assert data["N"] == 100
+    assert data == {**rep.to_dict(), "seconds": round(rep.seconds, 3)}
     assert rep.main_lo <= rep.main_hi
 
 
@@ -418,6 +417,16 @@ def test_delta_census_form_content_prime_above_threshold():
     # beyond 12 deg F: the per-prime bound does not hold at content primes
     F = BinForm((36, 0))
     assert census.delta_census_form(F, 2, 2) == delta_census_form_alt(F, 2, 2) == (14, {3: 14})
+
+
+def test_poly_content_prime_beyond_trial_bound():
+    # at N = 10 the trial bound is 10^4: the content prime 10007 is left in
+    # every remainder, and 10007 (x + 1) is square-free where x + 1 is
+    P = parse("10007*x + 10007")
+    rep = count_powerfree_values(P, 10, 2)
+    assert (rep.params["B"], rep.observed, rep.zeros) == (10**4, _brute_powerfree(P, 10, 2), 0)
+    assert rep.observed == 7
+    assert delta_census_univ(P, 10) == delta_census_univ_alt(P, 10) == 0
 
 
 def test_form_content_prime_beyond_trial_bound():

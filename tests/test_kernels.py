@@ -36,36 +36,26 @@ def value_square_profile(coeffs, n, b):
 
 def value_square_profile_alt(coeffs, n, b):
     """Independent recount of value_square_blocks over all of 1..N at once:
-    one pass per prime p <= B over the whole range, dividing p out of the
-    values in each of its root classes (arrays of length N+1)."""
-    prim, cont = kernels._primitive(coeffs)
-    xs64 = np.arange(n + 1, dtype=np.int64)
-    vals = np.zeros(n + 1, dtype=np.int64)
-    if sum(abs(a) * n**i for i, a in enumerate(prim)) >= 2**62:
-        raise OverflowError("|P(x)| exceeds int64 range; reduce N")
-    for a in reversed(prim):
-        vals = vals * xs64 + a
-    np.abs(vals, out=vals)
-    nonzero = vals != 0
-    nonzero[0] = False
+    one pass per prime p <= B, dividing p out of the Python-int value at
+    every x, entries ordered by p; what is left of |P(x)|, content primes
+    beyond B included, is the remainder (rem[0] = 1 unused)."""
+    rem = [1] + [abs(sum(a * x**i for i, a in enumerate(coeffs))) for x in range(1, n + 1)]
     out = []
-    primes = kernels.prime_sieve(b)
-    starts, all_roots = kernels.roots_mod_primes(prim, primes)
-    rest = cont
-    for i, p in enumerate(primes.tolist()):
-        vcont = 0
-        while rest % p == 0:
-            rest //= p
-            vcont += 1
-        classes = [
-            np.arange(r if r >= 1 else p, n + 1, p, dtype=np.int64)
-            for r in all_roots[starts[i] : starts[i + 1]].tolist()
-        ]
-        kernels._divide_out(vals, nonzero, classes, p, vcont, out)
-    if rest != 1:
-        raise ValueError("content has a prime factor beyond B")
-    vals[0] = 1
-    return (*kernels._entries(out), vals)
+    for p in kernels.prime_sieve(b).tolist():
+        for x in range(1, n + 1):
+            v = 0
+            while rem[x] and rem[x] % p == 0:
+                rem[x] //= p
+                v += 1
+            if v >= 2:
+                out.append((x, p, v))
+    xs, ps, vs = (np.array([e[k] for e in out], dtype=np.int64) for k in range(3))
+    return xs, ps, vs, np.array(rem, dtype=np.int64)
+
+
+def square_roots(rem):
+    """{i: s} at the entries rem[i] = s^2 > 1 of an array, by math.isqrt."""
+    return {i: math.isqrt(v) for i, v in enumerate(rem.tolist()) if v > 1 and math.isqrt(v) ** 2 == v}
 
 
 @st.composite
@@ -73,14 +63,15 @@ def value_polys(draw):
     """(P, N): square-free P = content * (x - r_1) ... (x - r_k) * g, with
     integer roots r_i mostly in 1..N (so zeros fall mid-block), negative
     values, the leading coefficient divisible by 2, 3, 5 or a prime <= 43,
-    and content 1, 4, 12 or 18 (v_p(content) >= 2 at 2 or 3)."""
+    and content 1, 4, 12, 18 or 28 (v_p(content) >= 2 at 2 or 3, and 7
+    beyond the smallest trial bounds)."""
     n = draw(st.integers(1, 70))
     roots = draw(st.lists(st.integers(-3, n), max_size=2, unique=True))
     lead = draw(st.sampled_from([1, -1, 2, -3, 5, 30, 43, -41, 2 * 37]))
     coeffs = draw(st.lists(st.integers(-6, 6), max_size=2)) + [lead]
     for r in roots:  # coeffs *= (x - r)
         coeffs = [a - r * c for a, c in zip([0] + coeffs, coeffs + [0])]
-    content = draw(st.sampled_from([1, 4, 12, 18]))
+    content = draw(st.sampled_from([1, 4, 12, 18, 28]))
     P = IntPoly(tuple(content * a for a in coeffs))
     assume(is_squarefree_poly(P))
     return P, n
@@ -113,6 +104,14 @@ def test_poly_roots_mod_p_oracle():
             x for x in range(p) if sum(a * x**i for i, a in enumerate(coeffs)) % p == 0
         )
         assert kernels.poly_roots_mod_p(coeffs, p) == expect, (coeffs, p)
+    # (x - 1)^47 (x - 2) mod 47: a root whose multiplicity p divides
+    coeffs = [1]
+    for r in [1] * 47 + [2]:  # coeffs *= (x - r)
+        coeffs = [a - r * c for a, c in zip([0] + coeffs, coeffs + [0])]
+    expect = [x for x in range(47) if sum(a * x**i for i, a in enumerate(coeffs)) % 47 == 0]
+    assert kernels.poly_roots_mod_p(coeffs, 47) == expect == [1, 2]
+    starts, roots = kernels.roots_mod_primes(coeffs, [47])
+    assert roots.tolist() == expect
 
 
 def test_poly_roots_large_prime():
@@ -149,10 +148,6 @@ def test_value_square_blocks_vs_whole_range(case, b, size):
     # the blocks tile 1..N in order, hold only their own x, list each x's
     # entries in ascending p, and together give the whole-range profile
     P, n = case
-    if any(p > b for p, _ in numutil.factorize(P.content()).pairs):
-        with pytest.raises(ValueError, match="beyond B"):
-            next(kernels.value_square_blocks(P.coeffs, n, b))
-        return
     with mock.patch.object(kernels, "_VALUE_BLOCK", size):
         blocks = list(kernels.value_square_blocks(P.coeffs, n, b))
         whole = value_square_profile(P.coeffs, n, b)
@@ -179,8 +174,11 @@ def test_value_square_blocks_limits():
     # checked before the first block
     with pytest.raises(OverflowError):
         next(kernels.value_square_blocks([1, 0, 0, 0, 1], 2**16, 10))
-    with pytest.raises(ValueError, match="beyond B"):
-        next(kernels.value_square_blocks([5, 5], 10, 3))
+    # the content prime 5 beyond B = 3 stays in every remainder:
+    # rem = 5 (x + 1) without its factors 2 and 3
+    ((lo, xs, ps, vs, rem),) = kernels.value_square_blocks([5, 5], 10, 3)
+    assert rem.tolist() == [5, 5, 5, 25, 5, 35, 5, 5, 25, 55]
+    assert sorted(zip(xs.tolist(), ps.tolist(), vs.tolist())) == [(3, 2, 2), (7, 2, 3), (8, 3, 2)]
     assert list(kernels.value_square_blocks([1, 1], 0, 10)) == []
     # a constant with 2^2 * 3 in its content: (x, 2, 2) at every x
     ((lo, xs, ps, vs, rem),) = kernels.value_square_blocks([12], 5, 3)

@@ -35,6 +35,11 @@ def test_lifting_vs_exhaustive_small():
             for k in (1, 2, 3, 4):
                 got = localdens.count_roots_mod_pk(P, p, k)
                 assert got == _brute_count(P, p, k), (P.coeffs, p, k)
+    # (x - 2)(x^47 - 1) = (x - 2)(x - 1)^47 mod 47: the root 1, of
+    # multiplicity 47, lifts to 47 classes mod 47^2
+    P = parse("x^48 - 2*x^47 - x + 2")
+    for k, count in ((1, 2), (2, 48)):
+        assert localdens.count_roots_mod_pk(P, 47, k) == _brute_count(P, 47, k) == count
 
 
 def test_classes_are_disjoint_and_valid():
