@@ -13,7 +13,7 @@ from typing import Callable
 import numpy as np
 
 from . import census, eulerprod, kernels, localdens, numutil
-from .poly import BinForm, IntPoly, discriminant, is_squarefree_poly
+from .poly import BinForm, IntPoly, discriminant, require_squarefree
 
 J_CAP = 24
 
@@ -60,7 +60,7 @@ def local_integral(u: LocalFactorSpec, p: int, j_cap: int = J_CAP):
     mass.  Exact (a Fraction) when the rule values are int or Fraction;
     float and complex values are summed exactly and rounded once.
     Raises ValueError unless u.poly is square-free."""
-    localdens._require_squarefree(u.poly)
+    require_squarefree(u.poly)
     ((value, slack),) = _local_integrals(u.poly, u.rule, [p], j_cap)
     return value, float(slack)
 
@@ -68,9 +68,9 @@ def local_integral(u: LocalFactorSpec, p: int, j_cap: int = J_CAP):
 def _local_integrals(
     P: IntPoly, rule, primes: list[int], j_cap: int = J_CAP, a: int = 0, m: int = 1
 ) -> list[tuple]:
-    """(value, exact slack) of the local integral at each prime, for a P
-    already checked square-free; at the primes dividing m the integral is
-    taken against the measure of {x = a mod p^(v_p(m))}.
+    """(value, exact slack) of the local integral at each prime; at the
+    primes dividing m the integral is taken against the measure of
+    {x = a mod p^(v_p(m))}.
 
     At a prime outside Disc*lead*content every root mod p is simple and
     lifts uniquely, so mu{x = r (p), v_p(P(x)) >= j} = p^-j: those masses
@@ -201,7 +201,7 @@ def _product_values(P: IntPoly, u: LocalFactorSpec, n: int, threshold: int | Non
 
 def truncated_product(u: LocalFactorSpec, b: int):
     """(prod_{p<=B} local_integral, accumulated truncation slack)."""
-    localdens._require_squarefree(u.poly)
+    require_squarefree(u.poly)
     total, slacks = _truncated_product(u.poly, u.rule, b)
     slack = 0.0
     for s in slacks:
@@ -210,8 +210,8 @@ def truncated_product(u: LocalFactorSpec, b: int):
 
 
 def _truncated_product(P: IntPoly, rule, b: int, a: int = 0, m: int = 1):
-    """(product of the local integrals over p <= b, their exact slacks)
-    for a P already checked square-free; see _local_integrals for a, m."""
+    """(product of the local integrals over p <= b, their exact slacks);
+    see _local_integrals for a, m."""
     total = Fraction(1)
     slacks = []
     for v, s in _local_integrals(P, rule, kernels.prime_sieve(b).tolist(), J_CAP, a, m):
@@ -225,9 +225,9 @@ def empirical_average(
 ) -> AverageReport:
     """(1/N) sum_{x=1..N} prod_p u_p(x), compared against the product of
     local integrals over p <= b_pred."""
-    localdens._require_squarefree(P)
+    require_squarefree(P)
     prod, delta = _product_values(P, u, n, math.isqrt(n))
-    empirical = complex(np.sum(prod[1:]) / n)
+    empirical = complex(np.sum(prod[1:])) / n
     predicted, slacks = _truncated_product(P, u.rule, b_pred)
     return AverageReport(
         empirical=empirical,
@@ -271,8 +271,7 @@ def empirical_average_form(
     """Average of prod_p u_p over coprime pairs in [-N,N]^2 (optionally
     intersected with a sector).  The prediction (indicator kind only) is
     the product over p of the normalized coprime-region integrals."""
-    if not is_squarefree_poly(F):
-        raise ValueError("F must be square-free")
+    require_squarefree(F)
     total = 0.0 + 0.0j
     pairs = 0
     # the profile of F with x and z swapped has one row per x, so its cells
@@ -335,7 +334,7 @@ def average_with_multiplier(
     """(1/N) sum s(x) prod_p u_p(x); for the progression kind the
     prediction prod_p (integral of u_p against the progression measure)
     is computed exactly over p <= b_pred."""
-    localdens._require_squarefree(P)
+    require_squarefree(P)
     prod, _ = _product_values(P, u, n)
     xs = np.arange(n + 1)
     if mult.kind == "progression":
@@ -348,7 +347,7 @@ def average_with_multiplier(
         weights = np.array([0] + [mult.s(x) for x in range(1, n + 1)], dtype=complex)
     else:
         raise ValueError(f"unknown multiplier kind {mult.kind!r}")
-    empirical = complex(np.sum(weights[1:] * prod[1:]) / n)
+    empirical = complex(np.sum(weights[1:] * prod[1:])) / n
     prediction = {"predicted": None}
     if mult.kind == "progression":
         total, slacks = _truncated_product(P, u.rule, b_pred, mult.a, mult.m)

@@ -13,7 +13,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import eulerprod, kernels, numutil
-from .poly import BinForm, IntPoly, discriminant, factor_rational, is_squarefree_poly
+from .poly import BinForm, IntPoly, discriminant, factor_rational, require_squarefree
 
 # pairs in one form census; every box the old 2^31-entry square-free table
 # admitted for a form of degree >= 2 has (2N + 1)^2 <= 92681^2 < 2^33 pairs
@@ -102,8 +102,7 @@ def count_powerfree_values(P: IntPoly, n: int, m: int = 2) -> CensusReport:
     trial bound B satisfies |P(x)| < B^3.
     """
     t0 = time.monotonic()
-    if not is_squarefree_poly(P):
-        raise ValueError("P must be square-free")
+    require_squarefree(P)
     if n < 1 or m < 2:
         raise ValueError("need N >= 1 and m >= 2")
     vmax = _value_bound(P.coeffs, n)
@@ -153,8 +152,7 @@ def count_squarefree_form(
     {1..N}^2 (positive-quadrant) or [-N,N]^2 (full-box), optionally
     restricted to coprime pairs and to a sector."""
     t0 = time.monotonic()
-    if not is_squarefree_poly(F):
-        raise ValueError("F must be square-free")
+    require_squarefree(F)
     if convention not in ("full-box", "positive-quadrant"):
         raise ValueError("unknown convention")
     lo = 1 if convention == "positive-quadrant" else -n
@@ -245,8 +243,7 @@ def _pair_mask(x: np.ndarray, z: np.ndarray, coprime: bool = True, sector=None) 
 def delta_census_univ(P: IntPoly, n: int, threshold: int | None = None) -> int:
     """#{1 <= x <= N : some prime p > threshold has p^2 | P(x)},
     threshold defaulting to sqrt(N)."""
-    if not is_squarefree_poly(P):
-        raise ValueError("P must be square-free")
+    require_squarefree(P)
     if threshold is None:
         threshold = math.isqrt(n)
     b = _trial_bound(_value_bound(P.coeffs, n))
@@ -273,8 +270,7 @@ def delta_census_form(
     Asserts the per-prime bound 12*deg F when threshold >= N at the primes
     not dividing the content of F (modulo the others F vanishes, and p^2
     may divide every value)."""
-    if not is_squarefree_poly(F):
-        raise ValueError("F must be square-free")
+    require_squarefree(F)
     if threshold is None:
         threshold = n
     profile: dict[int, int] = {}
@@ -317,8 +313,7 @@ class TwistTable:
 def twist_census(F: BinForm, n: int) -> TwistTable:
     """Decompose every coprime value in [-N,N]^2 as d*y^2 with d the
     signed square-free kernel, and aggregate the counts S(d)."""
-    if not is_squarefree_poly(F):
-        raise ValueError("F must be square-free")
+    require_squarefree(F)
     if F.degree < 3:
         raise ValueError("deg F must be >= 3")
     out = TwistTable(form=str(F), N=n)

@@ -10,7 +10,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from . import kernels, localdens, numutil
-from .poly import BinForm, IntPoly, discriminant, is_squarefree_poly
+from .poly import BinForm, IntPoly, discriminant, require_squarefree
 
 
 @dataclass
@@ -44,10 +44,6 @@ class EulerEstimate:
     @property
     def factors(self) -> list[tuple[int, Fraction]]:
         return [(p, Fraction(p**self.k - h, p**self.k)) for p, h in zip(self.primes, self.hits)]
-
-    @property
-    def midpoint(self) -> float:
-        return (self.lower + self.upper) / 2
 
 
 def ratio_down(num: int, den: int) -> float:
@@ -174,14 +170,13 @@ def density_univ(P: IntPoly, B: int, m: int = 2) -> EulerEstimate:
     of these, ell(p^m) = ell(p) too, read from the roots mod p; only the
     bad primes are lifted.
     """
-    if not is_squarefree_poly(P):
-        raise ValueError("P must be square-free")
+    require_squarefree(P)
     if P.degree < 1 or B < 2 or m < 2:
         raise ValueError("need deg P >= 1, B >= 2, m >= 2")
     bad = _bad_primes_univ(P)
     primes, status = _truncation_primes(B, bad)
     ell = [
-        localdens._count_roots_mod_pk(P, p, m) if n is None else n
+        localdens.count_roots_mod_pk(P, p, m) if n is None else n
         for p, n in zip(primes, _root_counts(P.coeffs, primes, bad))
     ]
     # tail: all remaining primes are > B and do not divide Disc*lead*cont,
@@ -209,8 +204,7 @@ def density_form(F: BinForm, B: int, coprime: bool = False) -> EulerEstimate:
 
     For primes away from Disc*lead the two factor families coincide.
     """
-    if not is_squarefree_poly(F):
-        raise ValueError("F must be square-free")
+    require_squarefree(F)
     if B < 2:
         raise ValueError("B must be >= 2")
     bad = _chart_primes(F)
@@ -219,7 +213,7 @@ def density_form(F: BinForm, B: int, coprime: bool = False) -> EulerEstimate:
     hits = []
     for p, n in zip(primes, _root_counts(F.on_x_chart().coeffs, primes, bad)):
         if n is None:
-            cc = localdens._coprime_count_form(F, p)
+            cc = localdens.coprime_count_form(F, p)
         else:
             cc = (n + at_infinity) * (p * p - p)
         hits.append(p * p + cc if coprime else cc + localdens._noncoprime_count(F, p))

@@ -1,21 +1,15 @@
 """Local solution counting by p-adic lifting: ell(p^m) for univariate
-polynomials, pair counts mod p^2 for binary forms, and the valuation
-measures mu_p({v_p(P(x)) = j})."""
+polynomials, pair counts mod p^2 for binary forms, the valuation measures
+mu_p({v_p(P(x)) = j}) and, by class mod p and progression, the masses
+they are read from.  Each public count is defined only for square-free P
+and passes through poly.require_squarefree."""
 
 from __future__ import annotations
 
 from fractions import Fraction
 
 from . import kernels, numutil
-from .poly import BinForm, IntPoly, discriminant, is_squarefree_poly
-
-M_CAP = 24
-
-
-def _require_squarefree(P: IntPoly | BinForm) -> None:
-    if not is_squarefree_poly(P):
-        kind = "form" if isinstance(P, BinForm) else "polynomial"
-        raise ValueError(f"{kind} must be square-free")
+from .poly import BinForm, IntPoly, discriminant, require_squarefree
 
 
 def roots_mod_pk(P: IntPoly, p: int, k: int) -> list[tuple[int, int]]:
@@ -27,12 +21,7 @@ def roots_mod_pk(P: IntPoly, p: int, k: int) -> list[tuple[int, int]]:
     expanded one level at a time (Lemma-bounded depth for square-free P).
     Raises ValueError unless P is square-free.
     """
-    _require_squarefree(P)
-    return _roots_mod_pk(P, p, k)
-
-
-def _roots_mod_pk(P: IntPoly, p: int, k: int) -> list[tuple[int, int]]:
-    """roots_mod_pk for a P the caller has already checked square-free."""
+    require_squarefree(P)
     classes = _lift_levels(P, p, k)[-1]
     # the roots mod p of the primitive part stay unmerged: all p of them
     # would merge into the class of every x, which solution_classes_form
@@ -147,18 +136,9 @@ def _merge_classes(classes: list[tuple[int, int]], p: int, k: int) -> list[tuple
     return classes
 
 
-def class_count(classes: list[tuple[int, int]], p: int, k: int) -> int:
-    return sum(p ** (k - e) for _, e in classes)
-
-
 def count_roots_mod_pk(P: IntPoly, p: int, k: int) -> int:
     """Exact #{x in Z/p^k : p^k | P(x)} by recursive lifting."""
-    _require_squarefree(P)
-    return _count_roots_mod_pk(P, p, k)
-
-
-def _count_roots_mod_pk(P: IntPoly, p: int, k: int) -> int:
-    return class_count(_roots_mod_pk(P, p, k), p, k)
+    return sum(p ** (k - e) for _, e in roots_mod_pk(P, p, k))
 
 
 def sols_bound(P: IntPoly, p: int) -> int:
@@ -176,8 +156,7 @@ def sols_bound(P: IntPoly, p: int) -> int:
 
 def ell_form(F: BinForm, p: int) -> int:
     """#{(x,y) mod p^2 : p^2 | F(x,y)}."""
-    _require_squarefree(F)
-    return _coprime_count_form(F, p) + _noncoprime_count(F, p)
+    return coprime_count_form(F, p) + _noncoprime_count(F, p)
 
 
 def _noncoprime_count(F: BinForm, p: int) -> int:
@@ -194,22 +173,10 @@ def _noncoprime_count(F: BinForm, p: int) -> int:
 
 
 def coprime_count_form(F: BinForm, p: int) -> int:
-    """#{(x,y) mod p^2 : p^2 | F(x,y), not (p|x and p|y)}."""
-    _require_squarefree(F)
-    return _coprime_count_form(F, p)
-
-
-def _coprime_count_form(F: BinForm, p: int) -> int:
-    n1 = _count_roots_mod_pk(F.on_x_chart(), p, 2)
-    # roots r' of F(1, r') mod p^2 with p | r'
-    n2 = 0
-    for r, e in _roots_mod_pk(F.on_z_chart(), p, 2):
-        if e == 0:
-            n2 += p  # whole space: residues with p | r' number p
-        elif r % p == 0:
-            n2 += p ** (2 - e) if e >= 1 else 0
-        # e >= 1 classes with r not divisible by p contain no multiples of p
-    return (n1 + n2) * (p * p - p)
+    """#{(x,y) mod p^2 : p^2 | F(x,y), not (p|x and p|y)}: each class of
+    the slope mod p^e takes p^(2 - e) slopes mod p^2, each with p^2 - p
+    unit multiples."""
+    return (p * p - p) * sum(p ** (2 - e) for *_, e in solution_classes_form(F, p, 2))
 
 
 def solution_classes_form(F: BinForm, p: int, n: int) -> list[tuple[str, int, int]]:
@@ -219,16 +186,16 @@ def solution_classes_form(F: BinForm, p: int, n: int) -> list[tuple[str, int, in
     axis 'y' means y = r*x mod p^e with p | r (x a unit).  Their coprime
     parts are disjoint and cover {(x,y) coprime to p : p^n | F(x,y)}.
     """
-    _require_squarefree(F)
+    require_squarefree(F)
     out = []
-    for r, e in _roots_mod_pk(F.on_x_chart(), p, n):
+    for r, e in roots_mod_pk(F.on_x_chart(), p, n):
         if e == 0:
             # every x solves: x = r*y mod p for each r, not a congruence mod
             # 1, which would also take in the pairs with p | y
             out.extend(("x", r, 1) for r in range(p))
         else:
             out.append(("x", r, e))
-    for r, e in _roots_mod_pk(F.on_z_chart(), p, n):
+    for r, e in roots_mod_pk(F.on_z_chart(), p, n):
         if e == 0:
             out.append(("y", 0, 1))  # all r'; multiples of p form r'=0 mod p
         elif r % p == 0:
@@ -242,28 +209,12 @@ def solution_classes_form(F: BinForm, p: int, n: int) -> list[tuple[str, int, in
 
 def valuation_measure(P: IntPoly, p: int, j: int) -> Fraction:
     """mu_p({x in Z_p : v_p(P(x)) = j}) = c_j/p^j - c_(j+1)/p^(j+1): the
-    per-class measures of one walk of the lifting tree, summed."""
+    per-class masses of one walk of the lifting tree, summed."""
     if j < 0:
         raise ValueError("j must be >= 0")
-    _require_squarefree(P)
-    return sum(_measure_by_class(P, p, j).values(), Fraction(0))
-
-
-def valuation_measure_by_class(P: IntPoly, p: int, j: int) -> dict[int, Fraction]:
-    """Refinement of valuation_measure by residue class x = i mod p."""
-    _require_squarefree(P)
-    return _measure_by_class(P, p, j)
-
-
-def progression_measure(P: IntPoly, p: int, j: int, a: int, e: int) -> dict[int, Fraction]:
-    """mu_p({v_p(P(x)) = j, x = i mod p, x = a mod p^e}) per class i."""
-    _require_squarefree(P)
-    return _measure_by_class(P, p, j, a, e)
-
-
-def _measure_by_class(P: IntPoly, p: int, j: int, a: int = 0, e: int = 0) -> dict[int, Fraction]:
-    masses, den = class_masses(_lift_levels(P, p, j + 1), p, a, e)
-    return {i: Fraction(masses[j].get(i, 0) - masses[j + 1].get(i, 0), den) for i in range(p)}
+    require_squarefree(P)
+    masses, den = class_masses(_lift_levels(P, p, j + 1), p)
+    return Fraction(sum(masses[j].values()) - sum(masses[j + 1].values()), den)
 
 
 def class_masses(

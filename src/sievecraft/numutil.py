@@ -1,4 +1,4 @@
-"""Elementary arithmetic functions: v_p, sq(n), tau_k, mu, omega, rad,
+"""Elementary arithmetic functions: v_p, tau_k, mu, omega, rad,
 factorization by trial division, and the Mobius and smallest-prime-factor
 tables.
 """
@@ -107,27 +107,6 @@ def valuation(n: int, p: int) -> int:
         n //= p
         v += 1
     return v
-
-
-def sq_kernel(n: int) -> int:
-    """sq(n) = prod over p^2|n of p^(v_p(n)-1)."""
-    f = _complete_factorization(n)
-    out = 1
-    for p, e in f.pairs:
-        if e >= 2:
-            out *= p ** (e - 1)
-    return out
-
-
-def squarefree_decomposition(n: int) -> tuple[int, int]:
-    """(d, y) with |n| = d*y^2 and d square-free."""
-    f = _complete_factorization(n)
-    d, y = 1, 1
-    for p, e in f.pairs:
-        if e % 2:
-            d *= p
-        y *= p ** (e // 2)
-    return d, y
 
 
 def _complete_factorization(n: int) -> Factorization:

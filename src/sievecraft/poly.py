@@ -354,6 +354,15 @@ def is_squarefree_poly(p) -> bool:
     return discriminant(p) != 0
 
 
+def require_squarefree(p: IntPoly | BinForm) -> None:
+    """Raise ValueError unless P has no repeated factor over Q: the one
+    gate of every entry point whose answer is defined only for square-free
+    P."""
+    if not is_squarefree_poly(p):
+        kind = "form" if isinstance(p, BinForm) else "polynomial"
+        raise ValueError(f"{kind} must be square-free")
+
+
 # ---------------------------------------------------------------------------
 # Rational factorization (Kronecker)
 

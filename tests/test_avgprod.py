@@ -97,7 +97,12 @@ def test_empirical_average_matches_census():
     # is square-free at 7 of x = 1..10, as x + 1 is
     P = parse("10007*x + 10007")
     rep = empirical_average(P, squarefree_indicator_family(P), 10)
-    assert rep.empirical == pytest.approx(0.7) and rep.delta_term == 0
+    assert rep.empirical == 0.7 and rep.delta_term == 0
+    # the trivial progression weighs every x: the same exact 7/10, to nearest
+    P = parse("x")
+    mult = MultiplierSpec(kind="progression", a=0, m=1)
+    rep = average_with_multiplier(P, squarefree_indicator_family(P), mult, 10)
+    assert rep.empirical == 0.7
 
 
 def test_poncho_inequality():

@@ -131,7 +131,9 @@ def twist_census_alt(F, n):
             if v == 0:
                 zeros += 1
                 continue
-            d0, _ = numutil.squarefree_decomposition(v)
+            f = numutil.factorize(abs(v))
+            assert f.complete, v
+            d0 = math.prod(p for p, e in f.pairs if e % 2)
             d = d0 if v > 0 else -d0
             table[d] = table.get(d, 0) + 1
     return table, zeros, pairs

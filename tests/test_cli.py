@@ -178,6 +178,21 @@ def test_exit_domain(capsys):
     # square-full polynomial under every multiplier
     for mult in (["--mobius"], ["--progression", "1,3"], []):
         assert _run(capsys, "avgprod", "--poly", "x^2", "--N", "100", *mult)[0] == 2
+    # every path that takes a polynomial or a form refuses a repeated factor
+    for argv in (
+        ["density", "--poly", "x^2"],
+        ["density", "--form", "x^2*z"],
+        ["density", "--form", "x^2*z", "--coprime"],
+        ["census", "--poly", "x^2", "--N", "100"],
+        ["census", "--form", "x^2*z", "--N", "10"],
+        ["census", "--form", "x^2*z", "--N", "10", "--all-pairs"],
+        ["delta", "--poly", "x^2", "--N", "100"],
+        ["delta", "--form", "x^2*z", "--N", "10"],
+        ["twists", "--form", "x^2*z", "--N", "10"],
+        ["avgprod", "--poly", "x^2", "--N", "100"],
+    ):
+        code, _, err = _run(capsys, *argv)
+        assert code == 2 and "square-free" in err, argv
 
 
 def test_exit_resource(capsys):

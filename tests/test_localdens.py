@@ -140,8 +140,7 @@ def test_valuation_measure_telescopes():
         total = sum(localdens.valuation_measure(P, p, j) for j in range(10))
         tail = Fraction(localdens.count_roots_mod_pk(P, p, 10), p**10)
         assert total + tail == 1
-        byc = localdens.valuation_measure_by_class(P, p, 3)
-        assert sum(byc.values()) == localdens.valuation_measure(P, p, 3)
+        assert sum(_class_measure(P, p, 3).values()) == localdens.valuation_measure(P, p, 3)
 
 
 def test_valuation_measure_brute():
@@ -160,20 +159,18 @@ def test_valuation_measure_brute():
 def test_progression_measure():
     P = parse("x^3 + 2")
     p, j, a, e = 3, 1, 1, 2
-    sigma = localdens.progression_measure(P, p, j, a, e)
+    sigma = _class_measure(P, p, j, a, e)
     # brute force over Z/p^(j+e+2)
     depth = j + e + 2
     m = p**depth
+    exact = [x for x in range(m) if P(x) != 0 and numutil.valuation(P(x), p) == j]
     for i in range(p):
-        cnt = sum(
-            1
-            for x in range(m)
-            if x % p == i
-            and x % p**e == a % p**e
-            and numutil.valuation(P(x), p) == j
-            if P(x) != 0
-        )
+        cnt = sum(1 for x in exact if x % p == i and x % p**e == a % p**e)
         assert sigma[i] == Fraction(cnt, m), i
+    assert _class_measure(P, p, j) == {
+        i: Fraction(sum(1 for x in exact if x % p == i), m) for i in range(p)
+    }
+    assert localdens.valuation_measure(P, p, j) == Fraction(len(exact), m)
 
 
 @st.composite
@@ -195,6 +192,13 @@ def _bad_prime_polys(draw):
     P = IntPoly(coeffs)
     assume(is_squarefree_poly(P))
     return P
+
+
+def _class_measure(P, p, j, a=0, e=0):
+    """{i: mu{x = i (p), v_p(P(x)) = j, x = a (p^e)}} from the masses of
+    one lifting walk, as avgprod reads them."""
+    masses, den = localdens.class_masses(localdens._lift_levels(P, p, j + 1), p, a, e)
+    return {i: Fraction(masses[j].get(i, 0) - masses[j + 1].get(i, 0), den) for i in range(p)}
 
 
 def _enumerated_measure(P, p, j, a=0, e=0):
@@ -221,8 +225,10 @@ def test_measures_vs_enumeration(P, p, j, a, e):
     while p ** max(j + 1, e) > 3000:
         j -= 1
     assume(j >= 0)
-    assert localdens.valuation_measure_by_class(P, p, j) == _enumerated_measure(P, p, j)
-    assert localdens.progression_measure(P, p, j, a, e) == _enumerated_measure(P, p, j, a, e)
+    by_class = _enumerated_measure(P, p, j)
+    assert _class_measure(P, p, j) == by_class
+    assert _class_measure(P, p, j, a, e) == _enumerated_measure(P, p, j, a, e)
+    assert localdens.valuation_measure(P, p, j) == sum(by_class.values())
 
 
 @st.composite

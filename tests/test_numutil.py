@@ -33,14 +33,6 @@ def test_valuation():
         numutil.valuation(12, 4)
 
 
-def test_sq_kernel_and_decomposition():
-    assert numutil.sq_kernel(12) == 2  # 2^2 * 3 -> 2^(2-1)
-    assert numutil.sq_kernel(30) == 1
-    assert numutil.squarefree_decomposition(360) == (10, 6)
-    d, y = numutil.squarefree_decomposition(-75)
-    assert d * y * y == 75 and d == 3
-
-
 def test_tau_mobius_omega_rad():
     assert numutil.tau_k(12, 2) == 6
     assert numutil.tau_k(1, 5) == 1
