@@ -22,8 +22,11 @@ J_CAP = 24
 class LocalFactorSpec:
     """A family of local factors: rule(p, class mod p, j) -> value with
     |value| <= 1.  Families used in averages must satisfy the paper's
-    hypothesis u_p = 1 whenever v_p(P(n)) <= 1; set general=True only
-    for direct local_integral evaluation of unrestricted rules."""
+    hypothesis u_p = 1 whenever v_p(P(n)) <= 1, and with general=False
+    the rule is read only at v_p >= 2, on both the empirical and the
+    predicted side (the predictions check the hypothesis at every prime
+    they integrate); set general=True only for direct local_integral
+    evaluation of unrestricted rules."""
 
     poly: IntPoly | None
     rule: Callable[[int, int, int], complex]
@@ -56,28 +59,34 @@ def signed_valuation_family(P: IntPoly) -> LocalFactorSpec:
 def local_integral(u: LocalFactorSpec, p: int, j_cap: int = J_CAP):
     """integral of u_p over Z_p: sum over classes i mod p and
     valuations j <= j_cap of mu{x = i (p), v_p(P(x)) = j} * rule(p,i,j).
+    A family with general=False is read only at v_p >= 2: its hypothesis
+    u_p = 1 on v_p <= 1 is checked at p, and that mass counts with value 1.
     Returns (value, slack) with slack bounding the discarded j > j_cap
     mass.  Exact (a Fraction) when the rule values are int or Fraction;
     float and complex values are summed exactly and rounded once.
     Raises ValueError unless u.poly is square-free."""
     require_squarefree(u.poly)
-    ((value, slack),) = _local_integrals(u.poly, u.rule, [p], j_cap)
+    ((value, slack),) = _local_integrals(u.poly, u, [p], j_cap)
     return value, float(slack)
 
 
 def _local_integrals(
-    P: IntPoly, rule, primes: list[int], j_cap: int = J_CAP, a: int = 0, m: int = 1
+    P: IntPoly, u: LocalFactorSpec, primes: list[int], j_cap: int = J_CAP, a: int = 0, m: int = 1
 ) -> list[tuple]:
-    """(value, exact slack) of the local integral at each prime; at the
-    primes dividing m the integral is taken against the measure of
-    {x = a mod p^(v_p(m))}.
+    """(value, exact slack) of the local integral of u at each prime; at
+    the primes dividing m the integral is taken against the measure of
+    {x = a mod p^(v_p(m))}.  A general family's rule is read at every
+    level v_p = j from low = 0; any other family's from low = 2, after its
+    hypothesis is checked at p, with the mass of v_p < 2 counting as 1.
 
     At a prime outside Disc*lead*content every root mod p is simple and
-    lifts uniquely, so mu{x = r (p), v_p(P(x)) >= j} = p^-j: those masses
-    are read from one batch of roots mod p.  Every other prime, and every
-    prime of m, is lifted once to depth j_cap + 1."""
+    lifts uniquely, so mu{x = r (p), v_p(P(x)) >= j} = p^-j for j >= 1:
+    those masses are read in closed form from one batch of roots mod p.
+    Every other prime, and every prime of m, is lifted once to depth
+    j_cap + 1."""
     if j_cap < 0:
         raise ValueError("j_cap must be >= 0")
+    low = 0 if u.general else 2
     k = j_cap + 1
     d = discriminant(P) * P.lead * P.content()
     lifted = {p for p in primes if d % p == 0 or m % p == 0}
@@ -86,46 +95,55 @@ def _local_integrals(
     roots_of = {p: roots[starts[t] : starts[t + 1]] for t, p in enumerate(simple)}
     out = []
     for p in primes:
+        u.check_trivial_low(p)
         if p in lifted:
             e = numutil.valuation(m, p) if m % p == 0 else 0
-            levels = localdens._lift_levels(P, p, k)
+            masses, den = localdens.class_masses(localdens._lift_levels(P, p, k), p, a, e)
+            total, tail = sum(masses[0].values()), sum(masses[k].values())
+            weights = [
+                (i, j, mass - masses[j + 1].get(i, 0))
+                for j in range(low, k)
+                for i, mass in masses[j].items()
+            ]
         else:
-            # each root mod p stands for its unique lift, read only mod p
-            e = 0
-            levels = [[(r, j) for r in roots_of[p]] for j in range(1, k + 1)]
-        out.append(_integrate(rule, p, *localdens.class_masses(levels, p, a, e)))
+            rs = roots_of[p]
+            den = total = p**k
+            tail = len(rs)
+            weights = [(r, j, (p - 1) * p ** (k - j - 1)) for j in range(max(low, 1), k) for r in rs]
+            if low == 0:  # the classes mod p without a root, at v_p = 0
+                weights += [(i, 0, p ** (k - 1)) for i in range(p) if i not in rs]
+        out.append((_integrate(u.rule, p, weights, total - tail, den), Fraction(tail, den)))
     return out
 
 
-def _integrate(rule, p: int, masses: list[dict[int, int]], den: int) -> tuple:
-    """(sum over j < k and classes i of rule(p, i, j) * mu{x = i (p),
-    v_p = j}, mu{v_p >= k}) from masses[j][i] = den * mu{x = i (p),
-    v_p >= j}, j = 0..k.  int and Fraction values give a Fraction; float
+def _integrate(rule, p: int, weights: list[tuple[int, int, int]], below_cap: int, den: int):
+    """(below_cap + sum over (i, j, w) in weights of (rule(p, i, j) - 1) *
+    w) / den, where below_cap = den * mu{v_p < k} and w = den * mu{x = i
+    (p), v_p = j}: the integral below the cap, with value 1 on the levels
+    the weights leave out.  int and Fraction values give a Fraction; float
     and complex values are summed as exact rationals and rounded once."""
-    re = im = 0
+    re = below_cap
+    im = 0
     kind = Fraction
-    for j in range(len(masses) - 1):
-        nxt = masses[j + 1]
-        for i, mass in masses[j].items():
-            w = mass - nxt.get(i, 0)
-            if not w:
-                continue
-            v = rule(p, i, j)
-            if type(v) is not int:
-                if isinstance(v, complex):
-                    kind = complex
-                    im += Fraction(v.imag) * w
-                    v = v.real
-                elif isinstance(v, float) and kind is Fraction:
-                    kind = float
-                v = Fraction(v)
-            re += v * w
+    for i, j, w in weights:
+        if not w:
+            continue
+        v = rule(p, i, j)
+        if type(v) is not int:
+            if isinstance(v, complex):
+                kind = complex
+                im += Fraction(v.imag) * w
+                v = v.real
+            elif isinstance(v, float) and kind is Fraction:
+                kind = float
+            v = Fraction(v)
+        re += (v - 1) * w
     value = Fraction(re, den)
     if kind is complex:
-        value = complex(float(value), float(Fraction(im, den)))
-    elif kind is float:
-        value = float(value)
-    return value, Fraction(sum(masses[-1].values()), den)
+        return complex(float(value), float(Fraction(im, den)))
+    if kind is float:
+        return float(value)
+    return value
 
 
 @dataclass
@@ -186,9 +204,21 @@ def _product_values(P: IntPoly, u: LocalFactorSpec, n: int, threshold: int | Non
     delta = 0
     for block in kernels.value_square_blocks(P.coeffs, n, b):
         lo, xs, ps, vs, rem = block
-        # each x's entries come in ascending p, the large prime q last
-        for x, p, v in zip(xs.tolist(), ps.tolist(), vs.tolist()):
-            prod[x] *= u.rule(p, x % p, v)
+        # one rule call per distinct (p, x mod p, v): p <= b < 2^22 and
+        # v < 64 keep the key below 2^50.  return_index selects numpy's
+        # stable sort: the quicksort it takes otherwise maps about 0.2 MB
+        # more of numpy's code into the process (peak RSS)
+        keys, _, inv = np.unique(
+            (ps * b + xs % ps) * 64 + vs, return_index=True, return_inverse=True
+        )
+        pi, kv = np.divmod(keys, 64)
+        kp, ki = np.divmod(pi, b)
+        vals = np.array(
+            [u.rule(*key) for key in zip(kp.tolist(), ki.tolist(), kv.tolist())], dtype=complex
+        )
+        # applied in entry order: each x's values in ascending p, the
+        # large prime q last
+        np.multiply.at(prod, xs, vals[inv])
         q = census._square_root(rem)
         at = np.flatnonzero(q)
         for x, p in zip((at + lo).tolist(), q[at].tolist()):
@@ -202,19 +232,19 @@ def _product_values(P: IntPoly, u: LocalFactorSpec, n: int, threshold: int | Non
 def truncated_product(u: LocalFactorSpec, b: int):
     """(prod_{p<=B} local_integral, accumulated truncation slack)."""
     require_squarefree(u.poly)
-    total, slacks = _truncated_product(u.poly, u.rule, b)
+    total, slacks = _truncated_product(u.poly, u, b)
     slack = 0.0
     for s in slacks:
         slack += float(s)
     return total, slack
 
 
-def _truncated_product(P: IntPoly, rule, b: int, a: int = 0, m: int = 1):
+def _truncated_product(P: IntPoly, u: LocalFactorSpec, b: int, a: int = 0, m: int = 1):
     """(product of the local integrals over p <= b, their exact slacks);
     see _local_integrals for a, m."""
     total = Fraction(1)
     slacks = []
-    for v, s in _local_integrals(P, rule, kernels.prime_sieve(b).tolist(), J_CAP, a, m):
+    for v, s in _local_integrals(P, u, kernels.prime_sieve(b).tolist(), J_CAP, a, m):
         total = total * v
         slacks.append(s)
     return total, slacks
@@ -228,7 +258,7 @@ def empirical_average(
     require_squarefree(P)
     prod, delta = _product_values(P, u, n, math.isqrt(n))
     empirical = complex(np.sum(prod[1:])) / n
-    predicted, slacks = _truncated_product(P, u.rule, b_pred)
+    predicted, slacks = _truncated_product(P, u, b_pred)
     return AverageReport(
         empirical=empirical,
         N=n,
@@ -350,6 +380,6 @@ def average_with_multiplier(
     empirical = complex(np.sum(weights[1:] * prod[1:])) / n
     prediction = {"predicted": None}
     if mult.kind == "progression":
-        total, slacks = _truncated_product(P, u.rule, b_pred, mult.a, mult.m)
+        total, slacks = _truncated_product(P, u, b_pred, mult.a, mult.m)
         prediction = _prediction(total, Fraction(P.degree, b_pred) + sum(slacks))
     return AverageReport(empirical=empirical, N=n, B=b_pred, **prediction)

@@ -17,8 +17,9 @@ def roots_mod_pk(P: IntPoly, p: int, k: int) -> list[tuple[int, int]]:
 
     Returns disjoint classes (r, e) with 1 <= e <= k, each meaning
     {x mod p^k : x = r mod p^e}; the solution count is sum of p^(k-e).
-    Lifting: simple roots lift by Newton iteration, singular roots are
-    expanded one level at a time (Lemma-bounded depth for square-free P).
+    Lifting: simple roots lift by Newton iteration, singular classes are
+    expanded only at the children that solve one level deeper (Lemma-bounded
+    depth for square-free P).
     Raises ValueError unless P is square-free.
     """
     require_squarefree(P)
@@ -38,8 +39,10 @@ def _lift_levels(P: IntPoly, p: int, k: int) -> list[list[tuple[int, int]]]:
     """The solution classes of P(x) = 0 mod p^j for every j = 1..k, from
     one walk of the lifting tree: levels[j - 1] lists disjoint classes
     (r, e), each {x : x = r mod p^e}, with e = 0 standing for every x.
-    Simple roots lift by Newton iteration, singular roots are expanded one
-    level at a time (Lemma-bounded depth for square-free P)."""
+    Simple roots lift by Newton iteration; a singular class stays one class
+    while it solves as a whole, and is expanded only at its children that
+    solve one level deeper, the roots mod p of the Taylor quotient
+    P(r + p^e t) / p^j (Lemma-bounded depth for square-free P)."""
     if k < 1:
         raise ValueError("k must be >= 1")
     cont = P.content()
@@ -55,60 +58,57 @@ def _lift_levels_primitive(coeffs: list[int], p: int, k: int) -> list[list[tuple
     dcoeffs = [i * a for i, a in enumerate(coeffs) if i >= 1]
     levels: list[list[tuple[int, int]]] = [[] for _ in range(k)]
 
-    def lift(r: int, j: int) -> None:
-        levels[j - 1].append((r, j))
-        if j == k:
-            return
-        if kernels._peval(dcoeffs, r, p) != 0:
-            # simple root: unique lift to p^k by Newton iteration, whose
-            # residues are the unique lifts at the depths in between
-            x = r
-            prec = j
-            while prec < k:
-                prec = min(2 * prec, k)
-                mod = p**prec
-                fx = kernels._peval(coeffs, x, mod)
-                dfx = kernels._peval(dcoeffs, x, mod)
-                dinv = pow(dfx, -1, mod)  # unit since P'(r) != 0 mod p
-                x = (x - fx * dinv) % mod
-            for d in range(j + 1, k + 1):
-                levels[d - 1].append((x % p**d, d))
-            return
-        # singular: the p children solve mod p^(j+1) together or not at all
-        pj = p**j
-        fr = kernels._peval(coeffs, r, pj * p)
-        if fr % pj != 0:
-            raise AssertionError("lift invariant broken")
-        if fr != 0:
-            return  # no lift
-        if _class_is_solution(coeffs, r, j, p, k):
-            for d in range(j + 1, k + 1):
-                levels[d - 1].append((r, j))
-            return
-        for t in range(p):
-            lift(r + t * pj, j + 1)
+    def lift(r: int, e: int, j: int, q: list[int]) -> None:
+        # the class r mod p^e solves mod p^j as a whole, and q(t) =
+        # P(r + p^e t) / p^j has integer coefficients: x = r + p^e t solves
+        # mod p^(j+1) iff q(t) = 0 mod p, which depends on t mod p only
+        while True:
+            levels[j - 1].append((r, e))
+            if j == k:
+                return
+            qp = [c % p for c in q]
+            if any(qp):
+                break
+            # the whole class solves one level deeper
+            q = [c // p for c in q]
+            j += 1
+        for t in kernels.poly_roots_mod_p(qp, p):
+            lift(r + t * p**e, e + 1, j + 1, [c // p for c in _shift(q, t, p)])
 
     for r in kernels.poly_roots_mod_p(coeffs, p):
-        lift(r, 1)
+        if kernels._peval(dcoeffs, r, p) == 0:
+            # singular: the children of a class are expanded only where
+            # they solve one level deeper, as the roots mod p of q
+            lift(r, 1, 1, [c // p for c in _shift(coeffs, r, p)])
+            continue
+        # simple root: unique lift to p^k by Newton iteration, whose
+        # residues are the unique lifts at the depths in between
+        x = r
+        prec = 1
+        while prec < k:
+            prec = min(2 * prec, k)
+            mod = p**prec
+            fx = kernels._peval(coeffs, x, mod)
+            dfx = kernels._peval(dcoeffs, x, mod)
+            dinv = pow(dfx, -1, mod)  # unit since P'(r) != 0 mod p
+            x = (x - fx * dinv) % mod
+        for d in range(1, k + 1):
+            levels[d - 1].append((x % p**d, d))
     return levels
 
 
-def _class_is_solution(coeffs: list[int], r: int, e: int, p: int, k: int) -> bool:
-    """Sufficient test that p^k | P(x) for every x = r mod p^e:
-    all Taylor coefficients of P(r + p^e t) divisible by p^k."""
-    pk = p**k
-    pe = p**e
-    # Taylor shift: Q(t) = P(r + pe*t)
-    q = [0]
+def _shift(coeffs: list[int], r: int, s: int) -> list[int]:
+    """Coefficients of P(r + s t) in t."""
+    q: list[int] = []
     for a in reversed(coeffs):
-        # q = q * (r + pe*t) + a
+        # q = q * (r + s t) + a
         new = [0] * (len(q) + 1)
         for i, c in enumerate(q):
             new[i] += c * r
-            new[i + 1] += c * pe
+            new[i + 1] += c * s
         new[0] += a
         q = new
-    return all(c % pk == 0 for c in q)
+    return q
 
 
 def _merge_classes(classes: list[tuple[int, int]], p: int, k: int) -> list[tuple[int, int]]:

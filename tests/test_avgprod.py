@@ -276,6 +276,11 @@ def _rules():
     return values.map(lambda vals: lambda p, i, j: vals[(3 * i + 5 * j + p) % 7])
 
 
+def _low_trivial(rule):
+    """rule on v_p >= 2 and the int 1 below, as the paper's hypothesis asks."""
+    return lambda p, i, j: rule(p, i, j) if j >= 2 else 1
+
+
 def _enumerated_integral(P, rule, p, j_cap):
     """(integral, slack) summed over x mod p^(j_cap + 1), where
     v_p(P(x)) <= j_cap is already fixed; float and complex values are
@@ -311,6 +316,54 @@ def test_local_integral_vs_enumeration(P, rule, p, j_cap):
     got = local_integral(LocalFactorSpec(P, rule, general=True), p, j_cap)
     want = _enumerated_integral(P, rule, p, j_cap)
     assert got == want and type(got[0]) is type(want[0])
+    # a family with u = 1 on v_p <= 1, read only from v_p = 2 on
+    rule = _low_trivial(rule)
+    got = local_integral(LocalFactorSpec(P, rule), p, j_cap)
+    want = _enumerated_integral(P, rule, p, j_cap)
+    assert got == want and type(got[0]) is type(want[0])
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    _bad_prime_polys(),
+    st.one_of(st.sampled_from(["indicator", "signed"]), _rules()),
+    st.sampled_from([1, 2, 3, 4, 6, 9, 10, 12, 25, 30]),
+    st.integers(0, 29),
+)
+def test_integrals_from_level_two_vs_full_sweep(P, family, m, a):
+    # a family with u = 1 on v_p <= 1, read from level 2 on (closed-form
+    # masses at the simple primes, the lifted masses from level 2 at the
+    # others) against the same rule swept over every level and class
+    if family == "indicator":
+        u = squarefree_indicator_family(P)
+    elif family == "signed":
+        u = signed_valuation_family(P)
+    else:
+        u = LocalFactorSpec(P, _low_trivial(family))
+    full = LocalFactorSpec(P, u.rule, general=True)
+    primes = kernels.prime_sieve(60).tolist()
+    got = avgprod._local_integrals(P, u, primes, avgprod.J_CAP, a, m)
+    want = avgprod._local_integrals(P, full, primes, avgprod.J_CAP, a, m)
+    assert got == want
+    assert [type(v) for v, _ in got] == [type(v) for v, _ in want]
+
+
+def test_non_general_family_checked_at_every_prime():
+    # u = 1 on v_p <= 1 fails only at p = 5, beyond the primes 2 and 3 the
+    # empirical side checks: every prediction read from level 2 refuses it
+    def rule(p, i, j):
+        if (p, i, j) == (5, 0, 0):
+            return 0.5
+        return 0 if j >= 2 else 1
+
+    P = parse("x")
+    u = LocalFactorSpec(P, rule)
+    with pytest.raises(ValueError, match="u = 1"):
+        truncated_product(u, 10)
+    with pytest.raises(ValueError, match="u = 1"):
+        empirical_average(P, u, 100, 10)
+    with pytest.raises(ValueError, match="u = 1"):
+        average_with_multiplier(P, u, MultiplierSpec(kind="progression", a=1, m=3), 100, 10)
 
 
 def _digest(q):
@@ -444,6 +497,53 @@ def test_product_values_vs_whole_range(case, size, family):
     assert prod.tobytes() == expect.tobytes()
     assert np.sum(prod[1:]) == np.sum(expect[1:])
     assert delta == expect_delta
+
+
+def product_values_loop(P, u, n):
+    """avgprod._product_values' prod with one rule call per profile entry,
+    in entry order, block by block; with the number of entries and the
+    number of rule calls at v >= 2 a fill that reads each distinct (p, x
+    mod p, v) of a block once makes."""
+    b = census._trial_bound(census._value_bound(P.coeffs, n))
+    prod = np.ones(n + 1, dtype=complex)
+    entries = once = 0
+    for lo, xs, ps, vs, rem in kernels.value_square_blocks(P.coeffs, n, b):
+        keys = set()
+        for x, p, v in zip(xs.tolist(), ps.tolist(), vs.tolist()):
+            prod[x] *= u.rule(p, x % p, v)
+            keys.add((p, x % p, v))
+        q = census._square_root(rem)
+        at = np.flatnonzero(q)
+        entries += xs.size
+        once += len(keys) + at.size
+        for x, p in zip((at + lo).tolist(), q[at].tolist()):
+            prod[x] *= u.rule(p, x % p, 2)
+        prod[lo : lo + rem.size][rem == 0] = 0
+    return prod, entries, once
+
+
+@pytest.mark.parametrize(
+    "spec,n",
+    [("x", 3000), ("12*x^3 + 24", 2000), ("4*x^2 + 12", 3000), ("30*x^2 - 30", 2500), ("18*x^2 + 2*x", 2000)],
+)
+def test_product_values_vs_entry_loop(spec, n):
+    # the same complex products as the per-entry loop, in the same order,
+    # with one rule call per distinct (p, x mod p, v) of a block
+    P = parse(spec)
+    calls = []
+
+    def rule(p, i, j):
+        calls.append((p, i, j))
+        return _wave(p, i, j)
+
+    u = LocalFactorSpec(P, rule)
+    with mock.patch.object(kernels, "_VALUE_BLOCK", 700):
+        expect, entries, once = product_values_loop(P, u, n)
+        calls.clear()
+        prod, _ = avgprod._product_values(P, u, n)
+    assert np.array_equal(prod, expect)
+    # the hypothesis checks read v_p <= 1 only
+    assert sum(j >= 2 for _, _, j in calls) == once < entries
 
 
 def test_empirical_average_profiles_once(monkeypatch):

@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
@@ -40,6 +41,30 @@ def test_lifting_vs_exhaustive_small():
     P = parse("x^48 - 2*x^47 - x + 2")
     for k, count in ((1, 2), (2, 48)):
         assert localdens.count_roots_mod_pk(P, 47, k) == _brute_count(P, 47, k) == count
+
+
+def test_singular_lifting_expands_only_solving_children():
+    # (x - 2)(x^11 - 1) at p = 89: 2^11 = 1 mod 89, so 2 is a double root
+    # there; against every x mod 89^3 in int64
+    P = parse("x^12 - 2*x^11 - x + 2")
+    p = 89
+    mod = p**3
+    x = np.arange(mod, dtype=np.int64)
+    y = np.zeros(mod, dtype=np.int64)
+    for a in reversed(P.coeffs):
+        y = (y * x + a) % mod
+    v = sum((y % p**j == 0).astype(np.int64) for j in (1, 2, 3))  # min(v_p, 3)
+    for k in (1, 2, 3):
+        assert localdens.count_roots_mod_pk(P, p, k) == np.count_nonzero(v >= k) // p ** (3 - k)
+    cover = {c for r, e in localdens.roots_mod_pk(P, p, 3) for c in range(r % p**e, mod, p**e)}
+    assert cover == set(np.flatnonzero(v == 3).tolist())
+    masses, den = localdens.class_masses(localdens._lift_levels(P, p, 3), p)
+    assert den == mod
+    for j in range(4):
+        by_class = np.bincount(x[v >= j] % p, minlength=p)
+        assert masses[j] == {i: int(c) for i, c in enumerate(by_class) if c}
+    # a class per root and level, not the p children of the double root
+    assert all(len(level) <= P.degree for level in localdens._lift_levels(P, p, 8))
 
 
 def test_classes_are_disjoint_and_valid():
