@@ -34,9 +34,12 @@ class LocalFactorSpec:
     general: bool = False
 
     def check_trivial_low(self, p: int) -> None:
-        if self.general:
+        """Raise ValueError unless rule(p, i, j) = 1 at every class i mod p
+        and j <= 1.  The indicator and signed families are 1 there by
+        construction, and general families need not be."""
+        if self.general or self.kind in ("indicator", "signed"):
             return
-        for i in (0, 1 % p):
+        for i in range(p):
             for j in (0, 1):
                 if self.rule(p, i, j) != 1:
                     raise ValueError("family must have u = 1 when v_p <= 1")

@@ -22,6 +22,8 @@ import math
 
 import numpy as np
 
+from . import modp
+
 # the pure numpy kernels, the only implementation; benchmark runs record it
 BACKEND = "py"
 
@@ -212,12 +214,8 @@ def _radical_mod_p(f: list[int], p: int) -> list[int]:
 # ---------------------------------------------------------------------------
 # Roots mod many primes at once
 #
-# Column j of every array below is a polynomial over Z/p_j, coefficients low
-# to high down the rows, so that each coefficient is one contiguous row over
-# the primes.  All residues are < p_j < 2^26, so a product of two is < 2^52
-# and up to 2^11 such products sum in int64 before a reduction: a squaring
-# mod a monic f of degree k <= 1024 adds at most k products to a coefficient
-# and its top-down reduction at most k - 1 more, (2k - 1) 2^52 < 2^63.
+# Column j of every array below is a polynomial over Z/p_j, in the layout of
+# modp, whose int64 arithmetic needs p_j < 2^26 and degree <= 1024.
 
 _SCALAR_MAX_P = 43  # poly_roots_mod_p scans all residues up to here
 _BATCH_P_LIMIT = 1 << 26
@@ -244,9 +242,10 @@ def roots_mod_primes(coeffs, primes) -> tuple[np.ndarray, np.ndarray]:
     through poly_roots_mod_p, which raises ValueError where the polynomial
     vanishes identically; all the others are solved together, with every
     partial sum in int64: x^p mod (f, p) by square-and-multiply, then
-    gcd(x^p - x, f), split into linear factors by Cantor-Zassenhaus with
-    (x + a)^((p-1)/2) at the shifts a = j * _SHIFT_STEP + 1 mod p, j = 0,
-    1, ...; both powers come from one _powmod.
+    gcd(x^p - x, f), split by _split_linear into factors of degree <= 2 by
+    Cantor-Zassenhaus with (x + a)^((p-1)/2) at the shifts a = j *
+    _SHIFT_STEP + 1 mod p, j = 0, 1, ... (both powers come from one
+    modp.powmod), and the quadratic factors solved by square roots mod p.
     """
     primes, scalar, sel, g, dg = _linear_parts(coeffs, primes)
     d = g.shape[0] - 1
@@ -303,7 +302,7 @@ def _linear_parts(coeffs, primes):
     g = np.empty((d + 1, p.size), dtype=np.int64)
     dg = np.empty(p.size, dtype=np.int64)
     if p.size:
-        inv = _inverse(_residues(c[-1], p), p)
+        inv = modp.inverse(_residues(c[-1], p), p)
         for lo in range(0, p.size, _BATCH_ROWS):
             hi = min(lo + _BATCH_ROWS, p.size)
             mod = np.stack([_residues(a, p[lo:hi]) for a in c[:-1]]) * inv[lo:hi] % p[lo:hi]
@@ -324,126 +323,48 @@ def _linear_part(mod: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.ndarray
     d = mod.shape[0]
     f = np.concatenate([mod, np.ones((1, p.size), dtype=np.int64)])
     xp_minus_x = np.zeros_like(f)
-    xp_minus_x[:d] = _powmod(0, p, mod, p)
+    xp_minus_x[:d] = modp.powmod(0, p, mod, p)
     xp_minus_x[1] -= 1
-    return _gcd(f, xp_minus_x % p, p)
-
-
-def _inverse(a: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """a^(p-2) mod p: the inverse of each unit a mod its prime."""
-    e = p - 2
-    out = np.ones_like(a)
-    base = a % p
-    for _ in range(int(e.max()).bit_length()):
-        out = np.where(e & 1, out * base % p, out)
-        base = base * base % p
-        e = e >> 1
-    return out
-
-
-def _reduce(a: np.ndarray, mod: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """a modulo the monic polynomials (mod, leading 1 implied), column-wise,
-    top-down with one % per lead coefficient and one at the end; overwrites
-    a, whose entries may be any sums of up to 2^11 - k residue products."""
-    k = mod.shape[0]
-    for top in range(a.shape[0] - 1, k - 1, -1):
-        a[top - k : top] -= a[top] % p * mod
-    return a[:k] % p
-
-
-def _powmod(a, e: np.ndarray, mod: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """(x + a)^e modulo (mod, p), column-wise, by left-to-right
-    square-and-multiply over the bits of the per-column exponents e; the
-    shift a is 0 or one residue per column.
-
-    The square sums the symmetric products out_i out_j without a reduction;
-    the multiply by x + a is a shift, a times the column and one reduction
-    step x^k = -mod, taken everywhere and kept where the bit is set."""
-    k = mod.shape[0]
-    out = np.zeros_like(mod)
-    out[0] = 1
-    sq = np.empty((2 * k - 1, p.size), dtype=np.int64)
-    for bit in range(int(e.max()).bit_length() - 1, -1, -1):
-        twice = out + out
-        np.multiply(out, out, out=sq[::2])
-        sq[1::2] = 0
-        for i in range(k - 1):
-            sq[2 * i + 1 : i + k] += out[i] * twice[i + 1 :]
-        out = _reduce(sq, mod, p)
-        step = mod * -out[k - 1]
-        step[1:] += out[:-1]
-        if np.ndim(a):
-            step += a * out
-        step %= p
-        out = np.where((e >> bit) & 1 == 1, step, out)
-    return out
-
-
-def _degrees(a: np.ndarray) -> np.ndarray:
-    """Degree of each column, -1 for the zero polynomial."""
-    deg = np.full(a.shape[1], -1, dtype=np.int64)
-    for j in range(a.shape[0]):
-        deg[a[j] != 0] = j
-    return deg
-
-
-def _gcd(a: np.ndarray, b: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Column-wise gcd(a, b) over Z/p and its degree, up to a unit factor;
-    overwrites a and b.
-
-    Euclid on pseudo-remainders: a <- lead(b) a - lead(a) x^s b lowers
-    deg a without an inverse."""
-    da, db = _degrees(a), _degrees(b)
-    rows = np.arange(a.shape[0])[:, None]
-    while True:
-        live = db >= 0
-        if not live.any():
-            return a, da
-        step = np.nonzero(live & (da >= db))[0]
-        swap = np.nonzero(live & (da < db))[0]
-        if step.size:
-            src = rows - (da[step] - db[step])
-            shifted = np.take_along_axis(b[:, step], np.maximum(src, 0), axis=0)
-            shifted[src < 0] = 0
-            la, lb = a[da[step], step], b[db[step], step]
-            a[:, step] = (lb * a[:, step] - la * shifted) % p[step]
-            da[step] = _degrees(a[:, step])
-        if swap.size:
-            a[:, swap], b[:, swap] = b[:, swap], a[:, swap]
-            da[swap], db[swap] = db[swap], da[swap]
+    return modp.gcd(f, xp_minus_x % p, p)
 
 
 def _split_linear(g: np.ndarray, dg: np.ndarray, p: np.ndarray) -> np.ndarray:
     """The roots of the columns of g, each a product of distinct linear
     factors mod p, one row per prime, _NO_ROOT in the unused slots.
 
-    Each round makes the pending factors monic with one _inverse, reads the
-    roots of the linear ones, and splits those of degree k >= 2, grouped by
-    k, at the shift a = j * _SHIFT_STEP + 1 mod p of round j: gcd with
-    (x+a)^((p-1)/2) - 1 and + 1, and the root -a itself.  A factor of degree
+    Each round makes the pending factors monic with one modp.inverse, reads
+    the roots -c of the factors x + c, sets aside those of degree 2, and
+    splits those of degree k >= 3, grouped by k, by Cantor-Zassenhaus at the
+    shift a = j * _SHIFT_STEP + 1 mod p of round j: gcd with (x+a)^((p-1)/2)
+    - 1 and + 1, and the root -a itself.  The rounds stop when no factor of
+    degree >= 3 is left; then the roots (-b +- sqrt(b^2 - 4c)) / 2 of all
+    the factors x^2 + b x + c come from one modp.sqrt.  A factor of degree
     k owns k slots of its row, from `slot` on, and hands them on to the
     factors it splits into."""
     table = np.full((p.size, g.shape[0] - 1), _NO_ROOT, dtype=np.int64)
     idx, slot, h, dh = np.arange(p.size), np.zeros(p.size, dtype=np.int64), g, dg
+    quads = [(np.zeros(0, dtype=np.int64),) * 4]  # (idx, slot, b, c) of x^2 + b x + c
     j = 0
     while True:
         live = dh >= 1
         idx, slot, h, dh = idx[live], slot[live], h[:, live], dh[live]
         if not idx.size:
-            return table
+            break
         pi = p[idx]
-        h *= _inverse(h[dh, np.arange(idx.size)], pi)
+        h *= modp.inverse(h[dh, np.arange(idx.size)], pi)
         h %= pi
         lin = dh == 1
         table[idx[lin], slot[lin]] = -h[0, lin] % pi[lin]
+        quad = dh == 2
+        quads.append((idx[quad], slot[quad], h[1, quad], h[0, quad]))
         parts = []
-        for k in sorted(set(dh[dh >= 2].tolist())):
+        for k in sorted(set(dh[dh >= 3].tolist())):
             group = np.nonzero(dh == k)[0]
             for lo in range(0, group.size, _BATCH_ROWS):
                 at = group[lo : lo + _BATCH_ROWS]
                 i, s, pk = idx[at], slot[at], pi[at]
                 a = (j * _SHIFT_STEP + 1) % pk
-                w = _powmod(a, (pk - 1) // 2, h[:k, at], pk)
+                w = modp.powmod(a, (pk - 1) // 2, h[:k, at], pk)
                 # gcd(f, w - 1) and gcd(f, w + 1) side by side
                 f2 = np.tile(h[:, at], 2)
                 w2 = np.zeros_like(f2)
@@ -453,16 +374,24 @@ def _split_linear(g: np.ndarray, dg: np.ndarray, p: np.ndarray) -> np.ndarray:
                 val = np.zeros(at.size, dtype=np.int64)
                 for row in range(k, -1, -1):
                     val = (val * (pk - a) + f2[row, : at.size]) % pk
-                hg, dhg = _gcd(f2, w2, p2)
+                hg, dhg = modp.gcd(f2, w2, p2)
                 dplus, dminus = dhg[: at.size], dhg[at.size :]
                 parts.append((i, s, hg[:, : at.size], dplus))
                 parts.append((i, s + dplus, hg[:, at.size :], dminus))
                 hit = np.nonzero(val == 0)[0]
                 table[i[hit], (s + dplus + dminus)[hit]] = (pk - a)[hit] % pk[hit]
         if not parts:
-            return table
+            break
         idx, slot, h, dh = (np.concatenate(x, axis=-1) for x in zip(*parts))
         j += 1
+    i, s, b, c = (np.concatenate(x) for x in zip(*quads))
+    if i.size:
+        pq = p[i]
+        r = modp.sqrt((b * b - 4 * c) % pq, pq)
+        half = (pq + 1) // 2  # 1/2 mod p
+        table[i, s] = (pq - b + r) * half % pq
+        table[i, s + 1] = (2 * pq - b - r) * half % pq
+    return table
 
 
 # ---------------------------------------------------------------------------
@@ -488,10 +417,11 @@ def value_square_blocks(coeffs, n: int, b: int):
 
     The roots of P mod every p <= B are found once, before the first block.
     In each block every root class x = r mod p is marked from its first hit
-    lo + ((r - lo) mod p) on, all classes at once; v_p is found by repeated
-    division at every hit, and the remainder by one division of each value
-    by the product of its p^v.  Values |P(x)| must stay below 2^62 (int64
-    arithmetic).
+    lo + ((r - lo) mod p) on, all classes at once.  One remainder mod p^2
+    per hit finds the hits with v_p >= 2; only there, and at the primes of
+    the content, is v_p found by repeated division.  The remainder is one
+    division of each value by the product of its p^v.  Values |P(x)| must
+    stay below 2^62 (int64 arithmetic).
     """
     prim, primes, vcont, beyond, starts, roots = _profile_setup(coeffs, b, n, 1, "P(x)")
     # the root classes, prime-major; x = 0 lies outside 1..N, so r = 0 is r = p
@@ -517,17 +447,27 @@ def value_square_blocks(coeffs, n: int, b: int):
         skip = np.cumsum(cnt) - cnt
         hp = np.repeat(cp, cnt)
         idx = np.repeat(first - skip * cp, cnt) + np.arange(hp.size) * hp
-        keep = vals[idx] != 0
-        idx, hp = idx[keep], hp[keep]
-        v = np.ones(idx.size, dtype=np.int64)
-        if vcont:
-            v += np.repeat(cv, cnt)[keep]
-        # div: the product of the powers p^v_p, each a value over its stripped value
+        hv = np.repeat(cv, cnt) if vcont else None  # v_p(content) at each hit
+        if not vals.all():  # drop the hits where P(x) = 0
+            keep = vals[idx] != 0
+            idx, hp = idx[keep], hp[keep]
+            if vcont:
+                hv = hv[keep]
+        # div: the product of the powers p^v_p; every hit gives p once, and
+        # only the hits with p^2 | P(x) or p | content, the entries, are
+        # divided further
         div = np.ones(w, dtype=np.int64)
-        sub = _strip(vals[idx], hp, v)
-        np.multiply.at(div, idx, np.floor_divide(vals[idx], sub, out=sub))
-        hit = v >= 2
-        cells, ps, vs = idx[hit], hp[hit], v[hit]
+        np.multiply.at(div, idx, hp)
+        g = vals[idx]
+        # p^2 > 2^62 > g where p > 2^31: such a p^2 divides no value
+        deep = g % np.minimum(hp, 1 << 31) ** 2 == 0
+        if vcont:
+            deep |= hv > 0
+        cells, ps, g = idx[deep], hp[deep], g[deep]
+        vs = 1 + hv[deep] if vcont else np.ones(cells.size, dtype=np.int64)
+        # g over its stripped value times p: the powers p^(v_p - 1) still missing
+        sub = _strip(g.copy(), ps, vs)
+        np.multiply.at(div, cells, g // (sub * ps))
         if square:
             out = [_content_entry(vals != 0, [idx[hp == p]], p, vcont[p]) for p in square]
             cells, ps, vs = _entries([(cells, ps, vs)] + out)

@@ -27,7 +27,7 @@ def roots_mod_pk(P: IntPoly, p: int, k: int) -> list[tuple[int, int]]:
     # the roots mod p of the primitive part stay unmerged: all p of them
     # would merge into the class of every x, which solution_classes_form
     # takes for a content class
-    return classes if k - _content_valuation(P, p) == 1 else _merge_classes(classes, p, k)
+    return classes if k - _content_valuation(P, p) == 1 else _merge_classes(classes, p)
 
 
 def _content_valuation(P: IntPoly, p: int) -> int:
@@ -111,29 +111,21 @@ def _shift(coeffs: list[int], r: int, s: int) -> list[int]:
     return q
 
 
-def _merge_classes(classes: list[tuple[int, int]], p: int, k: int) -> list[tuple[int, int]]:
-    """Merge p sibling classes (r mod p^e sharing r mod p^(e-1)) into one."""
-    classes = sorted(set(classes))
-    changed = True
-    while changed:
-        changed = False
-        bye = max((e for _, e in classes), default=0)
-        if bye == 0:
-            break
+def _merge_classes(classes: list[tuple[int, int]], p: int) -> list[tuple[int, int]]:
+    """Merge p sibling classes (r mod p^e sharing r mod p^(e-1)) into one,
+    at every level, until no p siblings are left."""
+    merged = set(classes)
+    while True:
         groups: dict[tuple[int, int], list[int]] = {}
-        for r, e in classes:
-            if e == bye and e >= 1:
-                pe1 = p ** (e - 1)
-                groups.setdefault((r % pe1, e), []).append(r)
-        merged = set(classes)
-        for (rbase, e), members in groups.items():
-            if len(members) == p:
-                for r in members:
-                    merged.discard((r, e))
-                merged.add((rbase, e - 1))
-                changed = True
-        classes = sorted(merged)
-    return classes
+        for r, e in merged:
+            if e >= 1:
+                groups.setdefault((r % p ** (e - 1), e), []).append(r)
+        full = [(base, e, rs) for (base, e), rs in groups.items() if len(rs) == p]
+        if not full:
+            return sorted(merged)
+        for base, e, rs in full:
+            merged.difference_update((r, e) for r in rs)
+            merged.add((base, e - 1))
 
 
 def count_roots_mod_pk(P: IntPoly, p: int, k: int) -> int:

@@ -365,6 +365,18 @@ def test_non_general_family_checked_at_every_prime():
     with pytest.raises(ValueError, match="u = 1"):
         average_with_multiplier(P, u, MultiplierSpec(kind="progression", a=1, m=3), 100, 10)
 
+    # and at every class mod p, not only at 0 and 1
+    def rule_at_2(p, i, j):
+        if (p, i, j) == (5, 2, 0):
+            return 0.5
+        return 0 if j >= 2 else 1
+
+    u = LocalFactorSpec(P, rule_at_2)
+    with pytest.raises(ValueError, match="u = 1"):
+        local_integral(u, 5)
+    with pytest.raises(ValueError, match="u = 1"):
+        truncated_product(u, 10)
+
 
 def _digest(q):
     return hashlib.sha256(f"{q.numerator:x}/{q.denominator:x}".encode()).hexdigest()[:16]

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from sievecraft import kernels, numutil
+from sievecraft import kernels, modp, numutil
 from sievecraft.poly import IntPoly, is_squarefree_poly
 
 
@@ -186,6 +186,42 @@ def test_value_square_blocks_limits():
     assert rem.tolist() == [1] * 5
 
 
+@pytest.mark.parametrize(
+    "coeffs,n,b",
+    [
+        ([0, 1], 10**4, 100),
+        ([1, 0, 1], 10**4, 10**4),
+        # 12 (x - 7)(5 x^2 - 3 x + 2), of value_polys' kind: content 12, a
+        # zero at x = 7, the lead 5 * 12
+        ([-168, 276, -456, 60], 70, 50),
+    ],
+)
+def test_value_square_blocks_divides_only_at_entries(coeffs, n, b):
+    # the hits (x, p), p | P(x) / content, are divided further only where
+    # they give an entry v_p >= 2: every hit with p^2 | P(x) or p | content
+    sizes = []
+    strip = kernels._strip
+
+    def counted(val, hp, v):
+        sizes.append(np.size(val))
+        return strip(val, hp, v)
+
+    with mock.patch.object(kernels, "_strip", counted):
+        blocks = list(kernels.value_square_blocks(coeffs, n, b))
+    prim, _ = kernels._primitive(coeffs)
+    values = [sum(a * x**i for i, a in enumerate(prim)) for x in range(n + 1)]
+    primes = kernels.prime_sieve(b).tolist()
+    hits = sum(1 for x in range(1, n + 1) for p in primes if values[x] and values[x] % p == 0)
+    from_hits = sum(
+        1
+        for _, xs, ps, _, _ in blocks
+        for x, p in zip(xs.tolist(), ps.tolist())
+        if values[x] % p == 0
+    )
+    assert sum(sizes) == from_hits
+    assert from_hits < hits
+
+
 @settings(max_examples=100, deadline=None)
 @given(
     st.lists(st.integers(-6, 6), min_size=1, max_size=5).filter(any),
@@ -338,6 +374,41 @@ def test_roots_mod_primes_exhaustive():
             assert len(roots) == math.gcd(d, p - 1), (d, p)
             assert all(pow(r, d, p) == 1 for r in roots)
             assert roots == sorted(set(roots))
+
+
+def test_roots_mod_primes_quadratics():
+    # the factors of degree 2 are solved by square roots: where p - 1 is
+    # odd times 2, 2^16, 2^18 and 2^20, and just below _BATCH_P_LIMIT;
+    # x^2 + 2x - 100 has discriminant 4 * 101, 0 mod 101, and x^2 + 1 a
+    # non-residue at p = 3 mod 4
+    rng = random.Random(13)
+    quads = [[1, 0, 1], [-100, 2, 1], [7, 3, 1], [-2, 0, 1], [1, 1, 1]]
+    quads += [[rng.randint(-10**6, 10**6), rng.randint(-10**6, 10**6), 1] for _ in range(30)]
+    small = [p for p in kernels.prime_sieve(2 * 10**4).tolist() if p > kernels._SCALAR_MAX_P]
+    large = [65537, 786433, 7340033, 67108777, 67108819, 67108837, 67108859]
+    assert all(p < kernels._BATCH_P_LIMIT for p in large)
+    for coeffs in quads[:5]:
+        assert _batched(coeffs, small) == [kernels.poly_roots_mod_p(coeffs, p) for p in small]
+    for coeffs in quads:
+        assert _batched(coeffs, large) == [kernels.poly_roots_mod_p(coeffs, p) for p in large]
+    assert _batched([-100, 2, 1], [101]) == [[100]]
+    assert _batched([1, 0, 1], [10007]) == [[]]
+
+
+def test_roots_mod_primes_cubic_split_then_square_roots():
+    # x^3 + 2 at primes where it has three roots: Cantor-Zassenhaus until
+    # every factor has degree <= 2, then square roots; deterministic
+    primes = [p for p in kernels.prime_sieve(3 * 10**4).tolist() if p > kernels._SCALAR_MAX_P]
+    three = [p for p in primes if p % 3 == 1 and pow(-2, (p - 1) // 3, p) == 1]
+    assert len(three) > 100
+    with mock.patch.object(modp, "sqrt", wraps=modp.sqrt) as sqrt:
+        first = kernels.roots_mod_primes([2, 0, 0, 1], three)
+    assert sqrt.call_count == 1 and sqrt.call_args.args[0].size > 0
+    second = kernels.roots_mod_primes([2, 0, 0, 1], three)
+    assert all(np.array_equal(a, b) for a, b in zip(first, second))
+    expect = [kernels.poly_roots_mod_p([2, 0, 0, 1], p) for p in three]
+    assert _batched([2, 0, 0, 1], three) == expect
+    assert all(len(r) == 3 for r in expect)
 
 
 # ---------------------------------------------------------------------------

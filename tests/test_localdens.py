@@ -256,6 +256,31 @@ def test_measures_vs_enumeration(P, p, j, a, e):
     assert localdens.valuation_measure(P, p, j) == sum(by_class.values())
 
 
+def test_roots_mod_pk_merges_at_every_level():
+    # (x^2 - 1)(x - 8) mod 8: x = 0 (8) and every odd x, the class 1 (2)
+    # made of 1 (4) and 3 (4), which sit above the deepest level
+    P = parse("x^3 - 8*x^2 - x + 8")
+    assert localdens.roots_mod_pk(P, 2, 3) == [(0, 3), (1, 1)]
+
+
+@settings(max_examples=80, deadline=None)
+@given(_bad_prime_polys(), st.sampled_from([2, 3, 5]), st.integers(1, 4))
+def test_roots_mod_pk_fully_merged(P, p, k):
+    # no p classes r mod p^e share r mod p^(e-1), except the roots mod p of
+    # the primitive part, left unmerged; the classes cover the solutions
+    classes = localdens.roots_mod_pk(P, p, k)
+    siblings = {}
+    for r, e in classes:
+        if e >= 1:
+            siblings.setdefault((r % p ** (e - 1), e), []).append(r)
+    if k - localdens._content_valuation(P, p) != 1:
+        assert all(len(rs) < p for rs in siblings.values())
+    mod = p**k
+    cover = {x for r, e in classes for x in range(r % p**e, mod, p**e)}
+    assert cover == {x for x in range(mod) if P(x) % mod == 0}
+    assert localdens.count_roots_mod_pk(P, p, k) == _brute_count(P, p, k)
+
+
 @st.composite
 def _forms_with_content(draw):
     """c * G for a square-free binary form G of degree 1-4 with small
