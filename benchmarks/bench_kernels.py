@@ -1,6 +1,7 @@
 """Benchmark the batched root finder against the per-prime loop, the root
 counts without the split, the streamed value profile, the Euler product, the
-local integrals of avgprod's prediction and the binary-form census.
+local integrals of avgprod's prediction, the p-adic lifting walk and the
+binary-form census.
 
 Run:  python benchmarks/bench_kernels.py
 
@@ -18,7 +19,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from sievecraft import avgprod, census, eulerprod, kernels
+from sievecraft import avgprod, census, eulerprod, kernels, localdens
 from sievecraft.poly import parse
 
 
@@ -111,6 +112,12 @@ def main():
     u = avgprod.squarefree_indicator_family(parse("x^3 + 2"))
     t, _ = timeit(avgprod.truncated_product, u, 1000, repeat=k)
     row("truncated_product(x^3+2, 1e3)", t)
+
+    # the lifting walk to depth 25: a chain of singular classes, and two
+    # simple roots that lift one level at a time
+    for text, p in (("x^2 + 7", 2), ("x^2 - 2", 47)):
+        t, _ = timeit(localdens._lift_levels, parse(text), p, 25, repeat=k)
+        row(f"_lift_levels({text}, {p}, 25)", t)
 
     # the square profile of the form over the 1001^2 pairs: the coprime
     # census reads the coprime-only profile, --all-pairs the full one

@@ -203,9 +203,11 @@ def _product_values(P: IntPoly, u: LocalFactorSpec, n: int, threshold: int | Non
     b = census._trial_bound(census._value_bound(P.coeffs, n))
     u.check_trivial_low(2)
     u.check_trivial_low(3)
+    # before prod: an N past the int64 budget is refused before it allocates
+    blocks = kernels.value_square_blocks(P.coeffs, n, b)
     prod = np.ones(n + 1, dtype=complex)
     delta = 0
-    for block in kernels.value_square_blocks(P.coeffs, n, b):
+    for block in blocks:
         lo, xs, ps, vs, rem = block
         # one rule call per distinct (p, x mod p, v): p <= b < 2^22 and
         # v < 64 keep the key below 2^50.  return_index selects numpy's

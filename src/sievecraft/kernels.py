@@ -415,7 +415,8 @@ def value_square_blocks(coeffs, n: int, b: int):
       * rem: int64 array of length hi - lo; rem[x - lo] = |P(x)| with all
         prime factors <= B removed, 0 where P(x) = 0.
 
-    The roots of P mod every p <= B are found once, before the first block.
+    The roots of P mod every p <= B are found once, at the call, which
+    raises OverflowError if the values may reach 2^62.
     In each block every root class x = r mod p is marked from its first hit
     lo + ((r - lo) mod p) on, all classes at once.  One remainder mod p^2
     per hit finds the hits with v_p >= 2; only there, and at the primes of
@@ -423,7 +424,10 @@ def value_square_blocks(coeffs, n: int, b: int):
     division of each value by the product of its p^v.  Values |P(x)| must
     stay below 2^62 (int64 arithmetic).
     """
-    prim, primes, vcont, beyond, starts, roots = _profile_setup(coeffs, b, n, 1, "P(x)")
+    return _value_blocks(n, *_profile_setup(coeffs, b, n, 1, "P(x)"))
+
+
+def _value_blocks(n, prim, primes, vcont, beyond, starts, roots):
     # the root classes, prime-major; x = 0 lies outside 1..N, so r = 0 is r = p
     cp = np.repeat(primes, np.diff(starts))
     cr = np.where(roots == 0, cp, roots)

@@ -15,11 +15,10 @@ from .poly import BinForm, IntPoly, discriminant, require_squarefree
 def roots_mod_pk(P: IntPoly, p: int, k: int) -> list[tuple[int, int]]:
     """Solution classes of P(x) = 0 mod p^k.
 
-    Returns disjoint classes (r, e) with 1 <= e <= k, each meaning
-    {x mod p^k : x = r mod p^e}; the solution count is sum of p^(k-e).
-    Lifting: simple roots lift by Newton iteration, singular classes are
-    expanded only at the children that solve one level deeper (Lemma-bounded
-    depth for square-free P).
+    Returns disjoint classes (r, e) with 0 <= e <= k, each meaning
+    {x mod p^k : x = r mod p^e}, e = 0 standing for every x; the solution
+    count is sum of p^(k-e).  The classes are the last level of
+    _lift_levels, with p sibling classes merged into their parent.
     Raises ValueError unless P is square-free.
     """
     require_squarefree(P)
@@ -39,61 +38,30 @@ def _lift_levels(P: IntPoly, p: int, k: int) -> list[list[tuple[int, int]]]:
     """The solution classes of P(x) = 0 mod p^j for every j = 1..k, from
     one walk of the lifting tree: levels[j - 1] lists disjoint classes
     (r, e), each {x : x = r mod p^e}, with e = 0 standing for every x.
-    Simple roots lift by Newton iteration; a singular class stays one class
-    while it solves as a whole, and is expanded only at its children that
-    solve one level deeper, the roots mod p of the Taylor quotient
-    P(r + p^e t) / p^j (Lemma-bounded depth for square-free P)."""
+    A class stays one class while it solves as a whole, and is expanded
+    only at its children that solve one level deeper, the roots mod p of
+    the Taylor quotient P(r + p^e t) / p^j (Lemma-bounded depth for
+    square-free P)."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    cont = P.content()
-    vc = _content_valuation(P, p)
-    prim = [a // cont * (1 if P.lead > 0 else -1) for a in P.coeffs]
-    # p^vc divides every value; beyond that, a class mod p^e solving prim
-    # mod p^(j - vc) is the same congruence solving P mod p^j
-    whole = [[(0, 0)] for _ in range(min(vc, k))]
-    return whole + (_lift_levels_primitive(prim, p, k - vc) if k > vc else [])
-
-
-def _lift_levels_primitive(coeffs: list[int], p: int, k: int) -> list[list[tuple[int, int]]]:
-    dcoeffs = [i * a for i, a in enumerate(coeffs) if i >= 1]
     levels: list[list[tuple[int, int]]] = [[] for _ in range(k)]
-
-    def lift(r: int, e: int, j: int, q: list[int]) -> None:
-        # the class r mod p^e solves mod p^j as a whole, and q(t) =
-        # P(r + p^e t) / p^j has integer coefficients: x = r + p^e t solves
-        # mod p^(j+1) iff q(t) = 0 mod p, which depends on t mod p only
-        while True:
+    # node (r, e, j, q): the class r mod p^e solves mod p^j as a whole, and
+    # q(t) = P(r + p^e t) / p^j has integer coefficients: x = r + p^e t
+    # solves mod p^(j+1) iff q(t) = 0 mod p, which depends on t mod p only
+    stack = [(0, 0, 0, list(P.coeffs))]
+    while stack:
+        r, e, j, q = stack.pop()
+        if j:
             levels[j - 1].append((r, e))
-            if j == k:
-                return
-            qp = [c % p for c in q]
-            if any(qp):
-                break
-            # the whole class solves one level deeper
-            q = [c // p for c in q]
-            j += 1
-        for t in kernels.poly_roots_mod_p(qp, p):
-            lift(r + t * p**e, e + 1, j + 1, [c // p for c in _shift(q, t, p)])
-
-    for r in kernels.poly_roots_mod_p(coeffs, p):
-        if kernels._peval(dcoeffs, r, p) == 0:
-            # singular: the children of a class are expanded only where
-            # they solve one level deeper, as the roots mod p of q
-            lift(r, 1, 1, [c // p for c in _shift(coeffs, r, p)])
+        if j == k:
             continue
-        # simple root: unique lift to p^k by Newton iteration, whose
-        # residues are the unique lifts at the depths in between
-        x = r
-        prec = 1
-        while prec < k:
-            prec = min(2 * prec, k)
-            mod = p**prec
-            fx = kernels._peval(coeffs, x, mod)
-            dfx = kernels._peval(dcoeffs, x, mod)
-            dinv = pow(dfx, -1, mod)  # unit since P'(r) != 0 mod p
-            x = (x - fx * dinv) % mod
-        for d in range(1, k + 1):
-            levels[d - 1].append((x % p**d, d))
+        qp = [c % p for c in q]
+        if not any(qp):  # the whole class solves one level deeper
+            stack.append((r, e, j + 1, [c // p for c in q]))
+            continue
+        # reversed, so that each level lists its classes in depth-first order
+        for t in reversed(kernels.poly_roots_mod_p(qp, p)):
+            stack.append((r + t * p**e, e + 1, j + 1, [c // p for c in _shift(q, t, p)]))
     return levels
 
 
@@ -129,8 +97,10 @@ def _merge_classes(classes: list[tuple[int, int]], p: int) -> list[tuple[int, in
 
 
 def count_roots_mod_pk(P: IntPoly, p: int, k: int) -> int:
-    """Exact #{x in Z/p^k : p^k | P(x)} by recursive lifting."""
-    return sum(p ** (k - e) for _, e in roots_mod_pk(P, p, k))
+    """Exact #{x in Z/p^k : p^k | P(x)}, summed over the lifting tree's
+    classes at depth k.  Raises ValueError unless P is square-free."""
+    require_squarefree(P)
+    return sum(p ** (k - e) for _, e in _lift_levels(P, p, k)[-1])
 
 
 def sols_bound(P: IntPoly, p: int) -> int:

@@ -1,5 +1,5 @@
 """Integer polynomials and binary forms: parsing, evaluation,
-discriminants, square-freeness, rational factorization, deg_irr."""
+discriminants, square-freeness, rational factorization."""
 
 from __future__ import annotations
 
@@ -488,8 +488,3 @@ def factor_rational(p: IntPoly) -> tuple[int, int, list[tuple[IntPoly, int]]]:
         folded.append((f, m))
     return sign, content, folded
 
-
-def deg_irr(p: IntPoly) -> int:
-    """Degree of the largest irreducible factor over Q."""
-    _, _, factors = factor_rational(p)
-    return max(f.degree for f, _ in factors)

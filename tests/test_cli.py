@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -199,6 +200,20 @@ def test_exit_resource(capsys):
     code, _, err = _run(capsys, "census", "--poly", "x^9 + 1", "--N", "10000000")
     assert code == 3
     assert "resource" in err
+    # the int64 budget is checked before the N + 1 products are allocated
+    tracemalloc.start()
+    try:
+        code, _, err = _run(capsys, "avgprod", "--poly", "x^3 + 2", "--N", "3e6")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 3 and "resource" in err
+    assert peak < 8 * 2**20
+
+
+def test_density_deep_m(capsys):
+    code, out, _ = _run(capsys, "density", "--poly", "x^2 + 7", "--m", "1100", "--B", "10")
+    assert code == 0 and json.loads(out)["m"] == 1100
 
 
 def test_digits_rounding(capsys):

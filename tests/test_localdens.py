@@ -67,22 +67,37 @@ def test_singular_lifting_expands_only_solving_children():
     assert all(len(level) <= P.degree for level in localdens._lift_levels(P, p, 8))
 
 
+def _assert_cover(P, p, k, classes):
+    # disjoint classes that cover exactly the solutions mod p^k
+    mod = p**k
+    seen = set()
+    for r, e in classes:
+        assert 0 <= e <= k
+        pe = p**e
+        members = set(range(r % pe, mod, pe))
+        assert not members & seen
+        seen |= members
+    assert seen == {x for x in range(mod) if P(x) % mod == 0}, (P.coeffs, p, k)
+
+
 def test_classes_are_disjoint_and_valid():
     rng = random.Random(22)
-    for P in _random_squarefree_polys(rng, 25):
+    polys = _random_squarefree_polys(rng, 25)
+    # contents 4, 9 and 12 and negative leads: the whole-space levels of the
+    # content come from the same walk as the roots
+    polys += [IntPoly([c * s * a for a in P.coeffs]) for P, c, s in zip(polys, (4, 9, 12) * 3, (-1, 1, -1))]
+    for P in polys:
         for p, k in ((2, 5), (3, 4), (5, 3)):
-            classes = localdens.roots_mod_pk(P, p, k)
-            mod = p**k
-            seen = set()
-            for r, e in classes:
-                assert 0 <= e <= k
-                pe = p**e
-                members = set(range(r % pe, mod, pe))
-                assert not members & seen
-                seen |= members
-                for x in list(members)[:4]:
-                    assert P(x) % mod == 0
-            assert seen == {x for x in range(mod) if P(x) % mod == 0}
+            _assert_cover(P, p, k, localdens.roots_mod_pk(P, p, k))
+            for j, classes in enumerate(localdens._lift_levels(P, p, k), 1):
+                _assert_cover(P, p, j, classes)
+
+
+def test_deep_lifting_has_no_recursion_limit():
+    # x^2 + 7 at p = 2: the chain of singular classes is one level deeper
+    # per m, past Python's recursion limit; the 4 roots of x^2 = -7 mod 2^m
+    # for m >= 3
+    assert localdens.count_roots_mod_pk(parse("x^2 + 7"), 2, 1100) == 4
 
 
 def test_sols_bound_holds():
