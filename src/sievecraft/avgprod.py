@@ -370,6 +370,8 @@ def average_with_multiplier(
     prediction prod_p (integral of u_p against the progression measure)
     is computed exactly over p <= b_pred."""
     require_squarefree(P)
+    if mult.kind == "progression" and mult.m == 0:
+        raise ValueError("progression modulus must be nonzero")
     prod, _ = _product_values(P, u, n)
     xs = np.arange(n + 1)
     if mult.kind == "progression":

@@ -18,9 +18,10 @@ from .poly import BinForm, IntPoly, discriminant, factor_rational, require_squar
 # pairs in one form census; every box the old 2^31-entry square-free table
 # admitted for a form of degree >= 2 has (2N + 1)^2 <= 92681^2 < 2^33 pairs
 _CELL_CAP = 1 << 33
-# pairs per block of rows handed to the form profile, so that its arrays
-# stay near 8 MB each whatever the box
-_BLOCK_CELLS = 1 << 20
+# pairs per block of rows handed to the form profile (at least one row): the
+# block size of the univariate profile, whose every temporary stays below
+# 128 KB, so that the census's peak memory does not grow with the box
+_BLOCK_CELLS = kernels._VALUE_BLOCK
 
 
 @dataclass
@@ -280,8 +281,10 @@ def delta_census_form(
         sel = ok[cells] & (ps > threshold)
         q = _square_root(rem)
         big = np.flatnonzero(ok & (q > max(threshold, 1)))
-        hits = np.concatenate([cells[sel], big])
-        count += np.unique(hits).size
+        hit = np.zeros(rem.size, dtype=bool)  # the cells counted, each once
+        hit[cells[sel]] = True
+        hit[big] = True
+        count += int(np.count_nonzero(hit))
         primes, counts = np.unique(np.concatenate([ps[sel], q[big]]), return_counts=True)
         for p, c in zip(primes.tolist(), counts.tolist()):
             profile[p] = profile.get(p, 0) + c

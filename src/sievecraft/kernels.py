@@ -431,11 +431,6 @@ def _value_blocks(n, prim, primes, vcont, beyond, starts, roots):
     # the root classes, prime-major; x = 0 lies outside 1..N, so r = 0 is r = p
     cp = np.repeat(primes, np.diff(starts))
     cr = np.where(roots == 0, cp, roots)
-    cv = np.zeros(cp.size, dtype=np.int64)  # v_p(content) at each class
-    for p, v in vcont.items():
-        cv[cp == p] = v
-    # content primes whose square divides every value
-    square = [p for p, v in vcont.items() if v >= 2]
     size = _VALUE_BLOCK
     for lo in range(1, n + 1, size):
         w = min(size, n + 1 - lo)
@@ -445,41 +440,11 @@ def _value_blocks(n, prim, primes, vcont, beyond, starts, roots):
             vals *= x
             vals += a
         np.abs(vals, out=vals)
-        # hit t of class c is the cell first[c] + t p[c], t < cnt[c]
-        first = (cr - lo) % cp
-        cnt = np.maximum((w - 1 - first) // cp + 1, 0)
-        skip = np.cumsum(cnt) - cnt
-        hp = np.repeat(cp, cnt)
-        idx = np.repeat(first - skip * cp, cnt) + np.arange(hp.size) * hp
-        hv = np.repeat(cv, cnt) if vcont else None  # v_p(content) at each hit
-        if not vals.all():  # drop the hits where P(x) = 0
-            keep = vals[idx] != 0
-            idx, hp = idx[keep], hp[keep]
-            if vcont:
-                hv = hv[keep]
-        # div: the product of the powers p^v_p; every hit gives p once, and
-        # only the hits with p^2 | P(x) or p | content, the entries, are
-        # divided further
-        div = np.ones(w, dtype=np.int64)
-        np.multiply.at(div, idx, hp)
-        g = vals[idx]
-        # p^2 > 2^62 > g where p > 2^31: such a p^2 divides no value
-        deep = g % np.minimum(hp, 1 << 31) ** 2 == 0
-        if vcont:
-            deep |= hv > 0
-        cells, ps, g = idx[deep], hp[deep], g[deep]
-        vs = 1 + hv[deep] if vcont else np.ones(cells.size, dtype=np.int64)
-        # g over its stripped value times p: the powers p^(v_p - 1) still missing
-        sub = _strip(g.copy(), ps, vs)
-        np.multiply.at(div, cells, g // (sub * ps))
-        if square:
-            out = [_content_entry(vals != 0, [idx[hp == p]], p, vcont[p]) for p in square]
-            cells, ps, vs = _entries([(cells, ps, vs)] + out)
-            order = np.argsort(ps, kind="stable")  # each x's entries in ascending p
-            cells, ps, vs = cells[order], ps[order], vs[order]
-        vals //= div
-        if beyond > 1:
-            vals *= beyond
+        # idx and hp live on into the next block: freed together with the
+        # core's temporaries, they let malloc trim the top of the heap, and
+        # the next block faults those pages in again
+        idx, hp = _hits((cr - lo) % cp, cp, w)
+        cells, ps, vs = _square_core(vals, idx, hp, vcont, beyond)
         yield lo, cells + lo, ps, vs, vals
 
 
@@ -493,14 +458,16 @@ def form_square_blocks(
     Yields (zs, cells, ps, vs, rem) per block, zs its z values; the pair
     (x, z) is cell (z - zs[0]) * W + (x - xlo) of the block, W = xhi - xlo
     + 1.  v_p(F) = v >= 2 with p <= B (content included) at the listed
-    cells, and rem[cell] = |F(x, z)| with all prime factors <= B removed, 0
-    where F(x, z) = 0.
+    cells, whose entries come in ascending p, and rem[cell] = |F(x, z)|
+    with all prime factors <= B removed, 0 where F(x, z) = 0.
 
     The roots r of F(t, 1) mod every p <= B are found once, before the
-    first block.  The cells where p divides F are read from them: x = r z
-    in the rows with p not dividing z; in the rows with p | z, where F =
-    a_d x^d mod p, the whole row if p | a_d, else x = 0.  Values |F| must
-    stay below 2^62 (int64 arithmetic).
+    first block, and so are the classes of cells where p divides F: x = r z
+    mod p in the rows with p not dividing z; in the rows with p | z, where
+    F = a_d x^d mod p, the whole row if p | a_d, else x = 0 mod p.  In each
+    block every (class, row) pair is marked at once, and the hits go
+    through the division core of value_square_blocks.  Values |F| must stay
+    below 2^62 (int64 arithmetic).
 
     With coprime set, the class x = 0 of the rows with p | z is skipped at
     the primes p not dividing a_d (of the primitive part): its cells are
@@ -509,45 +476,31 @@ def form_square_blocks(
     stays in 0 <= rem <= |F|).
     """
     top = max(abs(xlo), abs(xhi), abs(zlo), abs(zhi), 1)
-    prim, primes, vcont, beyond, starts, all_roots = _profile_setup(coeffs, b, top, top, "F(x, z)")
+    prim, primes, vcont, beyond, starts, roots = _profile_setup(coeffs, b, top, top, "F(x, z)")
     d = len(prim) - 1
     w = xhi - xlo + 1
     xs = np.arange(xlo, xhi + 1, dtype=np.int64)
-
-    def profile(zs):
-        vals = form_values(prim, xs, zs).ravel()
-        np.abs(vals, out=vals)
-        nonzero = vals != 0
-        out: list[tuple] = []
-        for i, p in enumerate(primes.tolist()):
-            unit = zs % p != 0
-            at = np.flatnonzero(unit)
-            roots = all_roots[starts[i] : starts[i + 1]]
-            classes = [_progressions(at * w, (roots * zs[at, None] - xlo) % p, p, w)]
-            at = np.flatnonzero(~unit)
-            if at.size and d >= 1:
-                if prim[d] % p == 0:
-                    classes.append((at[:, None] * w + np.arange(w)).ravel())
-                elif not coprime:
-                    classes.append(_progressions(at * w, np.full((at.size, 1), -xlo % p), p, w))
-            vc = vcont.get(p, 0)
-            for idx in classes:
-                idx = idx[nonzero[idx]]
-                if idx.size:
-                    v = np.full(idx.size, 1 + vc, dtype=np.int64)
-                    vals[idx] = _strip(vals[idx], p, v)
-                    hit = v >= 2
-                    if hit.any():
-                        out.append((idx[hit], p, v[hit]))
-            if vc >= 2:
-                out.append(_content_entry(nonzero, classes, p, vc))
-        if beyond > 1:
-            vals[nonzero] *= beyond
-        return _entries(out) + (vals,)
-
+    # the classes, prime-major: x = r z mod p for each root r, then one class
+    # of the rows with p | z (x = 0 mod p, or the whole row where p | a_d)
+    rp = primes[(prim[d] % primes == 0) | (not coprime)] if d else primes[:0]
+    cp = np.concatenate([np.repeat(primes, np.diff(starts)), rp])
+    order = np.argsort(cp, kind="stable")
+    cp, cr = cp[order], np.concatenate([roots, np.zeros_like(rp)])[order]
+    unit = order < roots.size  # the classes of the rows with p not dividing z
+    step = np.where(unit | (prim[d] % cp != 0), cp, 1)
     for z0 in range(zlo, zhi + 1, rows):
         zs = np.arange(z0, min(z0 + rows, zhi + 1), dtype=np.int64)
-        yield (zs, *profile(zs))
+        vals = form_values(prim, xs, zs).ravel()
+        np.abs(vals, out=vals)
+        # the first column of each (class, row) pair, W where the class skips
+        # the row; z mod p keeps r z below p^2
+        zp = zs % cp[:, None]
+        first = np.where((zp != 0) == unit[:, None], (cr[:, None] * zp - xlo) % step[:, None], w)
+        k = zs.size
+        base = np.tile(np.arange(k) * w, cp.size)  # the first cell of each pair's row
+        idx, hp = _hits(first.ravel(), np.repeat(step, k), w, base, np.repeat(cp, k))
+        cells, ps, vs = _square_core(vals, idx, hp, vcont, beyond)
+        yield zs, cells, ps, vs, vals
 
 
 def form_values(coeffs, xs: np.ndarray, zs: np.ndarray) -> np.ndarray:
@@ -599,45 +552,73 @@ def _profile_setup(coeffs, b: int, xmax: int, zmax: int, name: str):
     return prim, primes, vcont, beyond, *roots_mod_primes(prim, primes)
 
 
-def _strip(val: np.ndarray, hp, v: np.ndarray) -> np.ndarray:
+def _strip(val: np.ndarray, hp: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Divide each value of val, in place, by the highest power of its
-    prime hp that divides it, and return val: hp holds one prime per value,
-    or is one prime for all, and divides every value once.  Adds the
-    further powers to the counts v, in place."""
+    prime hp (one prime per value, dividing it once) that divides it, and
+    return val.  Adds the further powers to the counts v, in place."""
     val //= hp
     live = np.flatnonzero(val % hp == 0)
-    each = np.ndim(hp) > 0
     while live.size:  # only the values p still divides
-        q = hp[live] if each else hp
+        q = hp[live]
         val[live] //= q
         v[live] += 1
         live = live[val[live] % q == 0]
     return val
 
 
-def _content_entry(nonzero: np.ndarray, classes: list, p: int, vc: int) -> tuple:
-    """The entries (cells, p, vs) of a content prime p with v_p(content) =
-    vc >= 2 at the nonzero cells outside classes, the index arrays of the
-    cells where p divides the primitive value: v_p = vc there."""
-    rest = nonzero.copy()
-    for idx in classes:
-        rest[idx] = False
-    cells = np.flatnonzero(rest)
-    return cells, p, np.full(cells.size, vc, dtype=np.int64)
+def _hits(first, step, w: int, base=None, prime=None):
+    """The hits of the classes c, class by class: the cells base[c] +
+    first[c] + t step[c] for t >= 0 with first[c] + t step[c] < w, and the
+    prime of each, prime[c] (step[c] where prime is None)."""
+    cnt = np.maximum((w - 1 - first) // step + 1, 0)
+    skip = np.cumsum(cnt) - cnt
+    hs = np.repeat(step, cnt)
+    start = first - skip * step
+    idx = np.repeat(start if base is None else start + base, cnt) + np.arange(hs.size) * hs
+    return idx, hs if prime is None else np.repeat(prime, cnt)
 
 
-def _progressions(base: np.ndarray, first: np.ndarray, p: int, w: int) -> np.ndarray:
-    """The cells base[i] + first[i, j] + t p for t >= 0 with first[i, j] +
-    t p < w (first < p): the class x = first mod p of each row i."""
-    cols = first[..., None] + p * np.arange(-(-w // p), dtype=np.int64)
-    return (base[:, None, None] + cols)[cols < w]
-
-
-def _entries(out: list) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(cells, ps, vs) as int64 arrays from the groups (cells, p, vs) of
-    the profiles, p one prime per cell or one for the group."""
-    if not out:
-        return tuple(np.zeros(0, dtype=np.int64) for _ in range(3))
-    cells, ps, vs = zip(*out)
-    ps = [np.full(c.size, p, dtype=np.int64) for c, p in zip(cells, ps)]
-    return np.concatenate(cells), np.concatenate(ps), np.concatenate(vs)
+def _square_core(vals: np.ndarray, idx: np.ndarray, hp: np.ndarray, vcont: dict, beyond: int):
+    """The entries (cells, ps, vs) of one block of a square profile, each
+    cell's in ascending p, from its hits: prime hp divides the primitive
+    value vals[idx], each (cell, prime) once, the hits in ascending p.
+    Turns vals, the |primitive values|, into the remainders in place: one
+    division by the product of the p^v, times beyond."""
+    if not vals.all():  # drop the hits where the value is 0
+        keep = vals[idx] != 0
+        idx, hp = idx[keep], hp[keep]
+    # div: the product of the powers p^v_p; every hit gives p once, and
+    # only the hits with p^2 | value or p | content, the entries, are
+    # divided further
+    div = np.ones(vals.size, dtype=np.int64)
+    np.multiply.at(div, idx, hp)
+    g = vals[idx]
+    # p^2 > 2^62 > g where p > 2^31: such a p^2 divides no value
+    deep = g % np.minimum(hp, 1 << 31) ** 2 == 0
+    if vcont:
+        hv = np.zeros(hp.size, dtype=np.int64)  # v_p(content) at each hit
+        for p, v in vcont.items():
+            hv[hp == p] = v
+        deep |= hv > 0
+    cells, ps, g = idx[deep], hp[deep], g[deep]
+    vs = 1 + hv[deep] if vcont else np.ones(cells.size, dtype=np.int64)
+    # g over its stripped value times p: the powers p^(v_p - 1) still missing
+    sub = _strip(g.copy(), ps, vs)
+    np.multiply.at(div, cells, g // (sub * ps))
+    # content primes whose square divides every value: v_p = v_p(content)
+    # at the nonzero cells p does not hit
+    square = [(p, v) for p, v in vcont.items() if v >= 2]
+    for p, v in square:
+        rest = vals != 0
+        rest[idx[hp == p]] = False
+        rest = np.flatnonzero(rest)
+        cells = np.concatenate([cells, rest])
+        ps = np.concatenate([ps, np.full(rest.size, p, dtype=np.int64)])
+        vs = np.concatenate([vs, np.full(rest.size, v, dtype=np.int64)])
+    if square:
+        order = np.argsort(ps, kind="stable")  # each cell's entries in ascending p
+        cells, ps, vs = cells[order], ps[order], vs[order]
+    vals //= div
+    if beyond > 1:
+        vals *= beyond
+    return cells, ps, vs

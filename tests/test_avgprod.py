@@ -197,6 +197,13 @@ def test_average_with_multiplier_progression():
     assert abs(rep.empirical.real - rep.predicted.real) <= rep.tail_slack + 0.01
 
 
+def test_average_with_multiplier_zero_modulus():
+    P = parse("x")
+    mult = MultiplierSpec(kind="progression", a=1, m=0)
+    with pytest.raises(ValueError, match="modulus"):
+        average_with_multiplier(P, squarefree_indicator_family(P), mult, 100)
+
+
 def test_average_with_multiplier_progression_brute():
     P = parse("x^2 + 1")
     u = squarefree_indicator_family(P)

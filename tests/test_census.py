@@ -219,14 +219,30 @@ def test_count_powerfree_memory_flat_in_n():
 
 
 def test_form_census_finds_roots_once(monkeypatch):
-    # N = 900 is four blocks of rows, all read from one root batch
+    # N = 900 is 1801 rows in blocks of _BLOCK_CELLS // 1801 rows, all read
+    # from one root batch
     calls, blocks = [], []
     roots, values = kernels.roots_mod_primes, kernels.form_values
     monkeypatch.setattr(kernels, "roots_mod_primes", lambda *a: calls.append(a) or roots(*a))
     monkeypatch.setattr(kernels, "form_values", lambda *a: blocks.append(a) or values(*a))
     F = parse("x^3 + 2*z^3", kind="form")
     assert census._count_pairs(F, -900, 900, True, None) == (1862580, 0)
-    assert (len(calls), len(blocks)) == (1, 4)
+    rows = max(1, census._BLOCK_CELLS // 1801)
+    assert (len(calls), len(blocks)) == (1, -(-1801 // rows))
+
+
+@pytest.mark.parametrize("coprime", [True, False])
+def test_form_census_memory_in_blocks(coprime):
+    # the form profile runs in blocks of _BLOCK_CELLS cells, so the census
+    # of x^3 + 2z^3 over the million pairs of [-500, 500]^2 peaks below 2 MB
+    F = parse("x^3 + 2*z^3", kind="form")
+    tracemalloc.start()
+    try:
+        census._count_pairs(F, -500, 500, coprime, None)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20, peak
 
 
 def test_count_squarefree_form_frozen():
@@ -350,11 +366,18 @@ def test_form_censuses_vs_pair_loops(F, n, convention, coprime, sector):
 
 
 def test_coprime_form_profile_entries():
-    # x^3 + 2z^3 over [-500, 500]^2 in one block: the coprime profile skips
-    # the classes x = 0 of the rows with p | z and keeps the full profile's
-    # entries and remainders at every coprime pair
-    (xs, zs, full), = census._form_blocks([2, 0, 0, 1], -500, 500, False)
-    (_, _, part), = census._form_blocks([2, 0, 0, 1], -500, 500, True)
+    # x^3 + 2z^3 over [-500, 500]^2, gathered across its blocks of rows: the
+    # coprime profile skips the classes x = 0 of the rows with p | z and
+    # keeps the full profile's entries and remainders at every coprime pair
+    def whole(coprime):
+        blocks = list(census._form_blocks([2, 0, 0, 1], -500, 500, coprime))
+        # a cell of a block is offset by the block's first cell
+        first = [(zs[0] + 500) * xs.size for xs, zs, _ in blocks]
+        cells = np.concatenate([c + f for (_, _, (c, *_)), f in zip(blocks, first)])
+        return (cells, *(np.concatenate([b[2][i] for b in blocks]) for i in (1, 2, 3)))
+
+    full, part = whole(False), whole(True)
+    xs = zs = np.arange(-500, 501)
     ok = (np.gcd(xs, zs[:, None]) == 1).ravel()
 
     def at_coprime(cells, ps, vs, _):

@@ -1,6 +1,9 @@
 import json
+import subprocess
+import sys
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -123,6 +126,28 @@ def test_avgprod(capsys):
     )
     assert code == 0
     assert abs(json.loads(out)["empirical_re"] - 0.228) < 0.01
+
+
+def test_avgprod_progression_modulus(capsys):
+    # modulus 0 is a domain error; a negative modulus reads as its absolute value
+    code, out, err = _run(capsys, "avgprod", "--poly", "x", "--N", "1000", "--progression", "2,0")
+    assert (code, out) == (2, "") and "modulus" in err
+    _, pos, _ = _run(capsys, "avgprod", "--poly", "x", "--N", "1000", "--progression", "1,3")
+    code, neg, _ = _run(capsys, "avgprod", "--poly", "x", "--N", "1000", "--progression", "1,-3")
+    assert code == 0 and neg == pos and json.loads(neg)["empirical_re"] == 0.227
+
+
+def test_delta_form_does_not_import_numpy_ma():
+    # the distinct cells of delta --form are counted without np.unique, whose
+    # flagless form imports numpy.ma (numpy 2.4), a cost paid on every run
+    src = str(Path(cli.__file__).resolve().parents[1])
+    code = (
+        f"import sys; sys.path.insert(0, {src!r}); from sievecraft import cli; "
+        "assert cli.run(['delta', '--form', 'x^3 + 2*z^3', '--N', '20']) == 0; "
+        "print('numpy.ma' in sys.modules)"
+    )
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert done.stdout.splitlines()[-1] == "False"
 
 
 def test_sievecheck(capsys):

@@ -274,6 +274,23 @@ def test_form_square_profile_oracle(coeffs, lead, content, xlo, w, zlo, h, b, ro
         assert r == e if k else (0 <= r <= f and (r == 0) == (f == 0))
 
 
+@pytest.mark.parametrize("coeffs", [[72, 0, 0, 36], [12, 0, 12, 0]])
+@pytest.mark.parametrize("coprime", [False, True])
+@pytest.mark.parametrize("rows", [1, 3, 7])
+def test_form_square_blocks_entries_in_ascending_p(coeffs, coprime, rows):
+    # each cell's entries come in ascending p, the square content's included
+    # (36x^3 + 72z^3 and 12x^2z + 12z^3): empirical_average_form multiplies
+    # its rule values in that order
+    several = False
+    for _, cells, ps, _, _ in kernels.form_square_blocks(coeffs, -15, 15, -15, 15, 50, rows, coprime):
+        order = np.argsort(cells, kind="stable")
+        c, p = cells[order], ps[order]
+        same = c[1:] == c[:-1]
+        assert (p[1:][same] > p[:-1][same]).all()
+        several |= bool(same.any())
+    assert several
+
+
 def test_form_square_profile_limits():
     with pytest.raises(OverflowError):
         next(kernels.form_square_blocks([1, 0, 0, 0, 1], -2**16, 2**16, 0, 0, 10, 1))
