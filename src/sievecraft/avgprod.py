@@ -195,19 +195,14 @@ def _prediction(predicted, tail: Fraction) -> dict:
     }
 
 
-def _product_values(P: IntPoly, u: LocalFactorSpec, n: int, threshold: int | None = None):
-    """(prod, delta): prod[x] = prod_p u_p(x) for x = 1..N (the value at
-    roots of P is 0 by convention and flagged separately), filled block by
-    block from the value square profile of P over 1..N; with a threshold,
-    delta is census.exceptional_count over the same blocks, else 0."""
+def _product_blocks(P: IntPoly, u: LocalFactorSpec, n: int, threshold: int | None = None):
+    """Blocks (lo, prod, delta) of the value square profile of P over 1..N:
+    prod[x - lo] = prod_p u_p(x), 0 at the roots of P (flagged apart), and
+    delta census.exceptional_count of the block with a threshold, else 0."""
     b = census._trial_bound(census._value_bound(P.coeffs, n))
     u.check_trivial_low(2)
     u.check_trivial_low(3)
-    # before prod: an N past the int64 budget is refused before it allocates
-    blocks = kernels.value_square_blocks(P.coeffs, n, b)
-    prod = np.ones(n + 1, dtype=complex)
-    delta = 0
-    for block in blocks:
+    for block in kernels.value_square_blocks(P.coeffs, n, b):
         lo, xs, ps, vs, rem = block
         # one rule call per distinct (p, x mod p, v): p <= b < 2^22 and
         # v < 64 keep the key below 2^50.  return_index selects numpy's
@@ -216,22 +211,31 @@ def _product_values(P: IntPoly, u: LocalFactorSpec, n: int, threshold: int | Non
         keys, _, inv = np.unique(
             (ps * b + xs % ps) * 64 + vs, return_index=True, return_inverse=True
         )
-        pi, kv = np.divmod(keys, 64)
-        kp, ki = np.divmod(pi, b)
-        vals = np.array(
-            [u.rule(*key) for key in zip(kp.tolist(), ki.tolist(), kv.tolist())], dtype=complex
-        )
-        # applied in entry order: each x's values in ascending p, the
-        # large prime q last
-        np.multiply.at(prod, xs, vals[inv])
+        rules = [u.rule(k // 64 // b, k // 64 % b, k % 64) for k in keys.tolist()]
+        vals = np.array(rules, dtype=complex)
+        # in entry order: each x's values in ascending p, then the large prime q
+        prod = np.ones(rem.size, dtype=complex)
+        np.multiply.at(prod, xs - lo, vals[inv])
         q = census._square_root(rem)
         at = np.flatnonzero(q)
-        for x, p in zip((at + lo).tolist(), q[at].tolist()):
-            prod[x] *= u.rule(p, x % p, 2)
-        prod[lo : lo + rem.size][rem == 0] = 0
-        if threshold is not None:
-            delta += census.exceptional_count(block, b, threshold)
-    return prod, delta
+        for i, p in zip(at.tolist(), q[at].tolist()):
+            prod[i] *= u.rule(p, (lo + i) % p, 2)
+        prod[rem == 0] = 0
+        yield lo, prod, 0 if threshold is None else census.exceptional_count(block, b, threshold)
+
+
+def _total(P: IntPoly, u: LocalFactorSpec, n: int, weight=None, threshold: int | None = None):
+    """(sum over x = 1..N of s(x) prod_p u_p(x), total delta), s = weight(xs)
+    at a block's x or 1: np.sum within a block, math.fsum across blocks."""
+    if n < 1:
+        raise ValueError("need N >= 1")
+    sums, delta = [], 0
+    for lo, prod, d in _product_blocks(P, u, n, threshold):
+        if weight is not None:
+            prod *= weight(np.arange(lo, lo + prod.size))
+        sums.append(np.sum(prod))
+        delta += d
+    return complex(math.fsum(np.real(sums)), math.fsum(np.imag(sums))), delta
 
 
 def truncated_product(u: LocalFactorSpec, b: int):
@@ -261,11 +265,10 @@ def empirical_average(
     """(1/N) sum_{x=1..N} prod_p u_p(x), compared against the product of
     local integrals over p <= b_pred."""
     require_squarefree(P)
-    prod, delta = _product_values(P, u, n, math.isqrt(n))
-    empirical = complex(np.sum(prod[1:])) / n
+    total, delta = _total(P, u, n, threshold=math.isqrt(n))
     predicted, slacks = _truncated_product(P, u, b_pred)
     return AverageReport(
-        empirical=empirical,
+        empirical=total / n,
         N=n,
         B=b_pred,
         delta_term=2 * delta / n,
@@ -372,19 +375,16 @@ def average_with_multiplier(
     require_squarefree(P)
     if mult.kind == "progression" and mult.m == 0:
         raise ValueError("progression modulus must be nonzero")
-    prod, _ = _product_values(P, u, n)
-    xs = np.arange(n + 1)
-    if mult.kind == "progression":
-        weights = (xs % mult.m == mult.a % mult.m).astype(complex)
-    elif mult.kind == "mobius-experimental":
-        weights = numutil.mobius_table(n).astype(complex)
-    elif mult.kind == "custom":
-        if mult.s is None:
-            raise ValueError("custom multiplier needs a callback")
-        weights = np.array([0] + [mult.s(x) for x in range(1, n + 1)], dtype=complex)
-    else:
+    if mult.kind == "custom" and mult.s is None:
+        raise ValueError("custom multiplier needs a callback")
+    weight = {
+        "progression": lambda xs: xs % mult.m == mult.a % mult.m,
+        "mobius-experimental": numutil.mobius_segment,
+        "custom": lambda xs: np.array([mult.s(x) for x in xs.tolist()], dtype=complex),
+    }.get(mult.kind)
+    if weight is None:
         raise ValueError(f"unknown multiplier kind {mult.kind!r}")
-    empirical = complex(np.sum(weights[1:] * prod[1:])) / n
+    empirical = _total(P, u, n, weight)[0] / n
     prediction = {"predicted": None}
     if mult.kind == "progression":
         total, slacks = _truncated_product(P, u, b_pred, mult.a, mult.m)

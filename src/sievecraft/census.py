@@ -218,22 +218,20 @@ def _pair_mask(x: np.ndarray, z: np.ndarray, coprime: bool = True, sector=None) 
     counts: coprime ones (if asked), in the sector (if given).  x and z are
     runs of consecutive integers, one of them a column (shape (k, 1)).
 
-    The coprime pairs are sieved: for each prime p <= max |x|, |z|, the
-    rows divisible by p are cleared at the columns divisible by p, and
-    then (0, 0)."""
+    gcd(x, z) = 1 where no prime factor of one coordinate divides the
+    other: each line of the shorter side is cleared at the multiples of the
+    primes of its own coordinate, and the line of 0 everywhere but at +-1."""
     rows, cols = (x, z) if np.shape(x)[1:] == (1,) else (z, x)
     rows, cols = np.ravel(rows), np.ravel(cols)
     ok = np.ones((rows.size, cols.size), dtype=bool)
     if coprime and ok.size:
-        i, j = -int(rows[0]), -int(cols[0])  # the cell of (0, 0)
-        ps = kernels.prime_sieve(max(abs(i), abs(j), abs(int(rows[-1])), abs(int(cols[-1]))))
-        # the first row and the first column divisible by p
-        pi, pj = i % ps, j % ps
-        live = (pi < rows.size) & (pj < cols.size)
-        for p, a, b in zip(ps[live].tolist(), pi[live].tolist(), pj[live].tolist()):
-            ok[a::p, b::p] = False
-        if 0 <= i < rows.size and 0 <= j < cols.size:
-            ok[i, j] = False
+        lines, other, view = (rows, cols, ok) if rows.size <= cols.size else (cols, rows, ok.T)
+        for k, c in enumerate(lines.tolist()):
+            if c == 0:
+                view[k] = np.abs(other) == 1
+            else:
+                for p, _ in numutil.factorize(c).pairs:
+                    view[k, -int(other[0]) % p :: p] = False
     ok = ok.ravel()
     if sector is not None:
         x, z = (a.ravel() for a in np.broadcast_arrays(x, z))

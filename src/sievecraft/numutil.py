@@ -1,6 +1,6 @@
-"""Elementary arithmetic functions: v_p, tau_k, mu, omega, rad,
-factorization by trial division, and the Mobius and smallest-prime-factor
-tables.
+"""Elementary arithmetic functions: v_p, mu, factorization by trial
+division, the Mobius and smallest-prime-factor tables, and mu over a
+segment.
 """
 
 from __future__ import annotations
@@ -109,60 +109,41 @@ def valuation(n: int, p: int) -> int:
     return v
 
 
-def _complete_factorization(n: int) -> Factorization:
-    f = factorize(n)
-    if not f.complete:
-        raise ValueError(f"could not fully factor {n}")
-    return f
-
-
-def tau_k(n: int, k: int) -> int:
-    """Number of ordered k-tuples of positive integers with product |n|."""
-    if n == 0:
-        raise ValueError("n must be nonzero")
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    f = _complete_factorization(n)
-    out = 1
-    for _, e in f.pairs:
-        out *= math.comb(e + k - 1, k - 1)
-    return out
-
-
 def mobius(n: int) -> int:
     if n <= 0:
         raise ValueError("n must be positive")
-    f = _complete_factorization(n)
+    f = factorize(n)
+    if not f.complete:
+        raise ValueError(f"could not fully factor {n}")
     if any(e >= 2 for _, e in f.pairs):
         return 0
     return -1 if len(f.pairs) % 2 else 1
 
 
-def omega(n: int) -> int:
-    if n <= 0:
-        raise ValueError("n must be positive")
-    return len(_complete_factorization(n).pairs)
-
-
-def rad(n: int) -> int:
-    if n <= 0:
-        raise ValueError("n must be positive")
-    out = 1
-    for p, _ in _complete_factorization(n).pairs:
-        out *= p
-    return out
-
-
 def mobius_table(n: int) -> np.ndarray:
-    """int8 array of mu(i) for i = 0..N (entry 0 unused, set to 0)."""
-    mu = np.ones(n + 1, dtype=np.int8)
-    mu[0] = 0
-    primes = kernels.prime_sieve(n)
-    for p in primes:
-        p = int(p)
-        mu[p::p] *= -1
-        if p * p <= n:
-            mu[p * p :: p * p] = 0
+    """int8 array of mu(i) for i = 0..N (entry 0 unused, set to 0), filled
+    by segments of 4096 values."""
+    mu = np.zeros(n + 1, dtype=np.int8)
+    for lo in range(1, n + 1, 4096):
+        hi = min(lo + 4096, n + 1)
+        mu[lo:hi] = mobius_segment(np.arange(lo, hi))
+    return mu
+
+
+def mobius_segment(xs: np.ndarray) -> np.ndarray:
+    """int8 array of mu(x) at xs, consecutive integers from 1 up, by the
+    primes up to sqrt(max xs): x is square-free where no p^2 divides it,
+    and then x over its distinct prime factors among them is 1 or one
+    further prime."""
+    lo, w = int(xs[0]), xs.size
+    primes = kernels.prime_sieve(math.isqrt(int(xs[-1])))
+    idx, hp = kernels._hits(-lo % primes, primes, w)
+    div = np.ones(w, dtype=np.int64)
+    np.multiply.at(div, idx, hp)
+    # the parity of the number of distinct prime factors
+    odd = (np.bincount(idx, minlength=w) + (xs > div)) % 2
+    mu = (1 - 2 * odd).astype(np.int8)
+    mu[kernels._hits(-lo % primes**2, primes**2, w)[0]] = 0
     return mu
 
 

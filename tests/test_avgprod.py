@@ -85,14 +85,17 @@ def test_empirical_average_indicator():
 
 
 def test_empirical_average_matches_census():
-    P = parse("x^3 + 2")
-    n = 2000
-    rep = empirical_average(P, squarefree_indicator_family(P), n)
+    # the exact count over N, to nearest, with N across at least 3 blocks
+    # of the value profile
     from sievecraft.census import count_powerfree_values
 
-    assert rep.empirical.real * n == pytest.approx(
-        count_powerfree_values(P, n).observed
-    )
+    for spec, n in [
+        ("x^3 + 2", 9000), ("10007*x + 10007", 10000), ("12*x^3 + 24", 8193), ("4*x^2 + 12", 12289)
+    ]:
+        assert n > 2 * kernels._VALUE_BLOCK
+        P = parse(spec)
+        rep = empirical_average(P, squarefree_indicator_family(P), n)
+        assert rep.empirical == complex(count_powerfree_values(P, n).observed) / n
     # the content prime 10007 lies beyond the trial bound 10^4: 10007 (x + 1)
     # is square-free at 7 of x = 1..10, as x + 1 is
     P = parse("10007*x + 10007")
@@ -477,9 +480,10 @@ def test_square_free_checked_for_every_multiplier():
 
 
 def product_values_alt(P, u, n, threshold):
-    """Independent recount of avgprod._product_values (prod, delta) from the
-    whole-range profile: every entry, in the profile's order (ascending p
-    for each x), then the prime q > B of a square remainder q^2."""
+    """Independent recount of avgprod._product_blocks as (prod, delta),
+    prod[x] for x = 1..N, from the whole-range profile: every entry, in the
+    profile's order (ascending p for each x), then the prime q > B of a
+    square remainder q^2."""
     vmax = sum(abs(a) * n**i for i, a in enumerate(P.coeffs))
     b = census._trial_bound(max(vmax, 8))
     profile = value_square_profile_alt(P.coeffs, n, b)
@@ -502,8 +506,9 @@ def _wave(p, i, j):
 @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
 @given(value_polys(), BLOCK_SIZES, st.sampled_from(["indicator", "signed", "wave"]))
 def test_product_values_vs_whole_range(case, size, family):
-    # the products filled block by block are bit-identical to the ones
-    # read from the whole-range profile, and so is their sum
+    # the streamed blocks of products are bit-identical to the ones read
+    # from the whole-range profile, and their total is the math.fsum of the
+    # oracle's block sums
     P, n = case
     u = {
         "indicator": squarefree_indicator_family(P),
@@ -511,15 +516,18 @@ def test_product_values_vs_whole_range(case, size, family):
         "wave": LocalFactorSpec(P, _wave),
     }[family]
     with mock.patch.object(kernels, "_VALUE_BLOCK", size):
-        prod, delta = avgprod._product_values(P, u, n, math.isqrt(n))
+        blocks = list(avgprod._product_blocks(P, u, n, math.isqrt(n)))
+        total, delta = avgprod._total(P, u, n, threshold=math.isqrt(n))
     expect, expect_delta = product_values_alt(P, u, n, math.isqrt(n))
-    assert prod.tobytes() == expect.tobytes()
-    assert np.sum(prod[1:]) == np.sum(expect[1:])
-    assert delta == expect_delta
+    assert [lo for lo, _, _ in blocks] == list(range(1, n + 1, size))
+    assert np.concatenate([prod for _, prod, _ in blocks]).tobytes() == expect[1:].tobytes()
+    sums = [np.sum(expect[lo : lo + size]) for lo in range(1, n + 1, size)]
+    assert total == complex(math.fsum(np.real(sums)), math.fsum(np.imag(sums)))
+    assert delta == sum(d for _, _, d in blocks) == expect_delta
 
 
 def product_values_loop(P, u, n):
-    """avgprod._product_values' prod with one rule call per profile entry,
+    """avgprod._product_blocks' products with one rule call per profile entry,
     in entry order, block by block; with the number of entries and the
     number of rule calls at v >= 2 a fill that reads each distinct (p, x
     mod p, v) of a block once makes."""
@@ -559,8 +567,8 @@ def test_product_values_vs_entry_loop(spec, n):
     with mock.patch.object(kernels, "_VALUE_BLOCK", 700):
         expect, entries, once = product_values_loop(P, u, n)
         calls.clear()
-        prod, _ = avgprod._product_values(P, u, n)
-    assert np.array_equal(prod, expect)
+        prod = np.concatenate([prod for _, prod, _ in avgprod._product_blocks(P, u, n)])
+    assert prod.tobytes() == expect[1:].tobytes()
     # the hypothesis checks read v_p <= 1 only
     assert sum(j >= 2 for _, _, j in calls) == once < entries
 

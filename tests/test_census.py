@@ -397,11 +397,13 @@ def _gcd_mask(x, z, sector=None):
 @pytest.mark.parametrize(
     "xlo, xhi, zlo, zhi",
     [(0, 0, 0, 0), (-1, 1, -1, 1), (-2, 2, -2, 2), (1, 1, 1, 2), (0, 1, 0, 1), (-30, 30, -30, 30),
-     (1, 30, 1, 30), (-60, 40, 7, 19), (5, 97, -13, -2), (4, 4, 6, 6), (-3, 8, 0, 0), (2, 1, 0, 5)],
+     (1, 30, 1, 30), (-60, 40, 7, 19), (5, 97, -13, -2), (4, 4, 6, 6), (-3, 8, 0, 0), (2, 1, 0, 5),
+     # blocks of one and three rows of a box around 0, as the censuses cut it
+     (-12, 12, 0, 0), (-12, 12, 6, 6), (-12, 12, -1, 1), (-12, 12, 10, 12)],
 )
 def test_pair_mask_vs_gcd(xlo, xhi, zlo, zhi):
-    # the sieved coprime mask equals gcd(x, z) == 1 in both orientations,
-    # with and without a sector
+    # the coprime mask equals gcd(x, z) == 1 in both orientations, with and
+    # without a sector
     xs = np.arange(xlo, xhi + 1, dtype=np.int64)
     zs = np.arange(zlo, zhi + 1, dtype=np.int64)
     for sector in (None, _SECTORS[2]):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -137,6 +138,28 @@ def test_avgprod_progression_modulus(capsys):
     assert code == 0 and neg == pos and json.loads(neg)["empirical_re"] == 0.227
 
 
+# sha256 of the stdout of avgprod --poly 'x^3 + 2' --N 10000 with --digits 4,
+# recorded before the products were streamed block by block
+AVGPROD_FROZEN = {
+    ("indicator", ()): "383d6493be0c4ff3",
+    ("indicator", ("--progression", "1,3")): "1f48b3b4f829dac5",
+    ("indicator", ("--progression", "2,9")): "a3c99b37d570e520",
+    ("indicator", ("--mobius",)): "aba499f59e831d51",
+    ("signed", ()): "c132b5280e64be4a",
+    ("signed", ("--progression", "1,3")): "e5d4af09f97200cf",
+    ("signed", ("--progression", "2,9")): "9f4411ed7bc4a02d",
+    ("signed", ("--mobius",)): "c9ad25b45a2a60bf",
+}
+
+
+@pytest.mark.parametrize("family,mult", list(AVGPROD_FROZEN))
+def test_avgprod_frozen(capsys, family, mult):
+    argv = ["--digits", "4", "avgprod", "--poly", "x^3 + 2", "--N", "10000", "--family", family]
+    code, out, err = _run(capsys, *argv, *mult)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest()[:16] == AVGPROD_FROZEN[family, mult]
+
+
 def test_delta_form_does_not_import_numpy_ma():
     # the distinct cells of delta --form are counted without np.unique, whose
     # flagless form imports numpy.ma (numpy 2.4), a cost paid on every run
@@ -204,6 +227,9 @@ def test_exit_domain(capsys):
     # square-full polynomial under every multiplier
     for mult in (["--mobius"], ["--progression", "1,3"], []):
         assert _run(capsys, "avgprod", "--poly", "x^2", "--N", "100", *mult)[0] == 2
+        # an empty range has no average
+        code, _, err = _run(capsys, "avgprod", "--poly", "x", "--N", "0", *mult)
+        assert code == 2 and "N >= 1" in err
     # every path that takes a polynomial or a form refuses a repeated factor
     for argv in (
         ["density", "--poly", "x^2"],
@@ -225,7 +251,8 @@ def test_exit_resource(capsys):
     code, _, err = _run(capsys, "census", "--poly", "x^9 + 1", "--N", "10000000")
     assert code == 3
     assert "resource" in err
-    # the int64 budget is checked before the N + 1 products are allocated
+    # the int64 budget is checked before the primes up to the trial bound
+    # are sieved
     tracemalloc.start()
     try:
         code, _, err = _run(capsys, "avgprod", "--poly", "x^3 + 2", "--N", "3e6")
@@ -234,6 +261,24 @@ def test_exit_resource(capsys):
         tracemalloc.stop()
     assert code == 3 and "resource" in err
     assert peak < 8 * 2**20
+
+
+@pytest.mark.parametrize("mult", [(), ("--progression", "1,3"), ("--mobius",)])
+def test_avgprod_memory_flat_in_n(capsys, mult):
+    # the products and the multiplier are read block by block: the traced
+    # peak at N = 2^18 is within 0.5 MB of the one at N = 2^15, where one
+    # complex value per x would add 3.5 MB
+    _run(capsys, "avgprod", "--poly", "x", "--N", "1000", *mult)  # numpy's lazy imports
+    peaks = []
+    for n in (2**15, 2**18):
+        tracemalloc.start()
+        try:
+            code, _, _ = _run(capsys, "avgprod", "--poly", "x", "--N", str(n), *mult)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+    assert abs(peaks[1] - peaks[0]) < 2**19
 
 
 def test_density_deep_m(capsys):

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 from test_kernels import squarefree_mask
@@ -33,14 +34,10 @@ def test_valuation():
         numutil.valuation(12, 4)
 
 
-def test_tau_mobius_omega_rad():
-    assert numutil.tau_k(12, 2) == 6
-    assert numutil.tau_k(1, 5) == 1
+def test_mobius():
     assert numutil.mobius(1) == 1
     assert numutil.mobius(30) == -1
     assert numutil.mobius(12) == 0
-    assert numutil.omega(360) == 3
-    assert numutil.rad(360) == 30
 
 
 def test_tables_against_scalar():
@@ -53,6 +50,18 @@ def test_tables_against_scalar():
         assert mu[k] == numutil.mobius(k)
         if k >= 2:
             assert spf[k] == numutil.factorize(k).pairs[0][0]
+
+
+def test_mobius_segment():
+    # segments of 1, 7 and 4096 consecutive values from 1 on, and the table
+    # that is filled by segments
+    n = 5000
+    mu = [numutil.mobius(k) for k in range(1, n + 1)]
+    for size in (1, 7, 4096):
+        los = range(1, n + 1, size)
+        segs = [numutil.mobius_segment(np.arange(lo, min(lo + size, n + 1))) for lo in los]
+        assert np.concatenate(segs).tolist() == mu
+    assert numutil.mobius_table(n)[1:].tolist() == mu
 
 
 def test_squarefree_count_oracle():
