@@ -108,10 +108,15 @@ def main():
     tracemalloc.stop()
     row(f"x^2+1 1e6 streamed, {peak:.1f} MB", t)
 
-    # local integrals over the 168 primes <= 1000
+    # local integrals over the 168 primes <= 1000, with their exact product;
+    # and empirical_average's prediction, which encloses the product and the
+    # slack sum in fixed point, at B = 1e3 and 1e5
     u = avgprod.squarefree_indicator_family(parse("x^3 + 2"))
     t, _ = timeit(avgprod.truncated_product, u, 1000, repeat=k)
     row("truncated_product(x^3+2, 1e3)", t)
+    for e in (3, 5):
+        t, _ = timeit(avgprod._predict, u.poly, u, 10**e, repeat=k)
+        row(f"avgprod prediction(x^3+2, 1e{e})", t)
 
     # the lifting walk to depth 25: a chain of singular classes, and two
     # simple roots that lift one level at a time

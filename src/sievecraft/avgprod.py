@@ -4,8 +4,10 @@ with optional multipliers."""
 
 from __future__ import annotations
 
+import functools
 import json
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
@@ -54,9 +56,7 @@ def squarefree_indicator_family(P: IntPoly) -> LocalFactorSpec:
 def signed_valuation_family(P: IntPoly) -> LocalFactorSpec:
     """u_p(n) = (-1)^(v_p(P(n))) on v_p >= 2, and 1 on v_p <= 1 (the
     low valuations are left trivial so the product stays finite)."""
-    return LocalFactorSpec(
-        P, lambda p, i, j: (-1) ** j if j >= 2 else 1, kind="signed"
-    )
+    return LocalFactorSpec(P, lambda p, i, j: (-1) ** j if j >= 2 else 1, kind="signed")
 
 
 def local_integral(u: LocalFactorSpec, p: int, j_cap: int = J_CAP):
@@ -69,18 +69,18 @@ def local_integral(u: LocalFactorSpec, p: int, j_cap: int = J_CAP):
     float and complex values are summed exactly and rounded once.
     Raises ValueError unless u.poly is square-free."""
     require_squarefree(u.poly)
-    ((value, slack),) = _local_integrals(u.poly, u, [p], j_cap)
+    (value,), (slack,) = _local_integrals(u.poly, u, [p], j_cap)
     return value, float(slack)
 
 
 def _local_integrals(
     P: IntPoly, u: LocalFactorSpec, primes: list[int], j_cap: int = J_CAP, a: int = 0, m: int = 1
-) -> list[tuple]:
-    """(value, exact slack) of the local integral of u at each prime; at
-    the primes dividing m the integral is taken against the measure of
-    {x = a mod p^(v_p(m))}.  A general family's rule is read at every
-    level v_p = j from low = 0; any other family's from low = 2, after its
-    hypothesis is checked at p, with the mass of v_p < 2 counting as 1.
+) -> tuple[list, list[Fraction]]:
+    """The values and the exact slacks of the local integrals of u at the
+    primes; at the primes dividing m the integral is taken against the
+    measure of {x = a mod p^(v_p(m))}.  A general family's rule is read at
+    every level v_p = j from low = 0; any other family's from low = 2, after
+    its hypothesis is checked at p, with the mass of v_p < 2 counting as 1.
 
     At a prime outside Disc*lead*content every root mod p is simple and
     lifts uniquely, so mu{x = r (p), v_p(P(x)) >= j} = p^-j for j >= 1:
@@ -96,7 +96,7 @@ def _local_integrals(
     simple = [p for p in primes if p not in lifted]
     starts, roots = (arr.tolist() for arr in kernels.roots_mod_primes(P.coeffs, simple))
     roots_of = {p: roots[starts[t] : starts[t + 1]] for t, p in enumerate(simple)}
-    out = []
+    values, slacks = [], []
     for p in primes:
         u.check_trivial_low(p)
         if p in lifted:
@@ -115,8 +115,9 @@ def _local_integrals(
             weights = [(r, j, (p - 1) * p ** (k - j - 1)) for j in range(max(low, 1), k) for r in rs]
             if low == 0:  # the classes mod p without a root, at v_p = 0
                 weights += [(i, 0, p ** (k - 1)) for i in range(p) if i not in rs]
-        out.append((_integrate(u.rule, p, weights, total - tail, den), Fraction(tail, den)))
-    return out
+        values.append(_integrate(u.rule, p, weights, total - tail, den))
+        slacks.append(Fraction(tail, den))
+    return values, slacks
 
 
 def _integrate(rule, p: int, weights: list[tuple[int, int, int]], below_cap: int, den: int):
@@ -125,9 +126,7 @@ def _integrate(rule, p: int, weights: list[tuple[int, int, int]], below_cap: int
     (p), v_p = j}: the integral below the cap, with value 1 on the levels
     the weights leave out.  int and Fraction values give a Fraction; float
     and complex values are summed as exact rationals and rounded once."""
-    re = below_cap
-    im = 0
-    kind = Fraction
+    re, im, kind = below_cap, 0, Fraction
     for i, j, w in weights:
         if not w:
             continue
@@ -181,17 +180,35 @@ class AverageReport:
         return json.dumps(self.to_dict())
 
 
-def _prediction(predicted, tail: Fraction) -> dict:
-    """The AverageReport fields of a prediction with an exact tail bound:
-    the ends predicted -/+ tail rounded outward from the exact truncated
-    product (from the float one the rule values give when they are not
-    rational), and the tail rounded up."""
-    re = predicted if isinstance(predicted, Fraction) else Fraction(complex(predicted).real)
+def _prediction(values: list, slacks: list[Fraction]) -> dict:
+    """The AverageReport fields of T = prod values with the tail bound
+    S = sum slacks: T to nearest, S rounded up, T -/+ S rounded outward.
+    T is enclosed by eulerprod._enclosure, S by one floor per term, and
+    eulerprod.rounded forms the exact T and S only where the two ends of an
+    enclosure disagree.  Float and complex values keep their float product,
+    whose real part is enclosed as one factor."""
+    predicted = None
+    if not all(isinstance(v, Fraction) for v in values):
+        predicted = complex(math.prod(values, start=Fraction(1)))
+        values = [Fraction(predicted.real)]
+    nums, dens = [v.numerator for v in values], [v.denominator for v in values]
+    t_lo, t_hi = eulerprod._enclosure(dens, nums)
+    s_lo = sum((s.numerator << eulerprod._PRECISION) // s.denominator for s in slacks)
+    s_hi = s_lo + len(slacks)  # a ceiling is at most its floor + 1
+    t = functools.cache(lambda: (eulerprod._product(nums), eulerprod._product(dens)))
+    s = functools.cache(lambda: sum(slacks, Fraction(0)).as_integer_ratio())
+
+    def shifted(sign: int):  # T + sign * S, unreduced
+        (tn, td), (sn, sd) = t(), s()
+        return tn * sd + sign * sn * td, td * sd
+
+    if predicted is None:
+        predicted = complex(eulerprod.rounded(operator.truediv, t_lo, t_hi, t))
     return {
-        "predicted": complex(predicted),
-        "tail_slack": eulerprod.float_up(tail),
-        "predicted_lo": eulerprod.float_down(re - tail),
-        "predicted_hi": eulerprod.float_up(re + tail),
+        "predicted": predicted,
+        "tail_slack": eulerprod.rounded(eulerprod.ratio_up, s_lo, s_hi, s),
+        "predicted_lo": eulerprod.rounded(eulerprod.ratio_down, t_lo - s_hi, t_hi - s_lo, lambda: shifted(-1)),
+        "predicted_hi": eulerprod.rounded(eulerprod.ratio_up, t_lo + s_lo, t_hi + s_hi, lambda: shifted(1)),
     }
 
 
@@ -221,7 +238,7 @@ def _product_blocks(P: IntPoly, u: LocalFactorSpec, n: int, threshold: int | Non
         for i, p in zip(at.tolist(), q[at].tolist()):
             prod[i] *= u.rule(p, (lo + i) % p, 2)
         prod[rem == 0] = 0
-        yield lo, prod, 0 if threshold is None else census.exceptional_count(block, b, threshold)
+        yield lo, prod, 0 if threshold is None else census.exceptional_count(block, threshold)
 
 
 def _total(P: IntPoly, u: LocalFactorSpec, n: int, weight=None, threshold: int | None = None):
@@ -239,24 +256,16 @@ def _total(P: IntPoly, u: LocalFactorSpec, n: int, weight=None, threshold: int |
 
 
 def truncated_product(u: LocalFactorSpec, b: int):
-    """(prod_{p<=B} local_integral, accumulated truncation slack)."""
+    """(prod_{p<=B} local_integral, accumulated truncation slack rounded up)."""
     require_squarefree(u.poly)
-    total, slacks = _truncated_product(u.poly, u, b)
-    slack = 0.0
-    for s in slacks:
-        slack += float(s)
-    return total, slack
+    values, slacks = _local_integrals(u.poly, u, kernels.prime_sieve(b).tolist())
+    return math.prod(values, start=Fraction(1)), eulerprod.float_up(sum(slacks, Fraction(0)))
 
 
-def _truncated_product(P: IntPoly, u: LocalFactorSpec, b: int, a: int = 0, m: int = 1):
-    """(product of the local integrals over p <= b, their exact slacks);
-    see _local_integrals for a, m."""
-    total = Fraction(1)
-    slacks = []
-    for v, s in _local_integrals(P, u, kernels.prime_sieve(b).tolist(), J_CAP, a, m):
-        total = total * v
-        slacks.append(s)
-    return total, slacks
+def _predict(P: IntPoly, u: LocalFactorSpec, b: int, a: int = 0, m: int = 1) -> dict:
+    """_prediction over p <= b, the head deg P / b one more slack (a, m: see _local_integrals)."""
+    values, slacks = _local_integrals(P, u, kernels.prime_sieve(b).tolist(), J_CAP, a, m)
+    return _prediction(values, [Fraction(P.degree, b), *slacks])
 
 
 def empirical_average(
@@ -266,13 +275,8 @@ def empirical_average(
     local integrals over p <= b_pred."""
     require_squarefree(P)
     total, delta = _total(P, u, n, threshold=math.isqrt(n))
-    predicted, slacks = _truncated_product(P, u, b_pred)
     return AverageReport(
-        empirical=total / n,
-        N=n,
-        B=b_pred,
-        delta_term=2 * delta / n,
-        **_prediction(predicted, Fraction(P.degree, b_pred) + sum(slacks)),
+        empirical=total / n, N=n, B=b_pred, delta_term=2 * delta / n, **_predict(P, u, b_pred)
     )
 
 
@@ -344,10 +348,8 @@ def empirical_average_form(
         # per-pair density: each factor renormalized by the local
         # coprime mass 1 - 1/p^2
         est = eulerprod.density_form(F, 10**3, coprime=True)
-        pred = Fraction(1)
-        for p, f in est.factors:
-            pred *= f / (1 - Fraction(1, int(p) ** 2))
-        prediction = _prediction(pred, Fraction(2 * F.degree + 1, 10**3))
+        values = [f / (1 - Fraction(1, p * p)) for p, f in est.factors]
+        prediction = _prediction(values, [Fraction(2 * F.degree + 1, 10**3)])
     return AverageReport(empirical=total / pairs, N=n, B=10**3, **prediction)
 
 
@@ -387,6 +389,5 @@ def average_with_multiplier(
     empirical = _total(P, u, n, weight)[0] / n
     prediction = {"predicted": None}
     if mult.kind == "progression":
-        total, slacks = _truncated_product(P, u, b_pred, mult.a, mult.m)
-        prediction = _prediction(total, Fraction(P.degree, b_pred) + sum(slacks))
+        prediction = _predict(P, u, b_pred, mult.a, mult.m)
     return AverageReport(empirical=empirical, N=n, B=b_pred, **prediction)

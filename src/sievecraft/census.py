@@ -247,16 +247,15 @@ def delta_census_univ(P: IntPoly, n: int, threshold: int | None = None) -> int:
         threshold = math.isqrt(n)
     b = _trial_bound(_value_bound(P.coeffs, n))
     blocks = kernels.value_square_blocks(P.coeffs, n, b)
-    return sum(exceptional_count(block, b, threshold) for block in blocks)
+    return sum(exceptional_count(block, threshold) for block in blocks)
 
 
-def exceptional_count(block, b: int, threshold: int) -> int:
+def exceptional_count(block, threshold: int) -> int:
     """delta_census_univ's count over one block (lo, xs, ps, vs, rem) of the
-    value square profile of P with trial bound b."""
-    if threshold > b:
-        raise ValueError("threshold exceeds the trial bound")
+    value square profile of P with a trial bound b, |P(x)| < b^3: a prime
+    p > b with p^2 | P(x) leaves rem = p^2, so any threshold is exact."""
     lo, xs, ps, vs, rem = block
-    bad = _square_root(rem) > 0
+    bad = _square_root(rem) > threshold
     bad[xs[(vs >= 2) & (ps > threshold)] - lo] = True
     return int(np.count_nonzero(bad))
 

@@ -104,14 +104,24 @@ _ENCLOSURE_BLOCK = 32
 
 def _enclosure(qs: list[int], nums: list[int]) -> tuple[int, int]:
     """Integers lo <= 2^_PRECISION * prod nums[i] / qs[i] <= hi (all
-    0 < nums[i] <= qs[i]): the product of each block of factors floored
-    into lo and ceiled into hi, so hi - lo <= 2 * #blocks."""
+    qs[i] > 0): the product of the |nums[i]| of each block of factors
+    floored into lo and ceiled into hi, then the sign applied.  Each block
+    adds at most 2 to hi - lo where its factors are at most 1 in size, so
+    hi - lo <= 2 * #blocks wherever every |nums[i]| <= qs[i]."""
     lo = hi = 1 << _PRECISION
     for i in range(0, len(qs), _ENCLOSURE_BLOCK):
-        n, q = math.prod(nums[i : i + _ENCLOSURE_BLOCK]), math.prod(qs[i : i + _ENCLOSURE_BLOCK])
-        lo = lo * n // q
-        hi = -(-hi * n // q)
-    return lo, hi
+        n, q = abs(math.prod(nums[i : i + _ENCLOSURE_BLOCK])), math.prod(qs[i : i + _ENCLOSURE_BLOCK])
+        lo, hi = lo * n // q, -(-hi * n // q)
+    return (-hi, -lo) if sum(n < 0 for n in nums) % 2 else (lo, hi)
+
+
+def rounded(rnd, lo: int, hi: int, exact) -> float:
+    """rnd(x) for an x with lo <= 2^_PRECISION * x <= hi, where rnd(num,
+    den) (den > 0) rounds num / den monotonically: rounded from both ends,
+    and only where they differ from exact(), which returns x as an
+    unreduced (num, den) (Ziv's strategy), so the float is that of x."""
+    x = rnd(lo, 1 << _PRECISION)
+    return x if x == rnd(hi, 1 << _PRECISION) else rnd(*exact())
 
 
 def _estimate(
@@ -119,29 +129,19 @@ def _estimate(
 ) -> EulerEstimate:
     """The product T of the factors 1 - hits/p^k over the primes (each
     0 <= hits[i] <= primes[i]^k), to nearest, and the interval
-    [T * tail_lo, T] around it, rounded outward.
-
-    Each of the three floats is rounded from both ends of the fixed-point
-    enclosure of T; only where they differ is it rounded from the exact,
-    unreduced num / den (Ziv's strategy), so the floats are those of the
-    exact T either way."""
+    [T * tail_lo, T] around it, rounded outward from the fixed-point
+    enclosure of T by `rounded`."""
     qs = [p**k for p in primes]
     nums = [q - h for q, h in zip(qs, hits)]
     if min(nums) <= 0:
         i = next(i for i, n in enumerate(nums) if n <= 0)
         return EulerEstimate(0.0, 0.0, 0.0, B, primes[: i + 1], hits[: i + 1], k, "zero_density")
-    tail = max(tail_lo, Fraction(0))
+    a, b = max(tail_lo, Fraction(0)).as_integer_ratio()
     lo, hi = _enclosure(qs, nums)
     est = EulerEstimate(0.0, 0.0, 0.0, B, primes, hits, k, status)
-
-    def rounded(rnd, a: int, b: int) -> float:
-        # rnd(T * a / b), for rnd monotone
-        x = rnd(lo * a, b << _PRECISION)
-        return x if x == rnd(hi * a, b << _PRECISION) else rnd(est.num * a, est.den * b)
-
-    est.lower = rounded(ratio_down, tail.numerator, tail.denominator)
-    est.upper = rounded(ratio_up, 1, 1)
-    est.nearest = rounded(operator.truediv, 1, 1)
+    est.lower = rounded(ratio_down, lo * a // b, -(-hi * a // b), lambda: (est.num * a, est.den * b))
+    est.upper = rounded(ratio_up, lo, hi, lambda: (est.num, est.den))
+    est.nearest = rounded(operator.truediv, lo, hi, lambda: (est.num, est.den))
     return est
 
 

@@ -10,7 +10,7 @@ from hypothesis import HealthCheck, assume, given, settings, strategies as st
 from test_census import exceptional_count_alt
 from test_kernels import BLOCK_SIZES, square_roots, value_polys, value_square_profile_alt
 
-from sievecraft import avgprod, census, kernels, localdens, numutil
+from sievecraft import avgprod, census, eulerprod, kernels, localdens, numutil
 from sievecraft.avgprod import (
     LocalFactorSpec,
     MultiplierSpec,
@@ -355,7 +355,7 @@ def test_integrals_from_level_two_vs_full_sweep(P, family, m, a):
     got = avgprod._local_integrals(P, u, primes, avgprod.J_CAP, a, m)
     want = avgprod._local_integrals(P, full, primes, avgprod.J_CAP, a, m)
     assert got == want
-    assert [type(v) for v, _ in got] == [type(v) for v, _ in want]
+    assert [type(v) for v in got[0]] == [type(v) for v in want[0]]
 
 
 def test_non_general_family_checked_at_every_prime():
@@ -388,6 +388,14 @@ def test_non_general_family_checked_at_every_prime():
         truncated_product(u, 10)
 
 
+def _exact_slack(P, b):
+    """The exact sum over p <= b of mu{v_p(P(x)) > J_CAP}."""
+    k = avgprod.J_CAP + 1
+    return sum(
+        Fraction(localdens.count_roots_mod_pk(P, p, k), p**k) for p in kernels.prime_sieve(b).tolist()
+    )
+
+
 def _digest(q):
     return hashlib.sha256(f"{q.numerator:x}/{q.denominator:x}".encode()).hexdigest()[:16]
 
@@ -399,8 +407,10 @@ def _digest(q):
         # used before the masses were read from one lifting per prime
         ("x", "indicator", "9bda270dcdb281e3", 2.980350262643866e-08),
         ("x", "signed", "793f69aa4ed27fbd", 2.980350262643866e-08),
-        ("x^2 + 1", "indicator", "36413bf02f715b07", 6.710886400283777e-18),
-        ("x^2 + 1", "signed", "a7fe0408e0a794a1", 6.710886400283777e-18),
+        # the slack is the float just above the exact sum (a float sum of
+        # the terms rounded to nearest gave 6.710886400283777e-18, below it)
+        ("x^2 + 1", "indicator", "36413bf02f715b07", 6.7108864002837776e-18),
+        ("x^2 + 1", "signed", "a7fe0408e0a794a1", 6.7108864002837776e-18),
         ("x^3 + 2", "indicator", "36e1c7b5f0baf775", 3.3554432092297733e-18),
         ("x^3 + 2", "signed", "9d69bbe7767353ad", 3.3554432092297733e-18),
     ],
@@ -410,10 +420,18 @@ def test_truncated_product_frozen(spec, family, digest, slack):
     u = squarefree_indicator_family(P) if family == "indicator" else signed_valuation_family(P)
     v, s = truncated_product(u, 1000)
     assert (_digest(v), s) == (digest, slack)
+    assert Fraction(s) >= _exact_slack(P, 1000)
 
 
 # ---------------------------------------------------------------------------
 # The reported interval, rounded outward from the exact values
+
+
+def _rational_family(P):
+    """u_p = 1 on v_p <= 1, 0 on even and -1/2 on odd v_p >= 2: the local
+    integral of 4x^2 + 4 at 2 (v_2 = 2 at even x, 3 at odd x) is -1/4, and
+    0 on the progression x = 0 mod 2."""
+    return LocalFactorSpec(P, lambda p, i, j: 1 if j <= 1 else Fraction(-(j % 2), 2))
 
 
 def _check_outward(rep, t, tail):
@@ -429,21 +447,16 @@ def _check_outward(rep, t, tail):
 @given(
     st.lists(st.integers(-12, 12), min_size=2, max_size=4),
     st.integers(2, 300),
-    st.sampled_from(["indicator", "signed"]),
+    st.sampled_from([squarefree_indicator_family, signed_valuation_family, _rational_family]),
 )
 def test_empirical_average_outward(coeffs, b, family):
     assume(coeffs[-1] != 0)
     P = IntPoly(coeffs)
     assume(is_squarefree_poly(P))
-    u = squarefree_indicator_family(P) if family == "indicator" else signed_valuation_family(P)
+    u = family(P)
     rep = empirical_average(P, u, 200, b)
     t, _ = truncated_product(u, b)
-    k = avgprod.J_CAP + 1
-    tail = Fraction(P.degree, b) + sum(
-        Fraction(localdens.count_roots_mod_pk(P, p, k), p**k)
-        for p in kernels.prime_sieve(b).tolist()
-    )
-    _check_outward(rep, t, tail)
+    _check_outward(rep, t, Fraction(P.degree, b) + _exact_slack(P, b))
 
 
 @pytest.mark.parametrize("b", [10, 97, 1000])
@@ -459,6 +472,37 @@ def test_progression_outward(b):
     tail = Fraction(1, b) + sum(Fraction(1, p**25) for p in others)
     _check_outward(rep, t, tail)
     assert rep.to_json() == json.dumps(rep.to_dict())
+
+
+@pytest.mark.parametrize("spec", ["x^3 + 2", "4*x^2 + 4"])
+def test_prediction_exact_fallback_identical(spec):
+    # a 3-bit enclosure decides almost nothing, so every float falls back to
+    # the exact product and sum; at full precision none is formed
+    P = parse(spec)
+    families = [
+        squarefree_indicator_family(P),
+        signed_valuation_family(P),
+        _rational_family(P),
+        LocalFactorSpec(P, lambda p, i, j: 1 if j <= 1 else 0.5),
+    ]
+
+    def reports():
+        return [
+            rep
+            for u in families
+            for rep in [empirical_average(P, u, 300, 200)]
+            + [average_with_multiplier(P, u, MultiplierSpec(kind="progression", a=a, m=2), 300, 200) for a in (0, 1)]
+        ]
+
+    with mock.patch.object(eulerprod, "_product", wraps=eulerprod._product) as product:
+        want = reports()
+        assert not product.called
+        with mock.patch.object(eulerprod, "_PRECISION", 3):
+            assert reports() == want
+        assert product.called
+    if spec == "4*x^2 + 4":  # the rational family: negative, then zero, then negative
+        assert [r.predicted.real < 0 for r in want[6:9]] == [True, False, True]
+        assert want[7].predicted == 0
 
 
 # ---------------------------------------------------------------------------

@@ -65,7 +65,7 @@ def exceptional_count_alt(profile, threshold):
     xs, ps, vs, rem = profile
     bad = np.zeros(len(rem), dtype=bool)
     bad[xs[(vs >= 2) & (ps > threshold)]] = True
-    bad[list(square_roots(rem))] = True
+    bad[[i for i, q in square_roots(rem).items() if q > threshold]] = True
     bad[0] = False
     return int(np.count_nonzero(bad[1:]))
 
@@ -189,7 +189,7 @@ def test_count_powerfree_zeros_and_report():
 
 
 @settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
-@given(value_polys(), BLOCK_SIZES, st.sampled_from([50, 500]), st.sampled_from([0, 2, 7, 50]))
+@given(value_polys(), BLOCK_SIZES, st.sampled_from([50, 500]), st.sampled_from([0, 2, 7, 50, 1000]))
 def test_value_censuses_vs_whole_range(case, size, b, threshold):
     # census (m = 2, 3) and delta read block by block equal the recounts
     # from the whole-range profile
@@ -200,7 +200,7 @@ def test_value_censuses_vs_whole_range(case, size, b, threshold):
         for m in (2, 3):
             assert census._count_values(P.coeffs, n, m, b) == count_values_alt(P.coeffs, n, m, b)
         blocks = kernels.value_square_blocks(P.coeffs, n, b)
-        got = sum(census.exceptional_count(block, b, threshold) for block in blocks)
+        got = sum(census.exceptional_count(block, threshold) for block in blocks)
     assert got == exceptional_count_alt(whole, threshold)
 
 
