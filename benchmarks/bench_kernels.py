@@ -70,18 +70,18 @@ def main():
 
     # the batches of the perfbench workloads: census --poly 'x^3 + 2' --N 1e5,
     # census --poly 'x^2 + 1' --N 1e6 and density of the seed-2 S3 cubic at
-    # B = 3e4
+    # B = 3e4, the censuses at their trial bounds
     for name, text, b in [
-        ("x^3+2, B=116442", "x^3 + 2", 116442),
-        ("x^2+1, B=12501", "x^2 + 1", 12501),
-        ("S3 cubic, B=3e4", "x^3 - 3*x^2 - 6*x + 14", 30000),
+        ("x^3+2", "x^3 + 2", kernels.trial_bound([2, 0, 0, 1], 10**5)),
+        ("x^2+1", "x^2 + 1", kernels.trial_bound([1, 0, 1], 10**6)),
+        ("S3 cubic", "x^3 - 3*x^2 - 6*x + 14", 30000),
     ]:
         primes = kernels.prime_sieve(b)
         t, _ = timeit(kernels.roots_mod_primes, parse(text).coeffs, primes, repeat=k)
-        row(f"roots_mod_primes {name}", t)
+        row(f"roots_mod_primes {name}, B={b}", t)
         if name.startswith("S3"):
             t, _ = timeit(kernels.root_counts_mod_primes, parse(text).coeffs, primes, repeat=k)
-            row(f"root_counts_mod_primes {name}", t)
+            row(f"root_counts_mod_primes {name}, B={b}", t)
 
     # the Euler product of density --poly 'x^3 + 2' --B 1e5: its float ends
     # alone, and the whole density
@@ -96,7 +96,7 @@ def main():
     # the profile of x^2 + 1 over 1..1e6 read block by block, as the census
     # does, with its tracemalloc peak
     coeffs, n = [1, 0, 1], 10**6
-    b = census._trial_bound(census._value_bound(coeffs, n))
+    b = kernels.trial_bound(coeffs, n)
 
     def streamed():
         return sum(int(np.count_nonzero(rem == 1)) for *_, rem in kernels.value_square_blocks(coeffs, n, b))
@@ -106,7 +106,7 @@ def main():
     streamed()
     peak = tracemalloc.get_traced_memory()[1] / 2**20
     tracemalloc.stop()
-    row(f"x^2+1 1e6 streamed, {peak:.1f} MB", t)
+    row(f"x^2+1 1e6 streamed, B={b}, {peak:.1f} MB", t)
 
     # local integrals over the 168 primes <= 1000, with their exact product;
     # and empirical_average's prediction, which encloses the product and the

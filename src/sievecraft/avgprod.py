@@ -5,7 +5,6 @@ with optional multipliers."""
 from __future__ import annotations
 
 import functools
-import json
 import math
 import operator
 from dataclasses import dataclass
@@ -176,9 +175,6 @@ class AverageReport:
             "B": self.B,
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict())
-
 
 def _prediction(values: list, slacks: list[Fraction]) -> dict:
     """The AverageReport fields of T = prod values with the tail bound
@@ -216,7 +212,7 @@ def _product_blocks(P: IntPoly, u: LocalFactorSpec, n: int, threshold: int | Non
     """Blocks (lo, prod, delta) of the value square profile of P over 1..N:
     prod[x - lo] = prod_p u_p(x), 0 at the roots of P (flagged apart), and
     delta census.exceptional_count of the block with a threshold, else 0."""
-    b = census._trial_bound(census._value_bound(P.coeffs, n))
+    b = kernels.trial_bound(P.coeffs, n)
     u.check_trivial_low(2)
     u.check_trivial_low(3)
     for block in kernels.value_square_blocks(P.coeffs, n, b):

@@ -4,9 +4,7 @@ the R(alpha, d) sums."""
 
 from __future__ import annotations
 
-import json
 import math
-import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -18,10 +16,6 @@ from .poly import BinForm, IntPoly, discriminant, factor_rational, require_squar
 # pairs in one form census; every box the old 2^31-entry square-free table
 # admitted for a form of degree >= 2 has (2N + 1)^2 <= 92681^2 < 2^33 pairs
 _CELL_CAP = 1 << 33
-# pairs per block of rows handed to the form profile (at least one row): the
-# block size of the univariate profile, whose every temporary stays below
-# 128 KB, so that the census's peak memory does not grow with the box
-_BLOCK_CELLS = kernels._VALUE_BLOCK
 
 
 @dataclass
@@ -34,7 +28,6 @@ class CensusReport:
     main_lo: float
     main_hi: float
     zeros: int = 0
-    seconds: float = 0.0
     method: str = ""
 
     @property
@@ -61,30 +54,6 @@ class CensusReport:
             "method": self.method,
         }
 
-    def to_json(self) -> str:
-        return json.dumps({**self.to_dict(), "seconds": round(self.seconds, 3)}, allow_nan=False)
-
-
-def _value_bound(coeffs: list[int], n: int) -> int:
-    return sum(abs(a) * n**i for i, a in enumerate(coeffs))
-
-
-def _trial_bound(vmax: int) -> int:
-    """B with B^3 > vmax, so that after removing primes <= B the
-    remainder is 1, p, p^2 or pq and squares are detected exactly."""
-    b = max(10**4, math.isqrt(math.isqrt(vmax)))
-    while b**3 <= vmax:
-        b += b // 4 + 1
-    return b
-
-
-def _cube_bound(vmax: int) -> int:
-    """The least B with B^3 > vmax (the float cube root is never above it)."""
-    b = int(vmax ** (1 / 3))
-    while b**3 <= vmax:
-        b += 1
-    return b
-
 
 def _square_root(v: np.ndarray) -> np.ndarray:
     """Elementwise s where v = s^2 > 1, else 0, exact for 0 <= v < 2^62:
@@ -100,19 +69,15 @@ def count_powerfree_values(P: IntPoly, n: int, m: int = 2) -> CensusReport:
 
     Small primes are handled by the residue-marking sieve; a single
     square remainder test catches the large primes, valid because the
-    trial bound B satisfies |P(x)| < B^3.
+    trial bound B (kernels.trial_bound) satisfies |P(x)| < B^3.
     """
-    t0 = time.monotonic()
     require_squarefree(P)
     if n < 1 or m < 2:
         raise ValueError("need N >= 1 and m >= 2")
-    vmax = _value_bound(P.coeffs, n)
-    if vmax >= 1 << 62:
-        raise OverflowError("values exceed the 64-bit budget")
-    b = _trial_bound(vmax)
+    b = kernels.trial_bound(P.coeffs, n)
     observed, zeros = _count_values(P.coeffs, n, m, b)
-    est = eulerprod.density_univ(P, min(b, 10**4), m)
-    report = CensusReport(
+    est = eulerprod.density_univ(P, 10**4, m)
+    return CensusReport(
         params={"poly": str(P), "N": n, "m": m, "B": b},
         observed=observed,
         main_lo=eulerprod.float_down(n * Fraction(est.lower)),
@@ -120,8 +85,6 @@ def count_powerfree_values(P: IntPoly, n: int, m: int = 2) -> CensusReport:
         zeros=zeros,
         method="profile-sieve",
     )
-    report.seconds = time.monotonic() - t0
-    return report
 
 
 def _count_values(coeffs, n: int, m: int, b: int) -> tuple[int, int]:
@@ -152,7 +115,6 @@ def count_squarefree_form(
     """Exact count of pairs with F square-free and nonzero, over
     {1..N}^2 (positive-quadrant) or [-N,N]^2 (full-box), optionally
     restricted to coprime pairs and to a sector."""
-    t0 = time.monotonic()
     require_squarefree(F)
     if convention not in ("full-box", "positive-quadrant"):
         raise ValueError("unknown convention")
@@ -160,7 +122,7 @@ def count_squarefree_form(
     observed, zeros = _count_pairs(F, lo, n, coprime, sector)
     est = eulerprod.density_form(F, 10**3, coprime=coprime)
     scale = n * n if convention == "positive-quadrant" else 4 * n * n
-    report = CensusReport(
+    return CensusReport(
         params={"form": str(F), "N": n, "convention": convention, "coprime": coprime},
         observed=observed,
         main_lo=eulerprod.float_down(scale * Fraction(est.lower)),
@@ -168,8 +130,6 @@ def count_squarefree_form(
         zeros=zeros,
         method="row-scan",
     )
-    report.seconds = time.monotonic() - t0
-    return report
 
 
 def _count_pairs(F: BinForm, lo: int, n: int, coprime: bool, sector) -> tuple[int, int]:
@@ -194,21 +154,20 @@ def _form_blocks(coeffs, lo: int, n: int, coprime: bool):
     the z of the block and its (cells, ps, vs, rem) from
     kernels.form_square_blocks, which finds the roots mod p once; with
     coprime set, the profile is exact only at the coprime pairs.  The trial
-    bound B is the least with B^3 > max |F| on the box, so every remainder
-    is 1, q, q^2 or q*q' with primes q, q' > B.  Raises OverflowError,
-    before any array is made, if a value may reach 2^62 or the box holds
-    more than _CELL_CAP pairs."""
+    bound is kernels.trial_bound on the box, and each block holds about as
+    many pairs as a block of the univariate profile (at least one row), so
+    peak memory does not grow with the box.  Raises OverflowError, before
+    any array is made, if a value may reach 2^62 or the box holds more than
+    _CELL_CAP pairs."""
     width = n - lo + 1
     if width <= 0:
         return
-    vmax = sum(abs(a) for a in coeffs) * max(n, -lo, 1) ** (len(coeffs) - 1)
-    if vmax >= 1 << 62:
-        raise OverflowError("values exceed the 64-bit budget")
+    top = max(n, -lo, 1)
+    b = kernels.trial_bound(coeffs, top, top)
     if width * width > _CELL_CAP:
         raise OverflowError(f"the box holds more than 2^33 pairs ({width}^2)")
     xs = np.arange(lo, n + 1, dtype=np.int64)
-    rows = max(1, _BLOCK_CELLS // width)
-    b = _cube_bound(vmax)
+    rows = max(1, kernels._VALUE_BLOCK // width)
     for zs, *profile in kernels.form_square_blocks(coeffs, lo, n, lo, n, b, rows, coprime):
         yield xs, zs, profile
 
@@ -245,17 +204,17 @@ def delta_census_univ(P: IntPoly, n: int, threshold: int | None = None) -> int:
     require_squarefree(P)
     if threshold is None:
         threshold = math.isqrt(n)
-    b = _trial_bound(_value_bound(P.coeffs, n))
-    blocks = kernels.value_square_blocks(P.coeffs, n, b)
+    blocks = kernels.value_square_blocks(P.coeffs, n, kernels.trial_bound(P.coeffs, n))
     return sum(exceptional_count(block, threshold) for block in blocks)
 
 
 def exceptional_count(block, threshold: int) -> int:
     """delta_census_univ's count over one block (lo, xs, ps, vs, rem) of the
     value square profile of P with a trial bound b, |P(x)| < b^3: a prime
-    p > b with p^2 | P(x) leaves rem = p^2, so any threshold is exact."""
+    p > b with p^2 | P(x) leaves rem = p^2, so any threshold is exact
+    (_square_root is 0 off the squares, hence the floor 1)."""
     lo, xs, ps, vs, rem = block
-    bad = _square_root(rem) > threshold
+    bad = _square_root(rem) > max(threshold, 1)
     bad[xs[(vs >= 2) & (ps > threshold)] - lo] = True
     return int(np.count_nonzero(bad))
 

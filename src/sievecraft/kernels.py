@@ -13,7 +13,9 @@
 * ``form_square_blocks`` -- the same profile for a binary form F(x, z) over a
   box of pairs, read from the roots of F(t, 1) mod p, in blocks of rows, at
   every pair or only at the coprime ones,
-* ``form_values`` -- the values of a binary form over a grid.
+* ``form_values`` -- the values of a binary form over a grid,
+* ``trial_bound`` -- the trial bound B of both profiles, the least with B^3
+  above every |value|.
 """
 
 from __future__ import annotations
@@ -424,7 +426,7 @@ def value_square_blocks(coeffs, n: int, b: int):
     division of each value by the product of its p^v.  Values |P(x)| must
     stay below 2^62 (int64 arithmetic).
     """
-    return _value_blocks(n, *_profile_setup(coeffs, b, n, 1, "P(x)"))
+    return _value_blocks(n, *_profile_setup(coeffs, b, n, 1))
 
 
 def _value_blocks(n, prim, primes, vcont, beyond, starts, roots):
@@ -476,7 +478,7 @@ def form_square_blocks(
     stays in 0 <= rem <= |F|).
     """
     top = max(abs(xlo), abs(xhi), abs(zlo), abs(zhi), 1)
-    prim, primes, vcont, beyond, starts, roots = _profile_setup(coeffs, b, top, top, "F(x, z)")
+    prim, primes, vcont, beyond, starts, roots = _profile_setup(coeffs, b, top, top)
     d = len(prim) - 1
     w = xhi - xlo + 1
     xs = np.arange(xlo, xhi + 1, dtype=np.int64)
@@ -526,29 +528,49 @@ def _primitive(coeffs) -> tuple[list[int], int]:
     return [a // cont for a in coeffs], cont
 
 
-def _profile_setup(coeffs, b: int, xmax: int, zmax: int, name: str):
+def _value_bound(coeffs, xmax: int, zmax: int) -> int:
+    """sum |coeffs[i]| xmax^i zmax^(d-i), a bound on the values at |x| <=
+    xmax, |z| <= zmax (coeffs[i] of x^i z^(d-i); zmax = 1 for P(x)).
+    Raises OverflowError where it reaches 2^62: the profiles compute in
+    int64."""
+    d = len(coeffs) - 1
+    vmax = sum(abs(int(a)) * xmax**i * zmax ** (d - i) for i, a in enumerate(coeffs))
+    if vmax >= _INT64_SAFE:
+        raise OverflowError("values exceed the int64 budget; reduce N")
+    return vmax
+
+
+def trial_bound(coeffs, xmax: int, zmax: int = 1) -> int:
+    """The least B with B^3 > _value_bound(coeffs, xmax, zmax): after the
+    primes <= B every remainder of a square profile is 1, q, q^2 or q*q'
+    with primes q, q' > B, and one exact square test finds the q^2.  The
+    budget is checked first, so the float cube root is taken below 2^62,
+    where it is never above B."""
+    vmax = _value_bound(coeffs, xmax, zmax)
+    b = int(vmax ** (1 / 3))
+    while b**3 <= vmax:
+        b += 1
+    return b
+
+
+def _profile_setup(coeffs, b: int, xmax: int, zmax: int):
     """What both square profiles read before their first block: (prim,
     primes, vcont, beyond, starts, roots), with prim the primitive part of
     coeffs, primes those <= B, vcont = {p: v_p(content)} at them, beyond
     the rest of the content (a factor of every remainder), and (starts,
     roots) the roots of prim mod the primes from roots_mod_primes.
 
-    Raises OverflowError, before any root is sought, where the values --
-    prim at |x| <= xmax, |z| <= zmax (coeffs[i] of x^i z^(d-i)), times
-    beyond -- may reach 2^62."""
+    Raises OverflowError, before any prime is sieved, where the values at
+    |x| <= xmax, |z| <= zmax may reach 2^62 (_value_bound)."""
+    _value_bound(coeffs, xmax, zmax)
     prim, cont = _primitive(coeffs)
-    d = len(prim) - 1
-    vmax = sum(abs(a) * xmax**i * zmax ** (d - i) for i, a in enumerate(prim))
-    # past 2^62 the check fails whatever the content: then sieve nothing
-    primes = prime_sieve(b if vmax < _INT64_SAFE else 0)
+    primes = prime_sieve(b)
     vcont = {}
     beyond = cont
     for p in primes.tolist() if cont > 1 else []:
         while beyond % p == 0:
             beyond //= p
             vcont[p] = vcont.get(p, 0) + 1
-    if vmax * beyond >= _INT64_SAFE:
-        raise OverflowError(f"|{name}| exceeds int64 range; reduce N")
     return prim, primes, vcont, beyond, *roots_mod_primes(prim, primes)
 
 

@@ -1,5 +1,4 @@
 import hashlib
-import json
 import math
 from fractions import Fraction
 from unittest import mock
@@ -80,8 +79,7 @@ def test_empirical_average_indicator():
     assert rep.empirical.real == pytest.approx(0.60794)  # [DERIVED] 60794/1e5
     assert rep.empirical.imag == 0
     assert abs(rep.empirical.real - rep.predicted.real) <= rep.tail_slack + rep.delta_term
-    data = rep.to_json()
-    assert '"N": 100000' in data
+    assert rep.to_dict()["N"] == 100000
 
 
 def test_empirical_average_matches_census():
@@ -96,7 +94,7 @@ def test_empirical_average_matches_census():
         P = parse(spec)
         rep = empirical_average(P, squarefree_indicator_family(P), n)
         assert rep.empirical == complex(count_powerfree_values(P, n).observed) / n
-    # the content prime 10007 lies beyond the trial bound 10^4: 10007 (x + 1)
+    # the content prime 10007 lies beyond the trial bound 48: 10007 (x + 1)
     # is square-free at 7 of x = 1..10, as x + 1 is
     P = parse("10007*x + 10007")
     rep = empirical_average(P, squarefree_indicator_family(P), 10)
@@ -184,7 +182,7 @@ def test_empirical_average_form_vs_pair_loop(monkeypatch):
             for sector in (None, Sector((1, 1), (-1, 2))):
                 rep = empirical_average_form(F, u, n, sector)
                 assert rep.empirical == empirical_average_form_alt(F, u, n, sector), spec
-    monkeypatch.setattr(census, "_BLOCK_CELLS", 100)
+    monkeypatch.setattr(kernels, "_VALUE_BLOCK", 100)
     F = parse("x^3 + 2*z^3", kind="form")
     u = LocalFactorSpec(None, wave, general=True)
     assert empirical_average_form(F, u, 25).empirical == empirical_average_form_alt(F, u, 25)
@@ -471,7 +469,6 @@ def test_progression_outward(b):
     t = Fraction(1, 3) * math.prod(1 - Fraction(1, p * p) for p in others)
     tail = Fraction(1, b) + sum(Fraction(1, p**25) for p in others)
     _check_outward(rep, t, tail)
-    assert rep.to_json() == json.dumps(rep.to_dict())
 
 
 @pytest.mark.parametrize("spec", ["x^3 + 2", "4*x^2 + 4"])
@@ -528,8 +525,7 @@ def product_values_alt(P, u, n, threshold):
     prod[x] for x = 1..N, from the whole-range profile: every entry, in the
     profile's order (ascending p for each x), then the prime q > B of a
     square remainder q^2."""
-    vmax = sum(abs(a) * n**i for i, a in enumerate(P.coeffs))
-    b = census._trial_bound(max(vmax, 8))
+    b = kernels.trial_bound(P.coeffs, n)
     profile = value_square_profile_alt(P.coeffs, n, b)
     xs, ps, vs, rem = profile
     prod = np.ones(n + 1, dtype=complex)
@@ -575,7 +571,7 @@ def product_values_loop(P, u, n):
     in entry order, block by block; with the number of entries and the
     number of rule calls at v >= 2 a fill that reads each distinct (p, x
     mod p, v) of a block once makes."""
-    b = census._trial_bound(census._value_bound(P.coeffs, n))
+    b = kernels.trial_bound(P.coeffs, n)
     prod = np.ones(n + 1, dtype=complex)
     entries = once = 0
     for lo, xs, ps, vs, rem in kernels.value_square_blocks(P.coeffs, n, b):

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 from test_kernels import BLOCK_SIZES, square_roots, squarefree_mask, value_polys, value_square_profile_alt
 
-from sievecraft import census, cli, kernels, localdens, numutil
+from sievecraft import avgprod, census, cli, kernels, localdens, numutil
 from sievecraft.census import (
     count_powerfree_values,
     count_squarefree_form,
@@ -20,7 +20,7 @@ from sievecraft.census import (
     twist_census,
 )
 from sievecraft.lattice import Sector
-from sievecraft.poly import BinForm, is_squarefree_poly, parse
+from sievecraft.poly import BinForm, IntPoly, is_squarefree_poly, parse
 
 
 def delta_census_univ_alt(P, n, threshold=None):
@@ -171,25 +171,31 @@ def test_count_powerfree_frozen():
 
 
 def test_count_powerfree_vs_brute():
-    for spec in ("x^3 + 2", "x^2 + 1", "2*x^3 + 3*x + 1", "x^2 - x"):
+    # x at N = 11^3 has the trial bound 12, the least B with B^3 > 1331: 13^2
+    # divides 169 and is found only by the square-remainder test; so is 101^2
+    # at x = 100 for 101 (x + 1), whose content prime 101 lies beyond B = 28
+    cases = [(s, 200) for s in ("x^3 + 2", "x^2 + 1", "2*x^3 + 3*x + 1", "x^2 - x")]
+    for spec, n in cases + [("x", 1331), ("101*x + 101", 200)]:
         P = parse(spec)
         for m in (2, 3):
-            rep = count_powerfree_values(P, 200, m)
-            assert rep.observed == _brute_powerfree(P, 200, m), (spec, m)
+            rep = count_powerfree_values(P, n, m)
+            assert rep.observed == _brute_powerfree(P, n, m), (spec, m)
+    assert count_powerfree_values(parse("x"), 1331).params["B"] == 12
+    assert count_powerfree_values(parse("101*x + 101"), 200).params["B"] == 28
 
 
 def test_count_powerfree_zeros_and_report():
     rep = count_powerfree_values(parse("x^2 - x"), 100, 2)  # P(1) = 0
     assert rep.zeros == 1
-    data = json.loads(rep.to_json())
+    data = rep.to_dict()
     assert data["observed"] == rep.observed
     assert data["N"] == 100
-    assert data == {**rep.to_dict(), "seconds": round(rep.seconds, 3)}
+    assert json.loads(json.dumps(data)) == data
     assert rep.main_lo <= rep.main_hi
 
 
 @settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
-@given(value_polys(), BLOCK_SIZES, st.sampled_from([50, 500]), st.sampled_from([0, 2, 7, 50, 1000]))
+@given(value_polys(), BLOCK_SIZES, st.sampled_from([50, 500]), st.sampled_from([-1, 0, 2, 7, 50, 1000]))
 def test_value_censuses_vs_whole_range(case, size, b, threshold):
     # census (m = 2, 3) and delta read block by block equal the recounts
     # from the whole-range profile
@@ -206,7 +212,7 @@ def test_value_censuses_vs_whole_range(case, size, b, threshold):
 
 def test_count_powerfree_memory_flat_in_n():
     # the profile is streamed in blocks: the census of x at N = 2^21 peaks
-    # within 2 MB of its peak at N = 2^17 (the trial bound is 10^4 at both)
+    # within 2 MB of its peak at N = 2^17 (trial bounds 51 and 129)
     peaks = []
     for n in (2**17, 2**21):
         tracemalloc.start()
@@ -219,7 +225,7 @@ def test_count_powerfree_memory_flat_in_n():
 
 
 def test_form_census_finds_roots_once(monkeypatch):
-    # N = 900 is 1801 rows in blocks of _BLOCK_CELLS // 1801 rows, all read
+    # N = 900 is 1801 rows in blocks of _VALUE_BLOCK // 1801 rows, all read
     # from one root batch
     calls, blocks = [], []
     roots, values = kernels.roots_mod_primes, kernels.form_values
@@ -227,13 +233,13 @@ def test_form_census_finds_roots_once(monkeypatch):
     monkeypatch.setattr(kernels, "form_values", lambda *a: blocks.append(a) or values(*a))
     F = parse("x^3 + 2*z^3", kind="form")
     assert census._count_pairs(F, -900, 900, True, None) == (1862580, 0)
-    rows = max(1, census._BLOCK_CELLS // 1801)
+    rows = max(1, kernels._VALUE_BLOCK // 1801)
     assert (len(calls), len(blocks)) == (1, -(-1801 // rows))
 
 
 @pytest.mark.parametrize("coprime", [True, False])
 def test_form_census_memory_in_blocks(coprime):
-    # the form profile runs in blocks of _BLOCK_CELLS cells, so the census
+    # the form profile runs in blocks of _VALUE_BLOCK cells, so the census
     # of x^3 + 2z^3 over the million pairs of [-500, 500]^2 peaks below 2 MB
     F = parse("x^3 + 2*z^3", kind="form")
     tracemalloc.start()
@@ -419,7 +425,7 @@ def test_form_censuses_across_row_blocks(monkeypatch):
     # blocks of 1 and 2 rows give the same counts as one block
     F = parse("4*x^3 + x*z^2 + 6*z^3", kind="form")
     for cells in (19, 40):
-        monkeypatch.setattr(census, "_BLOCK_CELLS", cells)
+        monkeypatch.setattr(kernels, "_VALUE_BLOCK", cells)
         for coprime in (True, False):
             assert census._count_pairs(F, -9, 9, coprime, _SECTORS[1]) == count_squarefree_form_alt(
                 F, 9, coprime=coprime, sector=_SECTORS[1]
@@ -447,13 +453,27 @@ def test_delta_census_form_content_prime_above_threshold():
 
 
 def test_poly_content_prime_beyond_trial_bound():
-    # at N = 10 the trial bound is 10^4: the content prime 10007 is left in
-    # every remainder, and 10007 (x + 1) is square-free where x + 1 is
+    # at N = 10 the trial bound is 48 (48^3 > 110077): the content prime
+    # 10007 is left in every remainder, and 10007 (x + 1) is square-free
+    # where x + 1 is
     P = parse("10007*x + 10007")
     rep = count_powerfree_values(P, 10, 2)
-    assert (rep.params["B"], rep.observed, rep.zeros) == (10**4, _brute_powerfree(P, 10, 2), 0)
+    assert (rep.params["B"], rep.observed, rep.zeros) == (48, _brute_powerfree(P, 10, 2), 0)
     assert rep.observed == 7
     assert delta_census_univ(P, 10) == delta_census_univ_alt(P, 10) == 0
+
+
+def test_content_past_budget_refused():
+    # 2^100 (x + 1): the budget is checked on the values with their content,
+    # before a trial bound near 2^34.5 could be sieved
+    P = IntPoly((2**100, 2**100))
+
+    def average(P, n):
+        return avgprod.empirical_average(P, avgprod.squarefree_indicator_family(P), n)
+
+    for count in (count_powerfree_values, delta_census_univ, average):
+        with pytest.raises(OverflowError):
+            count(P, 10)
 
 
 def test_form_content_prime_beyond_trial_bound():
