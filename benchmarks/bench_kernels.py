@@ -1,7 +1,7 @@
 """Benchmark the batched root finder against the per-prime loop, the root
-counts without the split, the streamed value profile, the Euler product, the
-local integrals of avgprod's prediction, the p-adic lifting walk and the
-binary-form census.
+counts without the split, the streamed value profile and the census stream,
+the Euler product, the local integrals of avgprod's prediction, the p-adic
+lifting walk and the binary-form census.
 
 Run:  python benchmarks/bench_kernels.py
 
@@ -107,6 +107,18 @@ def main():
     peak = tracemalloc.get_traced_memory()[1] / 2**20
     tracemalloc.stop()
     row(f"x^2+1 1e6 streamed, B={b}, {peak:.1f} MB", t)
+
+    # the census stream of the same range: the classes mod p^2 and the
+    # remainders, read as census --poly reads them
+    def census_stream():
+        return sum(cells.size for _, cells, _ in kernels.value_power_blocks(coeffs, n, b, 2))
+
+    t, _ = timeit(census_stream, repeat=k)
+    tracemalloc.start()
+    census_stream()
+    peak = tracemalloc.get_traced_memory()[1] / 2**20
+    tracemalloc.stop()
+    row(f"x^2+1 1e6 census stream, m=2, {peak:.1f} MB", t)
 
     # local integrals over the 168 primes <= 1000, with their exact product;
     # and empirical_average's prediction, which encloses the product and the

@@ -72,6 +72,8 @@ def count_powerfree_values(P: IntPoly, n: int, m: int = 2) -> CensusReport:
     trial bound B (kernels.trial_bound) satisfies |P(x)| < B^3.
     """
     require_squarefree(P)
+    if P.degree < 1:
+        raise ValueError("degree must be >= 1")
     if n < 1 or m < 2:
         raise ValueError("need N >= 1 and m >= 2")
     b = kernels.trial_bound(P.coeffs, n)
@@ -89,18 +91,17 @@ def count_powerfree_values(P: IntPoly, n: int, m: int = 2) -> CensusReport:
 
 def _count_values(coeffs, n: int, m: int, b: int) -> tuple[int, int]:
     """(x in 1..N with P(x) nonzero and free of m-th powers, x with P(x) =
-    0), read block by block from the value square profile with trial bound
-    b."""
+    0), read block by block from kernels.value_power_blocks with trial
+    bound b."""
     observed = 0
     zeros = 0
-    for lo, xs, ps, vs, rem in kernels.value_square_blocks(coeffs, n, b):
+    for lo, cells, rem in kernels.value_power_blocks(coeffs, n, b, m):
         bad = rem == 0
         zeros += int(np.count_nonzero(bad))
+        # for m >= 3 no p^m with p > B divides a nonzero |P(x)| < B^3
         if m == 2:
             bad |= _square_root(rem) > 0
-        # for m >= 3 the remainders, < B^3 with all prime factors > B, are
-        # m-th-power-free
-        bad[xs[vs >= m] - lo] = True
+        bad[cells] = True
         observed += int(np.count_nonzero(~bad))
     return observed, zeros
 

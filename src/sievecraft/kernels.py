@@ -13,6 +13,9 @@
 * ``form_square_blocks`` -- the same profile for a binary form F(x, z) over a
   box of pairs, read from the roots of F(t, 1) mod p, in blocks of rows, at
   every pair or only at the coprime ones,
+* ``value_power_blocks`` -- for P and x = 1..N, the x with p^m | P(x) for a
+  p <= B, marked from the classes mod p^m, and for m = 2 the remainder at
+  the other x, streamed in the blocks of value_square_blocks,
 * ``form_values`` -- the values of a binary form over a grid,
 * ``trial_bound`` -- the trial bound B of both profiles, the least with B^3
   above every |value|.
@@ -25,6 +28,7 @@ import math
 import numpy as np
 
 from . import modp
+from .poly import IntPoly
 
 # the pure numpy kernels, the only implementation; benchmark runs record it
 BACKEND = "py"
@@ -429,25 +433,57 @@ def value_square_blocks(coeffs, n: int, b: int):
     return _value_blocks(n, *_profile_setup(coeffs, b, n, 1))
 
 
-def _value_blocks(n, prim, primes, vcont, beyond, starts, roots):
-    # the root classes, prime-major; x = 0 lies outside 1..N, so r = 0 is r = p
-    cp = np.repeat(primes, np.diff(starts))
-    cr = np.where(roots == 0, cp, roots)
-    size = _VALUE_BLOCK
-    for lo in range(1, n + 1, size):
-        w = min(size, n + 1 - lo)
-        x = np.arange(lo, lo + w, dtype=np.int64)
-        vals = np.zeros(w, dtype=np.int64)
-        for a in reversed(prim):
-            vals *= x
-            vals += a
-        np.abs(vals, out=vals)
+def _value_blocks(n, prim, primes, vcont, beyond, cp, roots):
+    cr = np.where(roots == 0, cp, roots)  # x = 0 lies outside 1..N: r = 0 is r = p
+    for lo, vals in _abs_values(prim, n):
         # idx and hp live on into the next block: freed together with the
         # core's temporaries, they let malloc trim the top of the heap, and
         # the next block faults those pages in again
-        idx, hp = _hits((cr - lo) % cp, cp, w)
+        idx, hp = _hits((cr - lo) % cp, cp, vals.size)
         cells, ps, vs = _square_core(vals, idx, hp, vcont, beyond)
         yield lo, cells + lo, ps, vs, vals
+
+
+def value_power_blocks(coeffs, n: int, b: int, m: int):
+    """The m-th-power-free census of P over x = 1..N with trial bound B, as
+    a stream of blocks: yields (lo, cells, rem) for the blocks [lo, hi)
+    that cover 1..N.  p^m | P(x) for a prime p <= B at every x = lo + cells
+    (an x may repeat) and at no other x with P(x) != 0.  rem is 0 exactly
+    where P(x) = 0; for m = 2, off the cells, rem[x - lo] is |P(x)| with
+    all prime factors <= B removed (value_square_blocks' remainder), and
+    for m >= 3 it is |prim(x)|, P = content * prim.
+
+    The classes x = r mod p^e, e <= m, with p^m | P(x) on them come from
+    localdens.power_classes before the first block; each block marks them,
+    and for m = 2 divides each value once by the product of the p <= B
+    that divide it, read from the root classes mod p.  Nothing finds v_p."""
+    from . import localdens  # localdens imports this module
+
+    if m > 2:  # a p^m above every |P(x)| divides no nonzero value
+        b = min(b, int(_value_bound(coeffs, n, 1) ** (1 / m)) + 1)
+    prim, primes, _, beyond, cp, roots = _profile_setup(coeffs, b, n, 1)
+    cr = np.where(roots == 0, cp, roots)
+    first, step = localdens.power_classes(IntPoly(tuple(coeffs)), m, n, primes, cp, roots)
+    for lo, vals in _abs_values(prim, n):
+        cells, _ = _hits((first - lo) % step, step, vals.size)
+        if m == 2:
+            idx, hp = _hits((cr - lo) % cp, cp, vals.size)
+            vals //= _prime_product(vals, idx, hp)[2]
+            if beyond > 1:
+                vals *= beyond
+        yield lo, cells, vals
+
+
+def _abs_values(prim, n: int):
+    """(lo, |prim(x)| for lo <= x < hi) as an int64 array, for the blocks
+    [lo, hi) of _VALUE_BLOCK values that cover 1..N."""
+    for lo in range(1, n + 1, _VALUE_BLOCK):
+        x = np.arange(lo, min(lo + _VALUE_BLOCK, n + 1), dtype=np.int64)
+        vals = np.zeros(x.size, dtype=np.int64)
+        for a in reversed(prim):
+            vals *= x
+            vals += a
+        yield lo, np.abs(vals, out=vals)
 
 
 def form_square_blocks(
@@ -478,14 +514,14 @@ def form_square_blocks(
     stays in 0 <= rem <= |F|).
     """
     top = max(abs(xlo), abs(xhi), abs(zlo), abs(zhi), 1)
-    prim, primes, vcont, beyond, starts, roots = _profile_setup(coeffs, b, top, top)
+    prim, primes, vcont, beyond, cp, roots = _profile_setup(coeffs, b, top, top)
     d = len(prim) - 1
     w = xhi - xlo + 1
     xs = np.arange(xlo, xhi + 1, dtype=np.int64)
     # the classes, prime-major: x = r z mod p for each root r, then one class
     # of the rows with p | z (x = 0 mod p, or the whole row where p | a_d)
     rp = primes[(prim[d] % primes == 0) | (not coprime)] if d else primes[:0]
-    cp = np.concatenate([np.repeat(primes, np.diff(starts)), rp])
+    cp = np.concatenate([cp, rp])
     order = np.argsort(cp, kind="stable")
     cp, cr = cp[order], np.concatenate([roots, np.zeros_like(rp)])[order]
     unit = order < roots.size  # the classes of the rows with p not dividing z
@@ -554,11 +590,12 @@ def trial_bound(coeffs, xmax: int, zmax: int = 1) -> int:
 
 
 def _profile_setup(coeffs, b: int, xmax: int, zmax: int):
-    """What both square profiles read before their first block: (prim,
-    primes, vcont, beyond, starts, roots), with prim the primitive part of
-    coeffs, primes those <= B, vcont = {p: v_p(content)} at them, beyond
-    the rest of the content (a factor of every remainder), and (starts,
-    roots) the roots of prim mod the primes from roots_mod_primes.
+    """What the square profiles and the census stream read before their
+    first block: (prim, primes, vcont, beyond, cp, roots), with prim the
+    primitive part of coeffs, primes those <= B, vcont = {p: v_p(content)}
+    at them, beyond the rest of the content (a factor of every remainder),
+    and roots the roots of prim mod the primes from roots_mod_primes,
+    prime-major, with their primes cp.
 
     Raises OverflowError, before any prime is sieved, where the values at
     |x| <= xmax, |z| <= zmax may reach 2^62 (_value_bound)."""
@@ -571,7 +608,8 @@ def _profile_setup(coeffs, b: int, xmax: int, zmax: int):
         while beyond % p == 0:
             beyond //= p
             vcont[p] = vcont.get(p, 0) + 1
-    return prim, primes, vcont, beyond, *roots_mod_primes(prim, primes)
+    starts, roots = roots_mod_primes(prim, primes)
+    return prim, primes, vcont, beyond, np.repeat(primes, np.diff(starts)), roots
 
 
 def _strip(val: np.ndarray, hp: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -600,20 +638,27 @@ def _hits(first, step, w: int, base=None, prime=None):
     return idx, hs if prime is None else np.repeat(prime, cnt)
 
 
+def _prime_product(vals: np.ndarray, idx: np.ndarray, hp: np.ndarray):
+    """(idx, hp, div): the hits, prime hp dividing vals[idx], less those at
+    the values 0, and div, the product of the primes that hit each value."""
+    if not vals.all():
+        keep = vals[idx] != 0
+        idx, hp = idx[keep], hp[keep]
+    div = np.ones(vals.size, dtype=np.int64)
+    np.multiply.at(div, idx, hp)
+    return idx, hp, div
+
+
 def _square_core(vals: np.ndarray, idx: np.ndarray, hp: np.ndarray, vcont: dict, beyond: int):
     """The entries (cells, ps, vs) of one block of a square profile, each
     cell's in ascending p, from its hits: prime hp divides the primitive
     value vals[idx], each (cell, prime) once, the hits in ascending p.
     Turns vals, the |primitive values|, into the remainders in place: one
     division by the product of the p^v, times beyond."""
-    if not vals.all():  # drop the hits where the value is 0
-        keep = vals[idx] != 0
-        idx, hp = idx[keep], hp[keep]
     # div: the product of the powers p^v_p; every hit gives p once, and
     # only the hits with p^2 | value or p | content, the entries, are
     # divided further
-    div = np.ones(vals.size, dtype=np.int64)
-    np.multiply.at(div, idx, hp)
+    idx, hp, div = _prime_product(vals, idx, hp)
     g = vals[idx]
     # p^2 > 2^62 > g where p > 2^31: such a p^2 divides no value
     deep = g % np.minimum(hp, 1 << 31) ** 2 == 0

@@ -8,7 +8,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from . import kernels, numutil
+import numpy as np
+
+from . import kernels, modp, numutil
 from .poly import BinForm, IntPoly, discriminant, require_squarefree
 
 
@@ -101,6 +103,44 @@ def count_roots_mod_pk(P: IntPoly, p: int, k: int) -> int:
     classes at depth k.  Raises ValueError unless P is square-free."""
     require_squarefree(P)
     return sum(p ** (k - e) for _, e in _lift_levels(P, p, k)[-1])
+
+
+def power_classes(P: IntPoly, m: int, n: int, primes, cp, roots):
+    """(first, step): the classes x = r mod p^e, e <= m, on which p^m |
+    P(x), over the primes p of the array primes, from the roots of the
+    primitive part of P mod p (one per entry of roots, its prime in cp), as
+    int64 arrays of their least positive members first <= N and steps
+    min(p^e, N).  Each simple root lifts to one class mod p^m by Newton
+    steps r - P(r) P'(r)^-1, in int64 where m = 2 and p^3 < 2^63, else in
+    Python ints; at the primes with a singular root or dividing the lead
+    (and so the content) they are _lift_levels'.  Coefficients must be <
+    2^62."""
+    dp = np.zeros_like(roots)  # P'(r) mod p
+    for i in range(P.degree, 0, -1):
+        dp = (dp * roots + i * (P.coeffs[i] % cp)) % cp
+    walk = np.concatenate([cp[dp == 0], primes[P.lead % primes == 0]])  # the content divides the lead
+    simple = ~np.isin(cp, walk)
+    p, r = cp[simple], roots[simple]
+    inv = modp.inverse(dp[simple], p)
+    fast = (p < 1 << 21) & (m == 2)
+    q = p[fast] ** 2
+    val = np.zeros_like(q)
+    for a in reversed(P.coeffs):
+        val = (val * r[fast] + a % q) % q
+    lift = (r[fast] - val * inv[fast]) % q
+    classes = [(t, s**e) for s in set(walk.tolist()) for t, e in _lift_levels(P, s, m)[m - 1]]
+    # iterated, not listed: lists of every root held 15 MB at B = 10^6, m = 3
+    for t, s, i in zip(r[~fast], p[~fast], inv[~fast]):
+        t, s, i = int(t), int(s), int(i)
+        for j in range(2, m + 1):
+            t = (t - P(t) * i) % s**j
+        if (t or s**m) <= n:
+            classes.append((t, s**m))
+    # the least positive member, r or p^e, capped at N + 1 (dropped below)
+    rest = np.array([(min(t or s, n + 1), min(s, n)) for t, s in classes], dtype=np.int64).reshape(-1, 2)
+    first = np.concatenate([np.where(lift == 0, q, lift), rest[:, 0]])
+    keep = first <= n
+    return first[keep], np.concatenate([np.minimum(q, n), rest[:, 1]])[keep]
 
 
 def sols_bound(P: IntPoly, p: int) -> int:

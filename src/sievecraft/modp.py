@@ -22,7 +22,7 @@ def power(a, e: np.ndarray, p: np.ndarray) -> np.ndarray:
     """a^e mod p, column-wise, for exponents e >= 0 (one per column)."""
     out = np.ones_like(p)
     base = a % p
-    for _ in range(int(e.max()).bit_length()):
+    for _ in range(int(e.max(initial=0)).bit_length()):
         out = np.where(e & 1, out * base % p, out)
         base = base * base % p
         e = e >> 1

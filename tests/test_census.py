@@ -1,3 +1,4 @@
+import functools
 import json
 import math
 import time
@@ -222,6 +223,45 @@ def test_count_powerfree_memory_flat_in_n():
         finally:
             tracemalloc.stop()
     assert peaks[1] - peaks[0] <= 2 * 2**20, peaks
+
+
+@functools.lru_cache(maxsize=None)
+def _brute_cached(spec, n, m):
+    P = parse(spec)
+    return _brute_powerfree(P, n, m), sum(P(x) == 0 for x in range(1, n + 1))
+
+
+@settings(max_examples=10, deadline=None)
+@given(BLOCK_SIZES)
+def test_power_census_vs_brute(size):
+    # the census's classes mod p^m, m = 2, 3, 4, against factorisation: the
+    # content with v_p = 1 (3) and v_p >= m (16), content primes beyond the
+    # trial bound (10007 and 10007^2, B = 127 and 2721), singular roots
+    # (x^2 + 7 at 2, x^2 - 12 at 2 and 3), zeros (x = 5 and 2), negative
+    # values and a lead divisible by 5
+    specs = [
+        "3*x + 3", "16*x^2 + 16", "12*x^3 + 24", "10007*x + 10007", "100140049*x + 100140049",
+        "x^2 + 7", "x^2 - 12", "x^2 - 5*x", "x^3 - 8", "5*x^3 - 7*x - 300",
+    ]
+    with mock.patch.object(kernels, "_VALUE_BLOCK", size):
+        for spec in specs:
+            for m in (2, 3, 4):
+                rep = count_powerfree_values(parse(spec), 200, m)
+                assert (rep.observed, rep.zeros) == _brute_cached(spec, 200, m), (spec, m)
+
+
+def test_power_census_finds_no_valuation(monkeypatch):
+    # the census reads the classes mod p^m: neither the square profile nor
+    # the division that finds v_p
+    def refuse(*args):
+        raise RuntimeError("the census found a v_p")
+
+    monkeypatch.setattr(kernels, "value_square_blocks", refuse)
+    monkeypatch.setattr(kernels, "_strip", refuse)
+    for spec in ("x^3 + 2", "12*x^2 + 12", "x^2 - 12", "x"):
+        for m in (2, 3):
+            rep = count_powerfree_values(parse(spec), 500, m)
+            assert (rep.observed, rep.zeros) == _brute_cached(spec, 500, m), (spec, m)
 
 
 def test_form_census_finds_roots_once(monkeypatch):

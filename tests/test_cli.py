@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from sievecraft import cli
+from sievecraft import cli, kernels
 from sievecraft.avgprod import empirical_average, squarefree_indicator_family
 from sievecraft.census import count_powerfree_values
 from sievecraft.eulerprod import density_univ
@@ -158,17 +158,43 @@ def test_avgprod_frozen(capsys, family, mult):
     assert hashlib.sha256(out.encode()).hexdigest()[:16] == AVGPROD_FROZEN[family, mult]
 
 
-def test_delta_form_does_not_import_numpy_ma():
-    # the distinct cells of delta --form are counted without np.unique, whose
-    # flagless form imports numpy.ma (numpy 2.4), a cost paid on every run
+def _imports_numpy_ma(argv) -> bool:
+    """Whether one CLI run in a fresh interpreter imports numpy.ma."""
     src = str(Path(cli.__file__).resolve().parents[1])
     code = (
         f"import sys; sys.path.insert(0, {src!r}); from sievecraft import cli; "
-        "assert cli.run(['delta', '--form', 'x^3 + 2*z^3', '--N', '20']) == 0; "
+        f"assert cli.run({argv!r}) == 0; "
         "print('numpy.ma' in sys.modules)"
     )
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
-    assert done.stdout.splitlines()[-1] == "False"
+    return done.stdout.splitlines()[-1] == "True"
+
+
+def test_delta_form_does_not_import_numpy_ma():
+    # the distinct cells of delta --form are counted without np.unique, whose
+    # flagless form imports numpy.ma (numpy 2.4), a cost paid on every run
+    assert not _imports_numpy_ma(["delta", "--form", "x^3 + 2*z^3", "--N", "20"])
+
+
+def test_census_poly_does_not_import_numpy_ma():
+    # the classes mod p^2 are formed without np.union1d or np.unique, which
+    # import numpy.ma: about 1.7 MB of resident memory on every run
+    assert not _imports_numpy_ma(["census", "--poly", "x^2 - 12", "--N", "20"])
+
+
+def test_census_constant_refused_before_sieving(capsys, monkeypatch):
+    # deg P < 1 is refused as avgprod refuses it, before a trial bound is
+    # taken or a prime sieved
+    code, out, err = _run(capsys, "avgprod", "--poly", "5", "--N", "100")
+    assert (code, out, err) == (2, "", "error: degree must be >= 1\n")
+
+    def refuse(*args):
+        raise RuntimeError("a constant was sieved")
+
+    monkeypatch.setattr(kernels, "trial_bound", refuse)
+    monkeypatch.setattr(kernels, "prime_sieve", refuse)
+    for m in ("2", "3"):
+        assert _run(capsys, "census", "--poly", "5", "--N", "1e6", "--m", m) == (code, out, err)
 
 
 def test_sievecheck(capsys):
