@@ -371,6 +371,8 @@ def average_with_multiplier(
     prediction prod_p (integral of u_p against the progression measure)
     is computed exactly over p <= b_pred."""
     require_squarefree(P)
+    if P.degree < 1:
+        raise ValueError("degree must be >= 1")
     if mult.kind == "progression" and mult.m == 0:
         raise ValueError("progression modulus must be nonzero")
     if mult.kind == "custom" and mult.s is None:

@@ -137,29 +137,24 @@ def _count_pairs(F: BinForm, lo: int, n: int, coprime: bool, sector) -> tuple[in
     """(pairs with F square-free and nonzero, pairs with F = 0) over the
     box lo <= x, z <= N, counting only coprime pairs if asked and only the
     pairs in the sector if one is given."""
-    observed = 0
-    zeros = 0
-    for xs, zs, (cells, _, _, rem) in _form_blocks(F.coeffs, lo, n, coprime):
-        ok = _pair_mask(xs, zs[:, None], coprime, sector)
+    observed = zeros = 0
+    for _, _, (cells, _, _, rem), views in _box_blocks(F, lo, n, coprime, sector):
         zero = rem == 0
         bad = zero | (_square_root(rem) > 0)
         bad[cells] = True
-        zeros += int(np.count_nonzero(ok & zero))
-        observed += int(np.count_nonzero(ok & ~bad))
+        for _, ok in views:
+            zeros += int(np.count_nonzero(ok & zero))
+            observed += int(np.count_nonzero(ok & ~bad))
     return observed, zeros
 
 
-def _form_blocks(coeffs, lo: int, n: int, coprime: bool):
-    """The square profile of the form (coeffs as in BinForm) over the box
-    lo <= x, z <= N, by blocks of rows: yields (xs, zs, profile), the x and
-    the z of the block and its (cells, ps, vs, rem) from
-    kernels.form_square_blocks, which finds the roots mod p once; with
-    coprime set, the profile is exact only at the coprime pairs.  The trial
-    bound is kernels.trial_bound on the box, and each block holds about as
-    many pairs as a block of the univariate profile (at least one row), so
-    peak memory does not grow with the box.  Raises OverflowError, before
-    any array is made, if a value may reach 2^62 or the box holds more than
-    _CELL_CAP pairs."""
+def _form_blocks(coeffs, lo: int, n: int, coprime: bool, zlo: int | None = None):
+    """The square profile of the form (coeffs as in BinForm) over the pairs
+    lo <= x <= N, zlo <= z <= N (zlo = lo by default) by blocks of about
+    _VALUE_BLOCK pairs (whole rows): yields (xs, zs, (cells, ps, vs, rem))
+    from kernels.form_square_blocks, exact only at the coprime pairs if
+    coprime is set.  Raises OverflowError, before any array is made, where
+    the box lo <= x, z <= N may reach 2^62 or holds over _CELL_CAP pairs."""
     width = n - lo + 1
     if width <= 0:
         return
@@ -169,8 +164,26 @@ def _form_blocks(coeffs, lo: int, n: int, coprime: bool):
         raise OverflowError(f"the box holds more than 2^33 pairs ({width}^2)")
     xs = np.arange(lo, n + 1, dtype=np.int64)
     rows = max(1, kernels._VALUE_BLOCK // width)
-    for zs, *profile in kernels.form_square_blocks(coeffs, lo, n, lo, n, b, rows, coprime):
+    zlo = lo if zlo is None else zlo
+    for zs, *profile in kernels.form_square_blocks(coeffs, lo, n, zlo, n, b, rows, coprime):
         yield xs, zs, profile
+
+
+def _box_blocks(F: BinForm, lo: int, n: int, coprime: bool = True, sector=None):
+    """Yields (xs, zs, profile, views) per block of _form_blocks over the
+    box lo <= x, z <= N, views a list of (s, ok): ok masks the cells (x, z)
+    whose pair (s x, s z) a census counts, each view within the first if no
+    sector is given.  A full box (lo = -N) is folded by (x, z) -> (-x, -z),
+    which keeps gcd(x, z) and |F|: only its rows z >= 0 are read, a row
+    z > 0 stands for itself (s = 1) and its mirror (s = -1), the row z = 0
+    for itself only."""
+    fold = lo == -n
+    for xs, zs, profile in _form_blocks(F.coeffs, lo, n, coprime, 0 if fold else lo):
+        ok = _pair_mask(xs, zs[:, None], coprime)
+        views = [(1, ok), (-1, ok & np.repeat(zs > 0, xs.size))][: 1 + fold]
+        if sector is not None:
+            views = [(s, v & _pair_mask(s * xs, s * zs[:, None], False, sector)) for s, v in views]
+        yield xs, zs, profile, views
 
 
 def _pair_mask(x: np.ndarray, z: np.ndarray, coprime: bool = True, sector=None) -> np.ndarray:
@@ -203,8 +216,9 @@ def delta_census_univ(P: IntPoly, n: int, threshold: int | None = None) -> int:
     """#{1 <= x <= N : some prime p > threshold has p^2 | P(x)},
     threshold defaulting to sqrt(N)."""
     require_squarefree(P)
-    if threshold is None:
-        threshold = math.isqrt(n)
+    if P.degree < 1:
+        raise ValueError("degree must be >= 1")
+    threshold = math.isqrt(n) if threshold is None else threshold
     blocks = kernels.value_square_blocks(P.coeffs, n, kernels.trial_bound(P.coeffs, n))
     return sum(exceptional_count(block, threshold) for block in blocks)
 
@@ -229,22 +243,20 @@ def delta_census_form(
     not dividing the content of F (modulo the others F vanishes, and p^2
     may divide every value)."""
     require_squarefree(F)
-    if threshold is None:
-        threshold = n
+    threshold = n if threshold is None else threshold
     profile: dict[int, int] = {}
     count = 0
-    for xs, zs, (cells, ps, _, rem) in _form_blocks(F.coeffs, -n, n, True):
-        ok = _pair_mask(xs, zs[:, None])
-        sel = ok[cells] & (ps > threshold)
+    for _, _, (cells, ps, _, rem), views in _box_blocks(F, -n, n):
         q = _square_root(rem)
-        big = np.flatnonzero(ok & (q > max(threshold, 1)))
-        hit = np.zeros(rem.size, dtype=bool)  # the cells counted, each once
-        hit[cells[sel]] = True
-        hit[big] = True
-        count += int(np.count_nonzero(hit))
-        primes, counts = np.unique(np.concatenate([ps[sel], q[big]]), return_counts=True)
-        for p, c in zip(primes.tolist(), counts.tolist()):
-            profile[p] = profile.get(p, 0) + c
+        for _, ok in views:
+            sel = ok[cells] & (ps > threshold)
+            hit = ok & (q > max(threshold, 1))  # the cells counted, each once
+            big = np.flatnonzero(hit)
+            hit[cells[sel]] = True
+            count += int(np.count_nonzero(hit))
+            primes, counts = np.unique(np.concatenate([ps[sel], q[big]]), return_counts=True)
+            for p, c in zip(primes.tolist(), counts.tolist()):
+                profile[p] = profile.get(p, 0) + c
     if threshold >= n:
         for p, c in profile.items():
             if c > 12 * F.degree and F.content() % p:
@@ -264,10 +276,7 @@ class TwistTable:
     pairs: int = 0
 
     def to_csv(self) -> str:
-        lines = ["d,S_d"]
-        for d in sorted(self.table):
-            lines.append(f"{d},{self.table[d]}")
-        return "\n".join(lines) + "\n"
+        return "d,S_d\n" + "".join(f"{d},{self.table[d]}\n" for d in sorted(self.table))
 
 
 def twist_census(F: BinForm, n: int) -> TwistTable:
@@ -277,19 +286,19 @@ def twist_census(F: BinForm, n: int) -> TwistTable:
     if F.degree < 3:
         raise ValueError("deg F must be >= 3")
     out = TwistTable(form=str(F), N=n)
-    for xs, zs, (cells, ps, vs, rem) in _form_blocks(F.coeffs, -n, n, True):
-        ok = _pair_mask(xs, zs[:, None])
+    for xs, zs, (cells, ps, vs, rem), views in _box_blocks(F, -n, n):
         zero = rem == 0
-        out.pairs += int(np.count_nonzero(ok))
-        out.zeros += int(np.count_nonzero(ok & zero))
-        # F = d y^2: y is the product of p^(v // 2) and, at a square
-        # remainder q^2, of q
+        # F = d y^2: y is the product of the p^(v // 2) and of q at rem = q^2
         y = np.maximum(_square_root(rem), 1)
         np.multiply.at(y, cells, ps ** (vs // 2))
-        keep = ok & ~zero
+        keep = views[0][1] & ~zero
         d = kernels.form_values(F.coeffs, xs, zs).ravel()[keep] // y[keep] ** 2
-        for k, c in zip(*(a.tolist() for a in np.unique(d, return_counts=True))):
-            out.table[k] = out.table.get(k, 0) + c
+        for s, ok in views:  # the kernel at (s x, s z) is s^deg d
+            out.pairs += int(np.count_nonzero(ok))
+            out.zeros += int(np.count_nonzero(ok & zero))
+            kd = np.unique(s**F.degree * d[ok[keep]], return_counts=True)
+            for k, c in zip(*(a.tolist() for a in kd)):
+                out.table[k] = out.table.get(k, 0) + c
     return out
 
 
@@ -343,34 +352,21 @@ def r_alpha_sum(
     spf = numutil.spf_table(X)
     local: dict[int, tuple[bool, int]] = {}
     total = 0.0
-    checkpoints = sorted({X} | {X // 4, X // 2} - {0})
+    marks = {X, X // 4, X // 2} - {0}
     table = []
-    ci = 0
     for d in range(1, X + 1):
-        if mu[d] == 0 and d > 1:
-            pass
-        elif d == 1:
-            total += 1.0
-        else:
-            m = d
-            ok = True
-            extra = 0
-            while m > 1:
-                p = int(spf[m])
-                if p not in local:
-                    local[p] = _local_splitting(P, p)
-                split, nfac = local[p]
-                if not split:
-                    ok = False
-                    break
-                extra += nfac - 1
-                while m % p == 0:
-                    m //= p
-            if ok:
-                total += 2.0 ** (alpha * extra)
-        while ci < len(checkpoints) and d == checkpoints[ci]:
-            xi = checkpoints[ci]
-            norm = total / xi / math.log(max(xi, 2)) ** exponent if xi >= 2 else total
-            table.append((xi, norm))
-            ci += 1
+        m, extra = d if mu[d] else 0, 0  # m = 0: d has a square factor
+        while m > 1:  # d square-free: each p | d once
+            p = int(spf[m])
+            if p not in local:
+                local[p] = _local_splitting(P, p)
+            split, nfac = local[p]
+            if not split:
+                break
+            extra += nfac - 1
+            m //= p
+        if m == 1:
+            total += 2.0 ** (alpha * extra)
+        if d in marks:
+            table.append((d, total / d / math.log(max(d, 2)) ** exponent if d >= 2 else total))
     return total, table

@@ -526,6 +526,7 @@ def form_square_blocks(
     cp, cr = cp[order], np.concatenate([roots, np.zeros_like(rp)])[order]
     unit = order < roots.size  # the classes of the rows with p not dividing z
     step = np.where(unit | (prim[d] % cp != 0), cp, 1)
+    k = 0
     for z0 in range(zlo, zhi + 1, rows):
         zs = np.arange(z0, min(z0 + rows, zhi + 1), dtype=np.int64)
         vals = form_values(prim, xs, zs).ravel()
@@ -534,9 +535,11 @@ def form_square_blocks(
         # the row; z mod p keeps r z below p^2
         zp = zs % cp[:, None]
         first = np.where((zp != 0) == unit[:, None], (cr[:, None] * zp - xlo) % step[:, None], w)
-        k = zs.size
-        base = np.tile(np.arange(k) * w, cp.size)  # the first cell of each pair's row
-        idx, hp = _hits(first.ravel(), np.repeat(step, k), w, base, np.repeat(cp, k))
+        if zs.size != k:  # a shorter last block makes these again
+            k = zs.size
+            base = np.tile(np.arange(k) * w, cp.size)  # the first cell of each pair's row
+            ksteps, kprimes = np.repeat(step, k), np.repeat(cp, k)
+        idx, hp = _hits(first.ravel(), ksteps, w, base, kprimes)
         cells, ps, vs = _square_core(vals, idx, hp, vcont, beyond)
         yield zs, cells, ps, vs, vals
 

@@ -1,4 +1,5 @@
 import functools
+import itertools
 import json
 import math
 import time
@@ -7,7 +8,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, assume, given, settings, strategies as st
+from hypothesis import HealthCheck, assume, example, given, settings, strategies as st
 from test_kernels import BLOCK_SIZES, square_roots, squarefree_mask, value_polys, value_square_profile_alt
 
 from sievecraft import avgprod, census, cli, kernels, localdens, numutil
@@ -265,8 +266,8 @@ def test_power_census_finds_no_valuation(monkeypatch):
 
 
 def test_form_census_finds_roots_once(monkeypatch):
-    # N = 900 is 1801 rows in blocks of _VALUE_BLOCK // 1801 rows, all read
-    # from one root batch
+    # N = 900 is a box of 1801 rows, read folded: the rows z = 0..900 in
+    # blocks of _VALUE_BLOCK // 1801 rows, all read from one root batch
     calls, blocks = [], []
     roots, values = kernels.roots_mod_primes, kernels.form_values
     monkeypatch.setattr(kernels, "roots_mod_primes", lambda *a: calls.append(a) or roots(*a))
@@ -274,7 +275,7 @@ def test_form_census_finds_roots_once(monkeypatch):
     F = parse("x^3 + 2*z^3", kind="form")
     assert census._count_pairs(F, -900, 900, True, None) == (1862580, 0)
     rows = max(1, kernels._VALUE_BLOCK // 1801)
-    assert (len(calls), len(blocks)) == (1, -(-1801 // rows))
+    assert (len(calls), len(blocks)) == (1, -(-901 // rows))
 
 
 @pytest.mark.parametrize("coprime", [True, False])
@@ -385,7 +386,12 @@ def square_free_forms(draw):
     return F
 
 
-_SECTORS = [None, Sector((1, 0), (0, 1)), Sector((2, -1), (-1, 3))]
+# a quadrant, a wedge, a reflex sector, and a half-plane whose ray a lies on
+# the negative x-axis: the row z = 0 of a folded box holds its own mirrors,
+# and (x, 0) for x > 0 mirrors onto that ray
+_SECTORS = [
+    None, Sector((1, 0), (0, 1)), Sector((2, -1), (-1, 3)), Sector((1, 0), (-1, -1)), Sector((-1, 0), (1, 1))
+]
 
 
 @settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
@@ -396,6 +402,9 @@ _SECTORS = [None, Sector((1, 0), (0, 1)), Sector((2, -1), (-1, 3))]
     st.booleans(),
     st.sampled_from(_SECTORS),
 )
+@example(parse("3*x^4 + 5*x*z^3 - 2*z^4", kind="form"), 2, "full-box", True, _SECTORS[3])
+@example(parse("x^3 + 2*z^3", kind="form"), 3, "full-box", False, _SECTORS[4])
+@example(parse("x^4 - x^2*z^2 + 4*z^4", kind="form"), 0, "full-box", True, None)
 def test_form_censuses_vs_pair_loops(F, n, convention, coprime, sector):
     lo = 1 if convention == "positive-quadrant" else -n
     assert census._count_pairs(F, lo, n, coprime, sector) == count_squarefree_form_alt(
@@ -462,13 +471,15 @@ def test_pair_mask_vs_gcd(xlo, xhi, zlo, zhi):
 
 
 def test_form_censuses_across_row_blocks(monkeypatch):
-    # blocks of 1 and 2 rows give the same counts as one block
-    F = parse("4*x^3 + x*z^2 + 6*z^3", kind="form")
-    for cells in (19, 40):
+    # blocks of 1 and 2 rows of the folded box (the row z = 0 alone, or with
+    # z = 1) give the same counts as the pair loops over the whole box, at
+    # odd and even degree (the mirror's twist kernel is (-1)^deg d)
+    for spec, cells in itertools.product(("4*x^3 + x*z^2 + 6*z^3", "3*x^4 + 5*x*z^3 - 2*z^4"), (19, 40)):
+        F = parse(spec, kind="form")
         monkeypatch.setattr(kernels, "_VALUE_BLOCK", cells)
-        for coprime in (True, False):
-            assert census._count_pairs(F, -9, 9, coprime, _SECTORS[1]) == count_squarefree_form_alt(
-                F, 9, coprime=coprime, sector=_SECTORS[1]
+        for coprime, sector in itertools.product((True, False), _SECTORS):
+            assert census._count_pairs(F, -9, 9, coprime, sector) == count_squarefree_form_alt(
+                F, 9, coprime=coprime, sector=sector
             )
         assert census.delta_census_form(F, 9, 2) == delta_census_form_alt(F, 9, 2)
         t = twist_census(F, 9)

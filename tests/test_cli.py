@@ -197,6 +197,20 @@ def test_census_constant_refused_before_sieving(capsys, monkeypatch):
         assert _run(capsys, "census", "--poly", "5", "--N", "1e6", "--m", m) == (code, out, err)
 
 
+def test_delta_and_multiplier_constant_refused_before_sieving(capsys, monkeypatch):
+    # delta --poly and avgprod with a multiplier refuse deg P < 1 as census
+    # --poly does, before a trial bound is taken or a prime sieved
+    def refuse(*args):
+        raise RuntimeError("a constant was sieved")
+
+    monkeypatch.setattr(kernels, "trial_bound", refuse)
+    monkeypatch.setattr(kernels, "prime_sieve", refuse)
+    refused = (2, "", "error: degree must be >= 1\n")
+    assert _run(capsys, "delta", "--poly", "5", "--N", "100000") == refused
+    for mult in (["--mobius"], ["--progression", "1,3"]):
+        assert _run(capsys, "avgprod", "--poly", "5", "--N", "100000", *mult) == refused
+
+
 def test_sievecheck(capsys):
     code, out, _ = _run(capsys, "sievecheck", "--seed", "1", "--count", "20")
     assert code == 0
