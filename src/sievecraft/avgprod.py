@@ -13,7 +13,7 @@ from typing import Callable
 
 import numpy as np
 
-from . import census, eulerprod, kernels, localdens, numutil
+from . import census, eulerprod, kernels, localdens, modp, numutil
 from .poly import BinForm, IntPoly, discriminant, require_squarefree
 
 J_CAP = 24
@@ -208,6 +208,33 @@ def _prediction(values: list, slacks: list[Fraction]) -> dict:
     }
 
 
+def _products(rule, cells, ps, vs, rem, cls):
+    """prod[c] over the cells c of a square profile block (entries (cells,
+    ps, vs), remainders rem): the product of rule(p, cls(c, p), v) over the
+    entries of c in entry order, then of rule(q, cls(c, q), 2) where rem[c]
+    = q^2, and 0 where rem[c] = 0.  One rule call per distinct (p, class,
+    v): a class <= p < k = 1 + max p <= 2^22 and v < 64 keep the key below
+    2^50.  return_index selects numpy's stable sort: its quicksort maps
+    about 0.2 MB more of numpy's code into the process (peak RSS)."""
+    k = int(ps.max(initial=0)) + 1
+    keys, _, inv = np.unique((ps * k + cls(cells, ps)) * 64 + vs, return_index=True, return_inverse=True)
+    vals = np.array([rule(t // 64 // k, t // 64 % k, t % 64) for t in keys.tolist()], dtype=complex)
+    prod = np.ones(rem.size, dtype=complex)
+    np.multiply.at(prod, cells, vals[inv])
+    q = census._square_root(rem)
+    at = np.flatnonzero(q)
+    for c, p, i in zip(at.tolist(), q[at].tolist(), cls(at, q[at]).tolist()):
+        prod[c] *= rule(p, i, 2)
+    prod[rem == 0] = 0
+    return prod
+
+
+def _fsum(sums) -> complex:
+    """math.fsum of the np.sum of each block (or view), real and imaginary
+    parts apart: the one summation of every average."""
+    return complex(math.fsum(np.real(sums)), math.fsum(np.imag(sums)))
+
+
 def _product_blocks(P: IntPoly, u: LocalFactorSpec, n: int, threshold: int | None = None):
     """Blocks (lo, prod, delta) of the value square profile of P over 1..N:
     prod[x - lo] = prod_p u_p(x), 0 at the roots of P (flagged apart), and
@@ -217,29 +244,13 @@ def _product_blocks(P: IntPoly, u: LocalFactorSpec, n: int, threshold: int | Non
     u.check_trivial_low(3)
     for block in kernels.value_square_blocks(P.coeffs, n, b):
         lo, xs, ps, vs, rem = block
-        # one rule call per distinct (p, x mod p, v): p <= b < 2^22 and
-        # v < 64 keep the key below 2^50.  return_index selects numpy's
-        # stable sort: the quicksort it takes otherwise maps about 0.2 MB
-        # more of numpy's code into the process (peak RSS)
-        keys, _, inv = np.unique(
-            (ps * b + xs % ps) * 64 + vs, return_index=True, return_inverse=True
-        )
-        rules = [u.rule(k // 64 // b, k // 64 % b, k % 64) for k in keys.tolist()]
-        vals = np.array(rules, dtype=complex)
-        # in entry order: each x's values in ascending p, then the large prime q
-        prod = np.ones(rem.size, dtype=complex)
-        np.multiply.at(prod, xs - lo, vals[inv])
-        q = census._square_root(rem)
-        at = np.flatnonzero(q)
-        for i, p in zip(at.tolist(), q[at].tolist()):
-            prod[i] *= u.rule(p, (lo + i) % p, 2)
-        prod[rem == 0] = 0
+        prod = _products(u.rule, xs - lo, ps, vs, rem, lambda c, p: (c + lo) % p)
         yield lo, prod, 0 if threshold is None else census.exceptional_count(block, threshold)
 
 
 def _total(P: IntPoly, u: LocalFactorSpec, n: int, weight=None, threshold: int | None = None):
     """(sum over x = 1..N of s(x) prod_p u_p(x), total delta), s = weight(xs)
-    at a block's x or 1: np.sum within a block, math.fsum across blocks."""
+    at a block's x or 1, summed by _fsum."""
     if n < 1:
         raise ValueError("need N >= 1")
     sums, delta = [], 0
@@ -248,7 +259,7 @@ def _total(P: IntPoly, u: LocalFactorSpec, n: int, weight=None, threshold: int |
             prod *= weight(np.arange(lo, lo + prod.size))
         sums.append(np.sum(prod))
         delta += d
-    return complex(math.fsum(np.real(sums)), math.fsum(np.imag(sums))), delta
+    return _fsum(sums), delta
 
 
 def truncated_product(u: LocalFactorSpec, b: int):
@@ -270,6 +281,8 @@ def empirical_average(
     """(1/N) sum_{x=1..N} prod_p u_p(x), compared against the product of
     local integrals over p <= b_pred."""
     require_squarefree(P)
+    if P.degree < 1:
+        raise ValueError("degree must be >= 1")
     total, delta = _total(P, u, n, threshold=math.isqrt(n))
     return AverageReport(
         empirical=total / n, N=n, B=b_pred, delta_term=2 * delta / n, **_predict(P, u, b_pred)
@@ -307,36 +320,22 @@ def empirical_average_form(
     F: BinForm, u: LocalFactorSpec, n: int, sector=None
 ) -> AverageReport:
     """Average of prod_p u_p over coprime pairs in [-N,N]^2 (optionally
-    intersected with a sector).  The prediction (indicator kind only) is
-    the product over p of the normalized coprime-region integrals."""
+    intersected with a sector), the rule read at the pairs counted only, in
+    the folded box of census._box_blocks: (-x, -z) has the class and the v_p
+    of (x, z).  The prediction (indicator kind only) is the product over p
+    of the normalized coprime-region integrals."""
     require_squarefree(F)
-    total = 0.0 + 0.0j
-    pairs = 0
-    # the profile of F with x and z swapped has one row per x, so its cells
-    # run in the x-major order in which the pairs are summed
-    for zs, xs, (cells, ps, vs, rem) in census._form_blocks(F.coeffs[::-1], -n, n, True):
-        ok = census._pair_mask(xs[:, None], zs, sector=sector)
-        pairs += int(np.count_nonzero(ok))
-        w = np.where(ok & (rem != 0), 1.0 + 0.0j, 0.0j)
-        # the square prime factors of each counted value, in ascending order
-        factors: dict[int, list[tuple[int, int]]] = {}
-        keep = ok[cells]
-        for c, p, e in zip(*(a[keep].tolist() for a in (cells, ps, vs))):
-            factors.setdefault(c, []).append((p, e))
-        q = census._square_root(rem)
-        for c in np.flatnonzero(ok & (q > 0)).tolist():
-            factors.setdefault(c, []).append((int(q[c]), 2))
-        for c, pe in factors.items():
-            x, y = int(xs[c // zs.size]), int(zs[c % zs.size])
-            wc = 1.0 + 0.0j
-            for p, e in pe:
-                # class of x*y^-1 mod p; p | y maps to the extra
-                # "infinity" class, indexed p
-                cls = x * pow(y, -1, p) % p if y % p else p
-                wc *= u.rule(p, cls, e)
-            w[c] = wc
-        # one addition after another, as a running sum in Python would
-        total = complex(np.add.accumulate(np.concatenate(([total], w)))[-1])
+    sums, pairs = [], 0
+    for xs, zs, (cells, ps, vs, rem), views in census._box_blocks(F, -n, n, True, sector):
+        def cls(c, p):  # x z^-1 mod p, the class p where p | z
+            z = zs[c // xs.size] % p
+            return np.where(z != 0, xs[c % xs.size] % p * modp.inverse(z, p) % p, p)
+        counted = views[0][1] | views[-1][1]
+        keep = counted[cells]  # with rem 0 off them: the rule is read at counted pairs only
+        prod = _products(u.rule, cells[keep], ps[keep], vs[keep], rem * counted, cls)
+        for _, ok in views:
+            sums.append(np.sum(prod[ok]))
+            pairs += int(np.count_nonzero(ok))
     if pairs == 0:
         raise ValueError("empty averaging domain")
     prediction = {"predicted": None}
@@ -346,7 +345,7 @@ def empirical_average_form(
         est = eulerprod.density_form(F, 10**3, coprime=True)
         values = [f / (1 - Fraction(1, p * p)) for p, f in est.factors]
         prediction = _prediction(values, [Fraction(2 * F.degree + 1, 10**3)])
-    return AverageReport(empirical=total / pairs, N=n, B=10**3, **prediction)
+    return AverageReport(empirical=_fsum(sums) / pairs, N=n, B=10**3, **prediction)
 
 
 # ---------------------------------------------------------------------------

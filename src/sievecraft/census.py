@@ -189,16 +189,14 @@ def _box_blocks(F: BinForm, lo: int, n: int, coprime: bool = True, sector=None):
 def _pair_mask(x: np.ndarray, z: np.ndarray, coprime: bool = True, sector=None) -> np.ndarray:
     """Flat mask of the pairs (x, z) of the broadcast grid that a census
     counts: coprime ones (if asked), in the sector (if given).  x and z are
-    runs of consecutive integers, one of them a column (shape (k, 1)).
+    runs of consecutive integers, z a column (shape (k, 1)).
 
     gcd(x, z) = 1 where no prime factor of one coordinate divides the
     other: each line of the shorter side is cleared at the multiples of the
     primes of its own coordinate, and the line of 0 everywhere but at +-1."""
-    rows, cols = (x, z) if np.shape(x)[1:] == (1,) else (z, x)
-    rows, cols = np.ravel(rows), np.ravel(cols)
-    ok = np.ones((rows.size, cols.size), dtype=bool)
+    ok = np.ones((z.size, x.size), dtype=bool)
     if coprime and ok.size:
-        lines, other, view = (rows, cols, ok) if rows.size <= cols.size else (cols, rows, ok.T)
+        lines, other, view = (z.ravel(), x, ok) if z.size <= x.size else (x, z.ravel(), ok.T)
         for k, c in enumerate(lines.tolist()):
             if c == 0:
                 view[k] = np.abs(other) == 1

@@ -1,5 +1,6 @@
 import hashlib
 import math
+from collections import Counter
 from fractions import Fraction
 from unittest import mock
 
@@ -141,36 +142,73 @@ def test_empirical_average_form():
 
 
 def empirical_average_form_alt(F, u, n, sector=None):
-    """Independent recount of empirical_average_form's empirical mean by
-    factoring the value at every coprime pair, summed in x-major order."""
-    total = 0.0 + 0.0j
-    pairs = 0
-    for x in range(-n, n + 1):
-        for y in range(-n, n + 1):
-            if math.gcd(x, y) != 1:
-                continue
-            if sector is not None and not sector.contains(x, y):
-                continue
-            pairs += 1
+    """Independent recount of empirical_average_form by factoring the value
+    at every coprime pair, summed as the folded box is read: the rows z =
+    0..N in blocks of kernels._VALUE_BLOCK // (2N + 1) rows (at least one),
+    per block the pairs (x, z), then the mirrors (-x, -z) of its rows z > 0,
+    each view in row-major order; np.sum per block and view, math.fsum
+    across.  Returns (mean, exact sum of the products, pairs, the rule calls
+    of one call per distinct (p, class, v) with p <= B per block and one
+    per pair with a prime q > B, q^2 | F, at the pairs counted only)."""
+    b = kernels.trial_bound(F.coeffs, n, n)
+    rows = max(1, kernels._VALUE_BLOCK // (2 * n + 1))
+
+    def counted(x, y):
+        return math.gcd(x, y) == 1 and (sector is None or sector.contains(x, y))
+
+    sums, exact, pairs, calls = [], 0, 0, Counter()
+    for z0 in range(0, n + 1, rows):
+        block = [(x, y) for y in range(z0, min(z0 + rows, n + 1)) for x in range(-n, n + 1)]
+        views = [[c for c in block if counted(*c)], [c for c in block if c[1] > 0 and counted(-c[0], -c[1])]]
+        prod, keys = {}, set()
+        for x, y in set(views[0]) | set(views[1]):
             v = F(x, y)
             if v == 0:
+                prod[x, y] = (0j, 0)
                 continue
-            w = 1.0 + 0.0j
+            w, values = 1.0 + 0.0j, []
             for p, e in numutil.factorize(abs(v)).pairs:
                 if e >= 2:
                     cls = x * pow(y, -1, p) % p if y % p else p
-                    w *= u.rule(p, cls, e)
-            total += w
-    return total / pairs
+                    values.append(u.rule(p, cls, e))
+                    w *= values[-1]
+                    if p <= b:
+                        keys.add((p, cls, e))
+                    else:
+                        calls[p, cls, e] += 1
+            prod[x, y] = (w, math.prod(values))
+        calls.update(keys)
+        for view in views:
+            pairs += len(view)
+            sums.append(np.sum(np.array([prod[c][0] for c in view], dtype=complex)))
+            exact += sum(prod[c][1] for c in view)
+    total = complex(math.fsum(np.real(sums)), math.fsum(np.imag(sums)))
+    return total / pairs, exact, pairs, calls
 
 
 def test_empirical_average_form_vs_pair_loop(monkeypatch):
-    # bit-identical to the loop over the pairs, for every rule kind, also
-    # when the running sum crosses blocks of rows
+    # bit-identical to the pair loop summed by folded blocks and views, for
+    # every rule kind, also across blocks of rows; the integer families give
+    # the exact mean, and the rule is read once per distinct (p, class, v)
+    # of a block and once per large prime, at the pairs counted only
     from sievecraft.lattice import Sector
 
     def wave(p, i, j):
         return complex(math.cos(p * i + j), math.sin(p + j) / 3) if j >= 2 else 1
+
+    def check(F, u, n, sector=None):
+        calls = Counter()
+
+        def rule(p, i, j):
+            calls[p, i, j] += 1
+            return u.rule(p, i, j)
+
+        rep = empirical_average_form(F, LocalFactorSpec(None, rule, u.kind, u.general), n, sector)
+        mean, exact, pairs, expect = empirical_average_form_alt(F, u, n, sector)
+        assert rep.empirical == mean
+        assert calls == expect
+        if u.kind in ("indicator", "signed"):
+            assert rep.empirical == exact / pairs
 
     for spec, n in (("x*z", 60), ("x^3 + 2*z^3", 25), ("4*x^3 + x*z^2 + 6*z^3", 18), ("x", 9)):
         F = parse(spec, kind="form")
@@ -179,13 +217,12 @@ def test_empirical_average_form_vs_pair_loop(monkeypatch):
             LocalFactorSpec(None, lambda p, i, j: (-1) ** j if j >= 2 else 1, kind="signed"),
             LocalFactorSpec(None, wave, general=True),
         ):
-            for sector in (None, Sector((1, 1), (-1, 2))):
-                rep = empirical_average_form(F, u, n, sector)
-                assert rep.empirical == empirical_average_form_alt(F, u, n, sector), spec
+            # the last sector holds rows z > 0 whose mirror alone is counted
+            for sector in (None, Sector((1, 1), (-1, 2)), Sector((-1, 0), (1, 1))):
+                check(F, u, n, sector)
     monkeypatch.setattr(kernels, "_VALUE_BLOCK", 100)
     F = parse("x^3 + 2*z^3", kind="form")
-    u = LocalFactorSpec(None, wave, general=True)
-    assert empirical_average_form(F, u, 25).empirical == empirical_average_form_alt(F, u, 25)
+    check(F, LocalFactorSpec(None, wave, general=True), 25)
 
 
 def test_average_with_multiplier_progression():

@@ -172,6 +172,19 @@ def test_count_powerfree_frozen():
     assert count_powerfree_values(parse("x^3 + 2"), 50, 2).observed == 47
 
 
+def test_count_powerfree_x_vs_mobius_sum():
+    # the square-free n <= N number sum_{d <= sqrt N} mu(d) floor(N / d^2),
+    # with mu from its own sieve, far past the frozen sizes
+    n, k = 10**7, math.isqrt(10**7)
+    mu = [1] * (k + 1)
+    for p in range(2, k + 1):
+        if all(p % q for q in range(2, math.isqrt(p) + 1)):
+            mu[p::p] = [-m for m in mu[p::p]]
+            mu[p * p :: p * p] = [0] * len(mu[p * p :: p * p])
+    expect = sum(mu[d] * (n // (d * d)) for d in range(1, k + 1))
+    assert count_powerfree_values(parse("x"), n).observed == expect == 6079291
+
+
 def test_count_powerfree_vs_brute():
     # x at N = 11^3 has the trial bound 12, the least B with B^3 > 1331: 13^2
     # divides 169 and is found only by the square-remainder test; so is 101^2
@@ -303,6 +316,21 @@ def test_count_squarefree_form_frozen():
     assert rep.observed == 132
     rep = count_squarefree_form(parse("x^3 + 2*z^3", kind="form"), 12, "full-box")
     assert rep.observed == 348
+
+
+def test_form_census_box_symmetries():
+    # the full box and its coprime pairs are symmetric under (x, z) -> (z, x)
+    # and (x, z) -> (-x, z), so F(x, z), F(z, x) and F(-x, z) give the same
+    # count, and the same indicator average
+    c = (2, 0, 0, 1)  # x^3 + 2 z^3
+    forms = [BinForm(c), BinForm(c[::-1]), BinForm(tuple(a * (-1) ** i for i, a in enumerate(c)))]
+    assert [count_squarefree_form(F, 300).observed for F in forms] == [207110] * 3
+    means = [
+        avgprod.empirical_average_form(F, avgprod.squarefree_indicator_form_family(F), 60).empirical
+        for F in forms
+    ]
+    pairs = sum(math.gcd(x, z) == 1 for x in range(-60, 61) for z in range(-60, 61))
+    assert means == [count_squarefree_form(forms[0], 60).observed / pairs] * 3
 
 
 def test_count_squarefree_form_vs_brute():
@@ -457,17 +485,15 @@ def _gcd_mask(x, z, sector=None):
      (-12, 12, 0, 0), (-12, 12, 6, 6), (-12, 12, -1, 1), (-12, 12, 10, 12)],
 )
 def test_pair_mask_vs_gcd(xlo, xhi, zlo, zhi):
-    # the coprime mask equals gcd(x, z) == 1 in both orientations, with and
-    # without a sector
-    xs = np.arange(xlo, xhi + 1, dtype=np.int64)
-    zs = np.arange(zlo, zhi + 1, dtype=np.int64)
+    # the coprime mask equals gcd(x, z) == 1, with and without a sector
+    x = np.arange(xlo, xhi + 1, dtype=np.int64)
+    z = np.arange(zlo, zhi + 1, dtype=np.int64)[:, None]
     for sector in (None, _SECTORS[2]):
-        for x, z in ((xs, zs[:, None]), (xs[:, None], zs)):
-            assert census._pair_mask(x, z, True, sector).tolist() == _gcd_mask(x, z, sector).tolist()
-            expect = np.ones(np.broadcast_shapes(x.shape, z.shape), dtype=bool).ravel()
-            if sector is not None:
-                expect = sector.mask(*(a.ravel() for a in np.broadcast_arrays(x, z)))
-            assert census._pair_mask(x, z, False, sector).tolist() == expect.tolist()
+        assert census._pair_mask(x, z, True, sector).tolist() == _gcd_mask(x, z, sector).tolist()
+        expect = np.ones(np.broadcast_shapes(x.shape, z.shape), dtype=bool).ravel()
+        if sector is not None:
+            expect = sector.mask(*(a.ravel() for a in np.broadcast_arrays(x, z)))
+        assert census._pair_mask(x, z, False, sector).tolist() == expect.tolist()
 
 
 def test_form_censuses_across_row_blocks(monkeypatch):

@@ -198,8 +198,8 @@ def test_census_constant_refused_before_sieving(capsys, monkeypatch):
 
 
 def test_delta_and_multiplier_constant_refused_before_sieving(capsys, monkeypatch):
-    # delta --poly and avgprod with a multiplier refuse deg P < 1 as census
-    # --poly does, before a trial bound is taken or a prime sieved
+    # delta --poly and avgprod with or without a multiplier refuse deg P < 1
+    # as census --poly does, before a trial bound is taken or a prime sieved
     def refuse(*args):
         raise RuntimeError("a constant was sieved")
 
@@ -207,7 +207,7 @@ def test_delta_and_multiplier_constant_refused_before_sieving(capsys, monkeypatc
     monkeypatch.setattr(kernels, "prime_sieve", refuse)
     refused = (2, "", "error: degree must be >= 1\n")
     assert _run(capsys, "delta", "--poly", "5", "--N", "100000") == refused
-    for mult in (["--mobius"], ["--progression", "1,3"]):
+    for mult in ([], ["--mobius"], ["--progression", "1,3"]):
         assert _run(capsys, "avgprod", "--poly", "5", "--N", "100000", *mult) == refused
 
 
