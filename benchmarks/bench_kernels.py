@@ -111,7 +111,7 @@ def main():
     # the census stream of the same range: the classes mod p^2 and the
     # remainders, read as census --poly reads them
     def census_stream():
-        return sum(cells.size for _, cells, _ in kernels.value_power_blocks(coeffs, n, b, 2))
+        return sum(cells.size for _, cells, _, _ in kernels.value_power_blocks(coeffs, n, b, 2))
 
     t, _ = timeit(census_stream, repeat=k)
     tracemalloc.start()

@@ -95,7 +95,7 @@ def _count_values(coeffs, n: int, m: int, b: int) -> tuple[int, int]:
     bound b."""
     observed = 0
     zeros = 0
-    for lo, cells, rem in kernels.value_power_blocks(coeffs, n, b, m):
+    for lo, cells, _, rem in kernels.value_power_blocks(coeffs, n, b, m):
         bad = rem == 0
         zeros += int(np.count_nonzero(bad))
         # for m >= 3 no p^m with p > B divides a nonzero |P(x)| < B^3

@@ -7,15 +7,15 @@
   number,
 * ``distinct_factor_degrees`` -- the degrees of the distinct irreducible
   factors of an integer polynomial mod one prime,
-* ``value_square_blocks`` -- for P and x = 1..N, the exact pairs (p,
-  v_p(P(x))) with v >= 2 and p <= B, and the remainder of |P(x)| after
-  removing all prime factors <= B, streamed in blocks of x,
+* ``value_power_blocks`` -- for P and x = 1..N, the pairs (x, p) with p^m |
+  P(x) and p <= B, marked from the classes mod p^m, and for m = 2 |P(x)|
+  divided once by each p <= B dividing it, streamed in blocks of x,
+* ``value_square_blocks`` -- the exact pairs (p, v_p(P(x))) with v >= 2 and
+  p <= B, and the remainder of |P(x)| after removing all prime factors <=
+  B: value_power_blocks for m = 2 with v_p found at its cells,
 * ``form_square_blocks`` -- the same profile for a binary form F(x, z) over a
   box of pairs, read from the roots of F(t, 1) mod p, in blocks of rows, at
   every pair or only at the coprime ones,
-* ``value_power_blocks`` -- for P and x = 1..N, the x with p^m | P(x) for a
-  p <= B, marked from the classes mod p^m, and for m = 2 the remainder at
-  the other x, streamed in the blocks of value_square_blocks,
 * ``form_values`` -- the values of a binary form over a grid,
 * ``trial_bound`` -- the trial bound B of both profiles, the least with B^3
   above every |value|.
@@ -421,66 +421,61 @@ def value_square_blocks(coeffs, n: int, b: int):
       * rem: int64 array of length hi - lo; rem[x - lo] = |P(x)| with all
         prime factors <= B removed, 0 where P(x) = 0.
 
-    The roots of P mod every p <= B are found once, at the call, which
-    raises OverflowError if the values may reach 2^62.
-    In each block every root class x = r mod p is marked from its first hit
-    lo + ((r - lo) mod p) on, all classes at once.  One remainder mod p^2
-    per hit finds the hits with v_p >= 2; only there, and at the primes of
-    the content, is v_p found by repeated division.  The remainder is one
-    division of each value by the product of its p^v.  Values |P(x)| must
-    stay below 2^62 (int64 arithmetic).
+    A reader of the census stream value_power_blocks(coeffs, n, b, 2): its
+    cells are the entries, less the zeros of P, and v_p is found by
+    repeated division at them only, where its remainder still holds
+    p^(v_p - 1); the remainder is then divided by those powers.  Values
+    |P(x)| must stay below 2^62 (int64 arithmetic).
     """
-    return _value_blocks(n, *_profile_setup(coeffs, b, n, 1))
-
-
-def _value_blocks(n, prim, primes, vcont, beyond, cp, roots):
-    cr = np.where(roots == 0, cp, roots)  # x = 0 lies outside 1..N: r = 0 is r = p
-    for lo, vals in _abs_values(prim, n):
-        # idx and hp live on into the next block: freed together with the
-        # core's temporaries, they let malloc trim the top of the heap, and
-        # the next block faults those pages in again
-        idx, hp = _hits((cr - lo) % cp, cp, vals.size)
-        cells, ps, vs = _square_core(vals, idx, hp, vcont, beyond)
-        yield lo, cells + lo, ps, vs, vals
+    for lo, cells, ps, rem in value_power_blocks(coeffs, n, b, 2):
+        if not rem.all():  # every class holds the zeros of P
+            keep = rem[cells] != 0
+            cells, ps = cells[keep], ps[keep]
+        g = rem[cells]  # p^(v_p - 1) | g, v_p >= 2: _strip counts on from 2
+        vs = np.full(cells.size, 2, dtype=np.int64)
+        np.floor_divide.at(rem, cells, g // _strip(g.copy(), ps, vs))
+        yield lo, cells + lo, ps, vs, rem
 
 
 def value_power_blocks(coeffs, n: int, b: int, m: int):
     """The m-th-power-free census of P over x = 1..N with trial bound B, as
-    a stream of blocks: yields (lo, cells, rem) for the blocks [lo, hi)
-    that cover 1..N.  p^m | P(x) for a prime p <= B at every x = lo + cells
-    (an x may repeat) and at no other x with P(x) != 0.  rem is 0 exactly
-    where P(x) = 0; for m = 2, off the cells, rem[x - lo] is |P(x)| with
-    all prime factors <= B removed (value_square_blocks' remainder), and
-    for m >= 3 it is |prim(x)|, P = content * prim.
+    a stream of blocks: yields (lo, cells, ps, rem) for the blocks [lo, hi)
+    that cover 1..N.  p^m | P(x) for the prime p = ps[i] <= B at x = lo +
+    cells[i], and for no other p <= B at an x with P(x) != 0; the entries
+    of each x come in ascending p.  rem is 0 exactly where P(x) = 0; for m
+    = 2 rem[x - lo] is |P(x)| divided once by each p <= B that divides it,
+    so off the cells it holds no prime factor <= B, and for m >= 3 it is
+    |P(x)|.
 
     The classes x = r mod p^e, e <= m, with p^m | P(x) on them come from
     localdens.power_classes before the first block; each block marks them,
-    and for m = 2 divides each value once by the product of the p <= B
-    that divide it, read from the root classes mod p.  Nothing finds v_p."""
+    and for m = 2 divides each value by the product of the p <= B that
+    divide it: those of the root classes mod p of the primitive part, and
+    the content's.  Nothing finds v_p."""
     from . import localdens  # localdens imports this module
 
     if m > 2:  # a p^m above every |P(x)| divides no nonzero value
         b = min(b, int(_value_bound(coeffs, n, 1) ** (1 / m)) + 1)
-    prim, primes, _, beyond, cp, roots = _profile_setup(coeffs, b, n, 1)
-    cr = np.where(roots == 0, cp, roots)
-    first, step = localdens.power_classes(IntPoly(tuple(coeffs)), m, n, primes, cp, roots)
-    for lo, vals in _abs_values(prim, n):
-        cells, _ = _hits((first - lo) % step, step, vals.size)
-        if m == 2:
-            idx, hp = _hits((cr - lo) % cp, cp, vals.size)
-            vals //= _prime_product(vals, idx, hp)[2]
-            if beyond > 1:
-                vals *= beyond
-        yield lo, cells, vals
+    primes, cps, cp, roots = _profile_setup(coeffs, b, n, 1)
+    cr = np.where(roots == 0, cp, roots)  # x = 0 lies outside 1..N: r = 0 is r = p
+    cprod = math.prod(cps.tolist())
+    first, step, prime = localdens.power_classes(IntPoly(tuple(coeffs)), m, n, primes, cp, roots)
+    for lo, vals in _abs_values(coeffs, n):
+        if m == 2:  # before the cells: the hits mod p are freed first
+            vals //= _prime_product(vals, *_hits((cr - lo) % cp, cp, vals.size))[2]
+            if cprod > 1:
+                vals //= cprod
+        cells, ps = _hits((first - lo) % step, step, vals.size, prime=prime)
+        yield lo, cells, ps, vals
 
 
-def _abs_values(prim, n: int):
-    """(lo, |prim(x)| for lo <= x < hi) as an int64 array, for the blocks
+def _abs_values(coeffs, n: int):
+    """(lo, |P(x)| for lo <= x < hi) as an int64 array, for the blocks
     [lo, hi) of _VALUE_BLOCK values that cover 1..N."""
     for lo in range(1, n + 1, _VALUE_BLOCK):
         x = np.arange(lo, min(lo + _VALUE_BLOCK, n + 1), dtype=np.int64)
         vals = np.zeros(x.size, dtype=np.int64)
-        for a in reversed(prim):
+        for a in reversed(coeffs):
             vals *= x
             vals += a
         yield lo, np.abs(vals, out=vals)
@@ -502,34 +497,37 @@ def form_square_blocks(
     The roots r of F(t, 1) mod every p <= B are found once, before the
     first block, and so are the classes of cells where p divides F: x = r z
     mod p in the rows with p not dividing z; in the rows with p | z, where
-    F = a_d x^d mod p, the whole row if p | a_d, else x = 0 mod p.  In each
-    block every (class, row) pair is marked at once, and the hits go
-    through the division core of value_square_blocks.  Values |F| must stay
-    below 2^62 (int64 arithmetic).
+    F = a_d x^d mod p, the whole row if p | a_d, else x = 0 mod p; the
+    whole row in both kinds of rows if p divides the content.  In each
+    block every (class, row) pair is marked at once, one remainder mod p^2
+    per hit finds the entries, and only there is v_p found by repeated
+    division.  Values |F| must stay below 2^62 (int64 arithmetic).
 
     With coprime set, the class x = 0 of the rows with p | z is skipped at
-    the primes p not dividing a_d (of the primitive part): its cells are
-    the pairs with p | gcd(x, z).  The entries and rem are then exact at
-    every pair with gcd(x, z) = 1 and unspecified at the other pairs (rem
-    stays in 0 <= rem <= |F|).
+    the primes p not dividing a_d: its cells are the pairs with p | gcd(x,
+    z).  The entries and rem are then exact at every pair with gcd(x, z) =
+    1 and unspecified at the other pairs (rem stays in 0 <= rem <= |F|).
     """
     top = max(abs(xlo), abs(xhi), abs(zlo), abs(zhi), 1)
-    prim, primes, vcont, beyond, cp, roots = _profile_setup(coeffs, b, top, top)
-    d = len(prim) - 1
+    primes, cps, cp, roots = _profile_setup(coeffs, b, top, top)
+    d = len(coeffs) - 1
+    lead = int(coeffs[d])
     w = xhi - xlo + 1
     xs = np.arange(xlo, xhi + 1, dtype=np.int64)
     # the classes, prime-major: x = r z mod p for each root r, then one class
-    # of the rows with p | z (x = 0 mod p, or the whole row where p | a_d)
-    rp = primes[(prim[d] % primes == 0) | (not coprime)] if d else primes[:0]
-    cp = np.concatenate([cp, rp])
+    # of the rows with p | z (x = 0 mod p, or the whole row where p | a_d); a
+    # content prime has the whole row in both kinds of rows instead
+    rp = primes[(lead % primes == 0) | (not coprime)] if d else cps
+    cp = np.concatenate([cp, cps, rp])
     order = np.argsort(cp, kind="stable")
-    cp, cr = cp[order], np.concatenate([roots, np.zeros_like(rp)])[order]
-    unit = order < roots.size  # the classes of the rows with p not dividing z
-    step = np.where(unit | (prim[d] % cp != 0), cp, 1)
+    cp, cr = cp[order], np.concatenate([roots, np.zeros(cps.size + rp.size, dtype=np.int64)])[order]
+    unit = order < roots.size + cps.size  # the classes of the rows with p not dividing z
+    # step 1 for a whole row: a content prime's, or p | a_d in the rows with p | z
+    step = np.where((order < roots.size) | (~unit & (lead % cp != 0)), cp, 1)
     k = 0
     for z0 in range(zlo, zhi + 1, rows):
         zs = np.arange(z0, min(z0 + rows, zhi + 1), dtype=np.int64)
-        vals = form_values(prim, xs, zs).ravel()
+        vals = form_values(coeffs, xs, zs).ravel()
         np.abs(vals, out=vals)
         # the first column of each (class, row) pair, W where the class skips
         # the row; z mod p keeps r z below p^2
@@ -540,7 +538,7 @@ def form_square_blocks(
             base = np.tile(np.arange(k) * w, cp.size)  # the first cell of each pair's row
             ksteps, kprimes = np.repeat(step, k), np.repeat(cp, k)
         idx, hp = _hits(first.ravel(), ksteps, w, base, kprimes)
-        cells, ps, vs = _square_core(vals, idx, hp, vcont, beyond)
+        cells, ps, vs = _square_core(vals, idx, hp)
         yield zs, cells, ps, vs, vals
 
 
@@ -594,25 +592,21 @@ def trial_bound(coeffs, xmax: int, zmax: int = 1) -> int:
 
 def _profile_setup(coeffs, b: int, xmax: int, zmax: int):
     """What the square profiles and the census stream read before their
-    first block: (prim, primes, vcont, beyond, cp, roots), with prim the
-    primitive part of coeffs, primes those <= B, vcont = {p: v_p(content)}
-    at them, beyond the rest of the content (a factor of every remainder),
-    and roots the roots of prim mod the primes from roots_mod_primes,
-    prime-major, with their primes cp.
+    first block: (primes, cps, cp, roots), with primes those <= B, cps
+    those of them that divide the content, and roots the roots of the
+    primitive part mod the other primes from roots_mod_primes,
+    prime-major, with their primes cp.  A content prime divides every
+    value, so its roots mark no class.
 
     Raises OverflowError, before any prime is sieved, where the values at
     |x| <= xmax, |z| <= zmax may reach 2^62 (_value_bound)."""
     _value_bound(coeffs, xmax, zmax)
     prim, cont = _primitive(coeffs)
     primes = prime_sieve(b)
-    vcont = {}
-    beyond = cont
-    for p in primes.tolist() if cont > 1 else []:
-        while beyond % p == 0:
-            beyond //= p
-            vcont[p] = vcont.get(p, 0) + 1
     starts, roots = roots_mod_primes(prim, primes)
-    return prim, primes, vcont, beyond, np.repeat(primes, np.diff(starts)), roots
+    cp = np.repeat(primes, np.diff(starts))
+    other = cont % cp != 0
+    return primes, primes[cont % primes == 0], cp[other], roots[other]
 
 
 def _strip(val: np.ndarray, hp: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -652,43 +646,22 @@ def _prime_product(vals: np.ndarray, idx: np.ndarray, hp: np.ndarray):
     return idx, hp, div
 
 
-def _square_core(vals: np.ndarray, idx: np.ndarray, hp: np.ndarray, vcont: dict, beyond: int):
+def _square_core(vals: np.ndarray, idx: np.ndarray, hp: np.ndarray):
     """The entries (cells, ps, vs) of one block of a square profile, each
-    cell's in ascending p, from its hits: prime hp divides the primitive
-    value vals[idx], each (cell, prime) once, the hits in ascending p.
-    Turns vals, the |primitive values|, into the remainders in place: one
-    division by the product of the p^v, times beyond."""
+    cell's in ascending p, from its hits: prime hp divides the value
+    vals[idx], each (cell, prime) once, the hits in ascending p.  Turns
+    vals, the |values|, into the remainders in place: one division by the
+    product of the p^v."""
     # div: the product of the powers p^v_p; every hit gives p once, and
-    # only the hits with p^2 | value or p | content, the entries, are
-    # divided further
+    # only the hits with p^2 | value, the entries, are divided further
     idx, hp, div = _prime_product(vals, idx, hp)
     g = vals[idx]
     # p^2 > 2^62 > g where p > 2^31: such a p^2 divides no value
     deep = g % np.minimum(hp, 1 << 31) ** 2 == 0
-    if vcont:
-        hv = np.zeros(hp.size, dtype=np.int64)  # v_p(content) at each hit
-        for p, v in vcont.items():
-            hv[hp == p] = v
-        deep |= hv > 0
     cells, ps, g = idx[deep], hp[deep], g[deep]
-    vs = 1 + hv[deep] if vcont else np.ones(cells.size, dtype=np.int64)
+    vs = np.ones(cells.size, dtype=np.int64)
     # g over its stripped value times p: the powers p^(v_p - 1) still missing
     sub = _strip(g.copy(), ps, vs)
     np.multiply.at(div, cells, g // (sub * ps))
-    # content primes whose square divides every value: v_p = v_p(content)
-    # at the nonzero cells p does not hit
-    square = [(p, v) for p, v in vcont.items() if v >= 2]
-    for p, v in square:
-        rest = vals != 0
-        rest[idx[hp == p]] = False
-        rest = np.flatnonzero(rest)
-        cells = np.concatenate([cells, rest])
-        ps = np.concatenate([ps, np.full(rest.size, p, dtype=np.int64)])
-        vs = np.concatenate([vs, np.full(rest.size, v, dtype=np.int64)])
-    if square:
-        order = np.argsort(ps, kind="stable")  # each cell's entries in ascending p
-        cells, ps, vs = cells[order], ps[order], vs[order]
     vals //= div
-    if beyond > 1:
-        vals *= beyond
     return cells, ps, vs

@@ -106,11 +106,12 @@ def count_roots_mod_pk(P: IntPoly, p: int, k: int) -> int:
 
 
 def power_classes(P: IntPoly, m: int, n: int, primes, cp, roots):
-    """(first, step): the classes x = r mod p^e, e <= m, on which p^m |
-    P(x), over the primes p of the array primes, from the roots of the
-    primitive part of P mod p (one per entry of roots, its prime in cp), as
-    int64 arrays of their least positive members first <= N and steps
-    min(p^e, N).  Each simple root lifts to one class mod p^m by Newton
+    """(first, step, prime): the classes x = r mod p^e, e <= m, on which
+    p^m | P(x), over the primes p of the array primes, from the roots of
+    the primitive part of P mod p (one per entry of roots, its prime in
+    cp), as int64 arrays of their least positive members first <= N, steps
+    min(p^e, N) and primes p, prime-major: each x lies in its classes in
+    ascending p.  Each simple root lifts to one class mod p^m by Newton
     steps r - P(r) P'(r)^-1, in int64 where m = 2 and p^3 < 2^63, else in
     Python ints; at the primes with a singular root or dividing the lead
     (and so the content) they are _lift_levels'.  Coefficients must be <
@@ -128,19 +129,21 @@ def power_classes(P: IntPoly, m: int, n: int, primes, cp, roots):
     for a in reversed(P.coeffs):
         val = (val * r[fast] + a % q) % q
     lift = (r[fast] - val * inv[fast]) % q
-    classes = [(t, s**e) for s in set(walk.tolist()) for t, e in _lift_levels(P, s, m)[m - 1]]
+    classes = [(t, s**e, s) for s in set(walk.tolist()) for t, e in _lift_levels(P, s, m)[m - 1]]
     # iterated, not listed: lists of every root held 15 MB at B = 10^6, m = 3
     for t, s, i in zip(r[~fast], p[~fast], inv[~fast]):
         t, s, i = int(t), int(s), int(i)
         for j in range(2, m + 1):
             t = (t - P(t) * i) % s**j
         if (t or s**m) <= n:
-            classes.append((t, s**m))
+            classes.append((t, s**m, s))
     # the least positive member, r or p^e, capped at N + 1 (dropped below)
-    rest = np.array([(min(t or s, n + 1), min(s, n)) for t, s in classes], dtype=np.int64).reshape(-1, 2)
+    rest = np.array([(min(t or pe, n + 1), min(pe, n), s) for t, pe, s in classes], dtype=np.int64).reshape(-1, 3)
     first = np.concatenate([np.where(lift == 0, q, lift), rest[:, 0]])
-    keep = first <= n
-    return first[keep], np.concatenate([np.minimum(q, n), rest[:, 1]])[keep]
+    prime = np.concatenate([p[fast], rest[:, 2]])
+    keep = np.flatnonzero(first <= n)
+    keep = keep[np.argsort(prime[keep], kind="stable")]
+    return first[keep], np.concatenate([np.minimum(q, n), rest[:, 1]])[keep], prime[keep]
 
 
 def sols_bound(P: IntPoly, p: int) -> int:

@@ -185,6 +185,50 @@ def test_count_powerfree_x_vs_mobius_sum():
     assert count_powerfree_values(parse("x"), n).observed == expect == 6079291
 
 
+def _shifted(P, t):
+    """P(x + t), by Horner in x + t."""
+    out = []
+    for a in reversed(P.coeffs):  # out = out * (x + t) + a
+        out = [t * c + d for c, d in zip(out + [0], [0] + out)]
+        out[0] += a
+    return IntPoly(tuple(out))
+
+
+@pytest.mark.parametrize(
+    "spec,n,census_halves,delta_halves",
+    [
+        ("x^3 + 2", 10**5, (93763, 93755), (299, 302)),
+        ("3*x^2 + 3", 2 * 10**5, (178956, 178976), (788, 768)),
+        ("x^2 - 12", 2 * 10**5, (96207, 96193), (795, 792)),
+    ],
+)
+def test_value_censuses_translate(spec, n, census_halves, delta_halves):
+    # f(P, 2N) = f(P, N) + f(P(x + N), N): the x in N+1..2N are the x in
+    # 1..N of the shifted polynomial, whose root classes, content, trial
+    # bound and block edges all differ
+    P = parse(spec)
+    halves = (P, _shifted(P, n))
+    assert halves[1](1) == P(n + 1)
+    for f, expect in (
+        (lambda Q, k: count_powerfree_values(Q, k).observed, census_halves),
+        (lambda Q, k: delta_census_univ(Q, k, 50), delta_halves),
+    ):
+        assert tuple(f(Q, n) for Q in halves) == expect
+        assert f(P, 2 * n) == sum(expect)
+
+
+@pytest.mark.parametrize("spec,expect", [("x^3 + 2", (93763, 299)), ("12*x^2 + 12", (0, 389)), ("x^2 - 12", (48106, 400))])
+def test_value_censuses_trial_bound_free(spec, expect):
+    # past the least trial bound B, a larger one (2B) changes which primes are
+    # sieved and which are left to the square test, but not the counts
+    coeffs, n = parse(spec).coeffs, 10**5
+    b = kernels.trial_bound(coeffs, n)
+    for bound in (b, 2 * b):
+        observed, _ = census._count_values(coeffs, n, 2, bound)
+        blocks = kernels.value_square_blocks(coeffs, n, bound)
+        assert (observed, sum(census.exceptional_count(block, 50) for block in blocks)) == expect
+
+
 def test_count_powerfree_vs_brute():
     # x at N = 11^3 has the trial bound 12, the least B with B^3 > 1331: 13^2
     # divides 169 and is found only by the square-remainder test; so is 101^2
@@ -331,6 +375,18 @@ def test_form_census_box_symmetries():
     ]
     pairs = sum(math.gcd(x, z) == 1 for x in range(-60, 61) for z in range(-60, 61))
     assert means == [count_squarefree_form(forms[0], 60).observed / pairs] * 3
+
+
+@pytest.mark.parametrize("c,delta", [((2, 0, 0, 1), 484), ((24, 36, 0, 12), 2330)])
+def test_twists_and_delta_form_box_symmetries(c, delta):
+    # F(x, z), F(z, x) and F(-x, z) give the same twist table and the same
+    # delta count and profile: x^3 + 2z^3, and 12x^3 + 36xz^2 + 24z^3, whose
+    # content primes 2 and 3 divide every value
+    forms = [BinForm(c), BinForm(c[::-1]), BinForm(tuple(a * (-1) ** i for i, a in enumerate(c)))]
+    tables = [(t.pairs, t.zeros, sorted(t.table.items())) for t in (twist_census(F, 60) for F in forms)]
+    assert tables[0][0] == 8816 and tables == [tables[0]] * 3
+    counts = [delta_census_form(F, 60, 2) for F in forms]
+    assert counts[0][0] == delta and counts == [counts[0]] * 3
 
 
 def test_count_squarefree_form_vs_brute():
