@@ -1,7 +1,7 @@
 """Benchmark the batched root finder against the per-prime loop, the root
 counts without the split, the streamed value profile and the census stream,
 the Euler product, the local integrals of avgprod's prediction, the p-adic
-lifting walk and the binary-form census.
+lifting walk and the binary-form censuses.
 
 Run:  python benchmarks/bench_kernels.py
 
@@ -136,13 +136,19 @@ def main():
         t, _ = timeit(localdens._lift_levels, parse(text), p, 25, repeat=k)
         row(f"_lift_levels({text}, {p}, 25)", t)
 
-    # the square profile of the form over the 1001^2 pairs: the coprime
-    # census reads the coprime-only profile, --all-pairs the full one
+    # the census stream of the form over the 1001^2 pairs: the coprime
+    # census reads the coprime-only stream, --all-pairs the full one; and
+    # the other two operations of perfbench's census-form, which find v_p
+    # at the stream's cells
     F = parse("x^3 + 2*z^3", kind="form")
     t, _ = timeit(census.count_squarefree_form, F, 500, repeat=k)
     row("count_squarefree_form(x^3+2z^3, 500)", t)
     t, _ = timeit(lambda: census.count_squarefree_form(F, 500, coprime=False), repeat=k)
     row("count_squarefree_form(..., all pairs)", t)
+    t, _ = timeit(census.delta_census_form, F, 100, repeat=k)
+    row("delta_census_form(x^3+2z^3, 100)", t)
+    t, _ = timeit(census.twist_census, F, 60, repeat=k)
+    row("twist_census(x^3+2z^3, 60)", t)
 
     meta = {"backend": kernels.BACKEND, "numpy": np.__version__, "nproc": os.cpu_count(), "repeat": k}
     print(json.dumps({**meta, "ms": rows}))

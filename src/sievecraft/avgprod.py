@@ -326,7 +326,8 @@ def empirical_average_form(
     of the normalized coprime-region integrals."""
     require_squarefree(F)
     sums, pairs = [], 0
-    for xs, zs, (cells, ps, vs, rem), views in census._box_blocks(F, -n, n, True, sector):
+    for xs, zs, (cells, ps, rem), views in census._box_blocks(F, -n, n, True, sector):
+        cells, ps, vs = kernels.square_entries(cells, ps, rem)
         def cls(c, p):  # x z^-1 mod p, the class p where p | z
             z = zs[c // xs.size] % p
             return np.where(z != 0, xs[c % xs.size] % p * modp.inverse(z, p) % p, p)

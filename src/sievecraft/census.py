@@ -135,10 +135,9 @@ def count_squarefree_form(
 
 def _count_pairs(F: BinForm, lo: int, n: int, coprime: bool, sector) -> tuple[int, int]:
     """(pairs with F square-free and nonzero, pairs with F = 0) over the
-    box lo <= x, z <= N, counting only coprime pairs if asked and only the
-    pairs in the sector if one is given."""
+    box lo <= x, z <= N: the pairs of the views of _box_blocks."""
     observed = zeros = 0
-    for _, _, (cells, _, _, rem), views in _box_blocks(F, lo, n, coprime, sector):
+    for _, _, (cells, _, rem), views in _box_blocks(F, lo, n, coprime, sector):
         zero = rem == 0
         bad = zero | (_square_root(rem) > 0)
         bad[cells] = True
@@ -148,42 +147,38 @@ def _count_pairs(F: BinForm, lo: int, n: int, coprime: bool, sector) -> tuple[in
     return observed, zeros
 
 
-def _form_blocks(coeffs, lo: int, n: int, coprime: bool, zlo: int | None = None):
-    """The square profile of the form (coeffs as in BinForm) over the pairs
-    lo <= x <= N, zlo <= z <= N (zlo = lo by default) by blocks of about
-    _VALUE_BLOCK pairs (whole rows): yields (xs, zs, (cells, ps, vs, rem))
-    from kernels.form_square_blocks, exact only at the coprime pairs if
-    coprime is set.  Raises OverflowError, before any array is made, where
-    the box lo <= x, z <= N may reach 2^62 or holds over _CELL_CAP pairs."""
+def _box_blocks(F: BinForm, lo: int, n: int, coprime: bool = True, sector=None):
+    """The census stream of the form over the box lo <= x, z <= N in blocks
+    of about _VALUE_BLOCK pairs (whole rows): (xs, zs, (cells, ps, rem),
+    views) from kernels.form_power_blocks, exact at the coprime pairs only
+    if coprime is set.  views lists (s, ok): ok masks the cells (x, z)
+    whose pair (s x, s z) a census counts, each view within the first if
+    no sector is given.  A full box (lo = -N) is folded by (x, z) -> (-x,
+    -z), which keeps gcd(x, z) and |F|: a row z > 0 stands for itself (s =
+    1) and its mirror (s = -1), the row z = 0 for itself only.  Refuses a
+    constant F or N < 0 (ValueError), and a box that may reach 2^62 or
+    holds over _CELL_CAP pairs (OverflowError), before any array is made."""
+    if F.degree < 1:
+        raise ValueError("degree must be >= 1")
+    if n < 0:
+        raise ValueError("need N >= 0")
     width = n - lo + 1
     if width <= 0:
         return
     top = max(n, -lo, 1)
-    b = kernels.trial_bound(coeffs, top, top)
+    b = kernels.trial_bound(F.coeffs, top, top)
     if width * width > _CELL_CAP:
         raise OverflowError(f"the box holds more than 2^33 pairs ({width}^2)")
     xs = np.arange(lo, n + 1, dtype=np.int64)
     rows = max(1, kernels._VALUE_BLOCK // width)
-    zlo = lo if zlo is None else zlo
-    for zs, *profile in kernels.form_square_blocks(coeffs, lo, n, zlo, n, b, rows, coprime):
-        yield xs, zs, profile
-
-
-def _box_blocks(F: BinForm, lo: int, n: int, coprime: bool = True, sector=None):
-    """Yields (xs, zs, profile, views) per block of _form_blocks over the
-    box lo <= x, z <= N, views a list of (s, ok): ok masks the cells (x, z)
-    whose pair (s x, s z) a census counts, each view within the first if no
-    sector is given.  A full box (lo = -N) is folded by (x, z) -> (-x, -z),
-    which keeps gcd(x, z) and |F|: only its rows z >= 0 are read, a row
-    z > 0 stands for itself (s = 1) and its mirror (s = -1), the row z = 0
-    for itself only."""
     fold = lo == -n
-    for xs, zs, profile in _form_blocks(F.coeffs, lo, n, coprime, 0 if fold else lo):
+    blocks = kernels.form_power_blocks(F.coeffs, lo, n, 0 if fold else lo, n, b, rows, coprime)
+    for zs, cells, ps, rem in blocks:
         ok = _pair_mask(xs, zs[:, None], coprime)
         views = [(1, ok), (-1, ok & np.repeat(zs > 0, xs.size))][: 1 + fold]
         if sector is not None:
             views = [(s, v & _pair_mask(s * xs, s * zs[:, None], False, sector)) for s, v in views]
-        yield xs, zs, profile, views
+        yield xs, zs, (cells, ps, rem), views
 
 
 def _pair_mask(x: np.ndarray, z: np.ndarray, coprime: bool = True, sector=None) -> np.ndarray:
@@ -216,6 +211,8 @@ def delta_census_univ(P: IntPoly, n: int, threshold: int | None = None) -> int:
     require_squarefree(P)
     if P.degree < 1:
         raise ValueError("degree must be >= 1")
+    if n < 0:
+        raise ValueError("need N >= 0")
     threshold = math.isqrt(n) if threshold is None else threshold
     blocks = kernels.value_square_blocks(P.coeffs, n, kernels.trial_bound(P.coeffs, n))
     return sum(exceptional_count(block, threshold) for block in blocks)
@@ -244,7 +241,8 @@ def delta_census_form(
     threshold = n if threshold is None else threshold
     profile: dict[int, int] = {}
     count = 0
-    for _, _, (cells, ps, _, rem), views in _box_blocks(F, -n, n):
+    for _, _, (cells, ps, rem), views in _box_blocks(F, -n, n):
+        cells, ps, _ = kernels.square_entries(cells, ps, rem)
         q = _square_root(rem)
         for _, ok in views:
             sel = ok[cells] & (ps > threshold)
@@ -284,7 +282,8 @@ def twist_census(F: BinForm, n: int) -> TwistTable:
     if F.degree < 3:
         raise ValueError("deg F must be >= 3")
     out = TwistTable(form=str(F), N=n)
-    for xs, zs, (cells, ps, vs, rem), views in _box_blocks(F, -n, n):
+    for xs, zs, (cells, ps, rem), views in _box_blocks(F, -n, n):
+        cells, ps, vs = kernels.square_entries(cells, ps, rem)
         zero = rem == 0
         # F = d y^2: y is the product of the p^(v // 2) and of q at rem = q^2
         y = np.maximum(_square_root(rem), 1)

@@ -205,6 +205,8 @@ def density_form(F: BinForm, B: int, coprime: bool = False) -> EulerEstimate:
     For primes away from Disc*lead the two factor families coincide.
     """
     require_squarefree(F)
+    if F.degree < 1:
+        raise ValueError("degree must be >= 1")
     if B < 2:
         raise ValueError("B must be >= 2")
     bad = _chart_primes(F)

@@ -10,12 +10,15 @@
 * ``value_power_blocks`` -- for P and x = 1..N, the pairs (x, p) with p^m |
   P(x) and p <= B, marked from the classes mod p^m, and for m = 2 |P(x)|
   divided once by each p <= B dividing it, streamed in blocks of x,
+* ``form_power_blocks`` -- the same census stream for m = 2 and a binary
+  form F(x, z) over a box of pairs, read from the roots of F(t, 1) mod p,
+  in blocks of rows, at every pair or only at the coprime ones,
+* ``square_entries`` -- the v_p step of both streams: v_p >= 2 at their
+  cells, found by repeated division there only, and the remainder freed of
+  every prime <= B,
 * ``value_square_blocks`` -- the exact pairs (p, v_p(P(x))) with v >= 2 and
   p <= B, and the remainder of |P(x)| after removing all prime factors <=
-  B: value_power_blocks for m = 2 with v_p found at its cells,
-* ``form_square_blocks`` -- the same profile for a binary form F(x, z) over a
-  box of pairs, read from the roots of F(t, 1) mod p, in blocks of rows, at
-  every pair or only at the coprime ones,
+  B: value_power_blocks for m = 2 read by square_entries,
 * ``form_values`` -- the values of a binary form over a grid,
 * ``trial_bound`` -- the trial bound B of both profiles, the least with B^3
   above every |value|.
@@ -421,20 +424,30 @@ def value_square_blocks(coeffs, n: int, b: int):
       * rem: int64 array of length hi - lo; rem[x - lo] = |P(x)| with all
         prime factors <= B removed, 0 where P(x) = 0.
 
-    A reader of the census stream value_power_blocks(coeffs, n, b, 2): its
-    cells are the entries, less the zeros of P, and v_p is found by
-    repeated division at them only, where its remainder still holds
-    p^(v_p - 1); the remainder is then divided by those powers.  Values
-    |P(x)| must stay below 2^62 (int64 arithmetic).
+    The census stream value_power_blocks(coeffs, n, b, 2), read one step
+    further by square_entries.  Values |P(x)| must stay below 2^62 (int64
+    arithmetic).
     """
     for lo, cells, ps, rem in value_power_blocks(coeffs, n, b, 2):
-        if not rem.all():  # every class holds the zeros of P
-            keep = rem[cells] != 0
-            cells, ps = cells[keep], ps[keep]
-        g = rem[cells]  # p^(v_p - 1) | g, v_p >= 2: _strip counts on from 2
-        vs = np.full(cells.size, 2, dtype=np.int64)
-        np.floor_divide.at(rem, cells, g // _strip(g.copy(), ps, vs))
+        cells, ps, vs = square_entries(cells, ps, rem)
         yield lo, cells + lo, ps, vs, rem
+
+
+def square_entries(cells: np.ndarray, ps: np.ndarray, rem: np.ndarray):
+    """The entries (cells, ps, vs) of one block of a census stream for m =
+    2, univariate or of a form: v_p = vs[i] >= 2 for p = ps[i] at the value
+    of cells[i], less the cells where rem is 0.  rem, the values divided
+    once by each p <= B that divides them, still holds p^(v_p - 1) at a
+    cell, so v_p is found by repeated division there, and only there; rem
+    is then divided in place by those powers, which leaves it free of every
+    prime <= B."""
+    if not rem.all():  # a zero value lies in every class
+        keep = rem[cells] != 0
+        cells, ps = cells[keep], ps[keep]
+    g = rem[cells]  # p^(v_p - 1) | g, v_p >= 2: _strip counts on from 2
+    vs = np.full(cells.size, 2, dtype=np.int64)
+    np.floor_divide.at(rem, cells, g // _strip(g.copy(), ps, vs))
+    return cells, ps, vs
 
 
 def value_power_blocks(coeffs, n: int, b: int, m: int):
@@ -481,32 +494,36 @@ def _abs_values(coeffs, n: int):
         yield lo, np.abs(vals, out=vals)
 
 
-def form_square_blocks(
+def form_power_blocks(
     coeffs, xlo: int, xhi: int, zlo: int, zhi: int, b: int, rows: int, coprime: bool = False
 ):
-    """Square-part profile of the binary form F(x, z) = sum a_i x^i z^(d-i)
-    (coeffs[i] = a_i) over the pairs xlo <= x <= xhi, zlo <= z <= zhi, with
-    trial bound B, as a stream of blocks of `rows` consecutive z.
+    """The square-free census of the binary form F(x, z) = sum a_i x^i
+    z^(d-i) (coeffs[i] = a_i) over the pairs xlo <= x <= xhi, zlo <= z <=
+    zhi, with trial bound B, as a stream of blocks of `rows` consecutive z.
 
-    Yields (zs, cells, ps, vs, rem) per block, zs its z values; the pair
-    (x, z) is cell (z - zs[0]) * W + (x - xlo) of the block, W = xhi - xlo
-    + 1.  v_p(F) = v >= 2 with p <= B (content included) at the listed
-    cells, whose entries come in ascending p, and rem[cell] = |F(x, z)|
-    with all prime factors <= B removed, 0 where F(x, z) = 0.
+    Yields (zs, cells, ps, rem) per block, zs its z values; the pair (x, z)
+    is cell (z - zs[0]) * W + (x - xlo) of the block, W = xhi - xlo + 1.
+    p^2 | F(x, z) != 0 for the prime p = ps[i] <= B at cells[i] (content
+    included), and for no other p <= B at a pair with F != 0; the entries
+    of each cell come in ascending p.  rem[cell] is |F(x, z)| divided once
+    by each p <= B that divides it, 0 exactly where F(x, z) = 0, so off the
+    cells it holds no prime factor <= B.
 
     The roots r of F(t, 1) mod every p <= B are found once, before the
     first block, and so are the classes of cells where p divides F: x = r z
     mod p in the rows with p not dividing z; in the rows with p | z, where
     F = a_d x^d mod p, the whole row if p | a_d, else x = 0 mod p; the
     whole row in both kinds of rows if p divides the content.  In each
-    block every (class, row) pair is marked at once, one remainder mod p^2
-    per hit finds the entries, and only there is v_p found by repeated
-    division.  Values |F| must stay below 2^62 (int64 arithmetic).
+    block every (class, row) pair is marked at once, each value is divided
+    by the product of the p that hit it, and the hits whose p still divides
+    the remainder are the cells.  Nothing finds v_p.  Values |F| must stay
+    below 2^62 (int64 arithmetic).
 
     With coprime set, the class x = 0 of the rows with p | z is skipped at
     the primes p not dividing a_d: its cells are the pairs with p | gcd(x,
-    z).  The entries and rem are then exact at every pair with gcd(x, z) =
-    1 and unspecified at the other pairs (rem stays in 0 <= rem <= |F|).
+    z).  The cells and rem are then exact at every pair with gcd(x, z) = 1
+    and unspecified at the other pairs (rem stays in 0 <= rem <= |F|, 0
+    exactly where F = 0).
     """
     top = max(abs(xlo), abs(xhi), abs(zlo), abs(zhi), 1)
     primes, cps, cp, roots = _profile_setup(coeffs, b, top, top)
@@ -537,9 +554,10 @@ def form_square_blocks(
             k = zs.size
             base = np.tile(np.arange(k) * w, cp.size)  # the first cell of each pair's row
             ksteps, kprimes = np.repeat(step, k), np.repeat(cp, k)
-        idx, hp = _hits(first.ravel(), ksteps, w, base, kprimes)
-        cells, ps, vs = _square_core(vals, idx, hp)
-        yield zs, cells, ps, vs, vals
+        idx, hp, div = _prime_product(vals, *_hits(first.ravel(), ksteps, w, base, kprimes))
+        vals //= div  # each hit p once: p | vals[idx] still iff p^2 | F
+        deep = vals[idx] % hp == 0
+        yield zs, idx[deep], hp[deep], vals
 
 
 def form_values(coeffs, xs: np.ndarray, zs: np.ndarray) -> np.ndarray:
@@ -644,24 +662,3 @@ def _prime_product(vals: np.ndarray, idx: np.ndarray, hp: np.ndarray):
     div = np.ones(vals.size, dtype=np.int64)
     np.multiply.at(div, idx, hp)
     return idx, hp, div
-
-
-def _square_core(vals: np.ndarray, idx: np.ndarray, hp: np.ndarray):
-    """The entries (cells, ps, vs) of one block of a square profile, each
-    cell's in ascending p, from its hits: prime hp divides the value
-    vals[idx], each (cell, prime) once, the hits in ascending p.  Turns
-    vals, the |values|, into the remainders in place: one division by the
-    product of the p^v."""
-    # div: the product of the powers p^v_p; every hit gives p once, and
-    # only the hits with p^2 | value, the entries, are divided further
-    idx, hp, div = _prime_product(vals, idx, hp)
-    g = vals[idx]
-    # p^2 > 2^62 > g where p > 2^31: such a p^2 divides no value
-    deep = g % np.minimum(hp, 1 << 31) ** 2 == 0
-    cells, ps, g = idx[deep], hp[deep], g[deep]
-    vs = np.ones(cells.size, dtype=np.int64)
-    # g over its stripped value times p: the powers p^(v_p - 1) still missing
-    sub = _strip(g.copy(), ps, vs)
-    np.multiply.at(div, cells, g // (sub * ps))
-    vals //= div
-    return cells, ps, vs

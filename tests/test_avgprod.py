@@ -139,6 +139,11 @@ def test_empirical_average_form():
 
     pairs = count_coprime(Lattice2(1, 1, 0), 60)
     assert rep.empirical.real == pytest.approx(cen.observed / pairs)
+    # a constant form is refused, and so is a negative N
+    with pytest.raises(ValueError, match="degree"):
+        empirical_average_form(parse("6", kind="form"), squarefree_indicator_form_family(F), 60)
+    with pytest.raises(ValueError, match="N >= 0"):
+        empirical_average_form(F, squarefree_indicator_form_family(F), -2)
 
 
 def empirical_average_form_alt(F, u, n, sector=None):

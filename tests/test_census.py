@@ -9,7 +9,14 @@ from unittest import mock
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, example, given, settings, strategies as st
-from test_kernels import BLOCK_SIZES, square_roots, squarefree_mask, value_polys, value_square_profile_alt
+from test_kernels import (
+    BLOCK_SIZES,
+    form_profile_blocks,
+    square_roots,
+    squarefree_mask,
+    value_polys,
+    value_square_profile_alt,
+)
 
 from sievecraft import avgprod, census, cli, kernels, localdens, numutil
 from sievecraft.census import (
@@ -508,12 +515,13 @@ def test_coprime_form_profile_entries():
     # x^3 + 2z^3 over [-500, 500]^2, gathered across its blocks of rows: the
     # coprime profile skips the classes x = 0 of the rows with p | z and
     # keeps the full profile's entries and remainders at every coprime pair
+    b = kernels.trial_bound([2, 0, 0, 1], 500, 500)
+
     def whole(coprime):
-        blocks = list(census._form_blocks([2, 0, 0, 1], -500, 500, coprime))
+        blocks = list(form_profile_blocks([2, 0, 0, 1], -500, 500, -500, 500, b, 4, coprime))
         # a cell of a block is offset by the block's first cell
-        first = [(zs[0] + 500) * xs.size for xs, zs, _ in blocks]
-        cells = np.concatenate([c + f for (_, _, (c, *_)), f in zip(blocks, first)])
-        return (cells, *(np.concatenate([b[2][i] for b in blocks]) for i in (1, 2, 3)))
+        cells = np.concatenate([c + (zs[0] + 500) * 1001 for zs, c, *_ in blocks])
+        return (cells, *(np.concatenate([blk[i] for blk in blocks]) for i in (2, 3, 4)))
 
     full, part = whole(False), whole(True)
     xs = zs = np.arange(-500, 501)

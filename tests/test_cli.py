@@ -283,6 +283,20 @@ def test_exit_domain(capsys):
     ):
         code, _, err = _run(capsys, *argv)
         assert code == 2 and "square-free" in err, argv
+    # constant forms and negative N are refused before any trial bound
+    for argv, msg in (
+        (["density", "--form", "6", "--B", "10"], "degree must be >= 1"),
+        (["census", "--form", "6", "--N", "3", "--all-pairs"], "degree must be >= 1"),
+        (["census", "--form", "6", "--N", "3"], "degree must be >= 1"),
+        (["delta", "--form", "6", "--N", "3"], "degree must be >= 1"),
+        (["census", "--form", "x^3+2*z^3", "--N", "-3"], "N >= 0"),
+        (["census", "--form", "x^3+2*z^3", "--N", "-3", "--convention", "positive-quadrant"], "N >= 0"),
+        (["delta", "--form", "x^3+2*z^3", "--N", "-2"], "N >= 0"),
+        (["twists", "--form", "x^3+2*z^3", "--N", "-2"], "N >= 0"),
+        (["delta", "--poly", "x", "--N", "-5"], "N >= 0"),
+    ):
+        code, _, err = _run(capsys, *argv)
+        assert code == 2 and msg in err, argv
 
 
 def test_exit_resource(capsys):

@@ -53,6 +53,13 @@ def value_square_profile_alt(coeffs, n, b):
     return xs, ps, vs, np.array(rem, dtype=np.int64)
 
 
+def form_profile_blocks(coeffs, xlo, xhi, zlo, zhi, b, rows, coprime=False):
+    """The square profile of a form: kernels.form_power_blocks read by
+    kernels.square_entries, (zs, cells, ps, vs, rem) per block."""
+    for zs, cells, ps, rem in kernels.form_power_blocks(coeffs, xlo, xhi, zlo, zhi, b, rows, coprime):
+        yield (zs, *kernels.square_entries(cells, ps, rem), rem)
+
+
 def square_roots(rem):
     """{i: s} at the entries rem[i] = s^2 > 1 of an array, by math.isqrt."""
     return {i: math.isqrt(v) for i, v in enumerate(rem.tolist()) if v > 1 and math.isqrt(v) ** 2 == v}
@@ -186,6 +193,11 @@ def test_value_square_blocks_limits():
     assert rem.tolist() == [1] * 5
 
 
+def _strip_sizes(strip):
+    """The sizes of the values passed to each call of a mocked _strip."""
+    return [np.size(call.args[0]) for call in strip.call_args_list]
+
+
 @pytest.mark.parametrize(
     "coeffs,n,b",
     [
@@ -194,32 +206,40 @@ def test_value_square_blocks_limits():
         # 12 (x - 7)(5 x^2 - 3 x + 2), of value_polys' kind: content 12, a
         # zero at x = 7, the lead 5 * 12
         ([-168, 276, -456, 60], 70, 50),
+        # 4 (x^2 + 1): the content prime 2 gives an entry at every x
+        ([4, 0, 4], 100, 50),
     ],
 )
 def test_value_square_blocks_divides_only_at_entries(coeffs, n, b):
-    # the hits (x, p), p | P(x) / content, are divided further only where
-    # they give an entry v_p >= 2: every hit with p^2 | P(x) or p | content
-    sizes = []
-    strip = kernels._strip
-
-    def counted(val, hp, v):
-        sizes.append(np.size(val))
-        return strip(val, hp, v)
-
-    with mock.patch.object(kernels, "_strip", counted):
+    # v_p is found only at the entries v_p >= 2, content primes included:
+    # one strip per block whose sizes add up to the number of entries,
+    # fewer than the hits (x, p), p | P(x) / content
+    with mock.patch.object(kernels, "_strip", wraps=kernels._strip) as strip:
         blocks = list(kernels.value_square_blocks(coeffs, n, b))
     prim, _ = kernels._primitive(coeffs)
     values = [sum(a * x**i for i, a in enumerate(prim)) for x in range(n + 1)]
     primes = kernels.prime_sieve(b).tolist()
     hits = sum(1 for x in range(1, n + 1) for p in primes if values[x] and values[x] % p == 0)
-    from_hits = sum(
-        1
-        for _, xs, ps, _, _ in blocks
-        for x, p in zip(xs.tolist(), ps.tolist())
-        if values[x] % p == 0
-    )
-    assert sum(sizes) == from_hits
-    assert from_hits < hits
+    entries = sum(xs.size for _, xs, *_ in blocks)
+    assert len(_strip_sizes(strip)) == len(blocks) and sum(_strip_sizes(strip)) == entries
+    assert entries < hits
+
+
+@pytest.mark.parametrize("coeffs", [[2, 0, 0, 1], [36, 0, 12, 0]])
+@pytest.mark.parametrize("coprime", [False, True])
+def test_square_entries_strips_only_form_entries(coeffs, coprime):
+    # the census stream of a form finds no v_p, and square_entries finds it
+    # at the stream's cells only, the square content's included (12 x^2 z +
+    # 36 z^3): fewer than the hits (pair, p) with p | F(x, z) != 0
+    box = (-20, 20, -20, 20, 40, 7, coprime)
+    with mock.patch.object(kernels, "_strip", wraps=kernels._strip) as strip:
+        cells = sum(c.size for _, c, _, _ in kernels.form_power_blocks(coeffs, *box))
+        assert not strip.called
+        entries = sum(c.size for _, c, *_ in form_profile_blocks(coeffs, *box))
+    assert sum(_strip_sizes(strip)) == entries == cells > 0
+    values = kernels.form_values(coeffs, np.arange(-20, 21), np.arange(-20, 21)).ravel().tolist()
+    primes = kernels.prime_sieve(40).tolist()
+    assert entries < sum(1 for v in values for p in primes if v and v % p == 0)
 
 
 @settings(max_examples=100, deadline=None)
@@ -241,25 +261,39 @@ def test_form_square_profile_oracle(coeffs, lead, content, xlo, w, zlo, h, b, ro
     # over blocks of 1 to 11 rows; the x^d coefficient times 2, 3, 5 or
     # 30 keeps the rows with p | z whole in coprime mode.  In coprime mode
     # only the coprime pairs are compared, and elsewhere 0 <= rem <= |F|
-    # with rem = 0 exactly where F = 0
+    # with rem = 0 exactly where F = 0.  The census stream under it: the
+    # cells (cell, p) with p^2 | F != 0, and |F| divided once by each p | F
     coeffs = [content * a for a in coeffs[:-1] + [lead * coeffs[-1]]]
     d = len(coeffs) - 1
     primes = kernels.prime_sieve(b).tolist()
-    expect, rem, size, keep = set(), [], [], []
+    expect, rem, once, size, keep = set(), [], [], [], []
     for z in range(zlo, zlo + h + 1):
         for x in range(xlo, xlo + w + 1):
             val = abs(sum(a * x**i * z ** (d - i) for i, a in enumerate(coeffs)))
             size.append(val)
             keep.append(not coprime or math.gcd(x, z) == 1)
+            once.append(val)
             for p in primes if val else []:
                 v = 0
                 while val % p == 0:
                     val //= p
                     v += 1
+                once[-1] //= p if v else 1
                 if v >= 2 and keep[-1]:
                     expect.add(((z - zlo) * (w + 1) + x - xlo, p, v))
             rem.append(val)
-    blocks = list(kernels.form_square_blocks(coeffs, xlo, xlo + w, zlo, zlo + h, b, rows, coprime))
+    box = (coeffs, xlo, xlo + w, zlo, zlo + h, b, rows, coprime)
+    stream = list(kernels.form_power_blocks(*box))
+    got = [
+        ((zs[0] - zlo) * (w + 1) + c, p)
+        for zs, cells, ps, _ in stream
+        for c, p in zip(cells.tolist(), ps.tolist())
+    ]
+    got = [e for e in got if keep[e[0]]]
+    assert set(got) == {e[:2] for e in expect} and len(got) == len(expect)
+    out = np.concatenate([r for *_, r in stream]).tolist()
+    assert [r for r, k in zip(out, keep) if k] == [e for e, k in zip(once, keep) if k]
+    blocks = list(form_profile_blocks(*box))
     assert np.concatenate([zs for zs, *_ in blocks]).tolist() == list(range(zlo, zlo + h + 1))
     got = [
         ((zs[0] - zlo) * (w + 1) + c, p, v)
@@ -282,7 +316,7 @@ def test_form_square_blocks_entries_in_ascending_p(coeffs, coprime, rows):
     # (36x^3 + 72z^3 and 12x^2z + 12z^3): empirical_average_form multiplies
     # its rule values in that order
     several = False
-    for _, cells, ps, _, _ in kernels.form_square_blocks(coeffs, -15, 15, -15, 15, 50, rows, coprime):
+    for _, cells, ps, _, _ in form_profile_blocks(coeffs, -15, 15, -15, 15, 50, rows, coprime):
         order = np.argsort(cells, kind="stable")
         c, p = cells[order], ps[order]
         same = c[1:] == c[:-1]
@@ -293,9 +327,9 @@ def test_form_square_blocks_entries_in_ascending_p(coeffs, coprime, rows):
 
 def test_form_square_profile_limits():
     with pytest.raises(OverflowError):
-        next(kernels.form_square_blocks([1, 0, 0, 0, 1], -2**16, 2**16, 0, 0, 10, 1))
+        next(form_profile_blocks([1, 0, 0, 0, 1], -2**16, 2**16, 0, 0, 10, 1))
     # a constant form whose content 5 lies beyond B = 3 stays in the remainder
-    ((zs, cells, ps, vs, rem),) = kernels.form_square_blocks([5], 0, 2, 0, 1, 3, 2)
+    ((zs, cells, ps, vs, rem),) = form_profile_blocks([5], 0, 2, 0, 1, 3, 2)
     assert cells.size == 0 and rem.tolist() == [5] * 6
 
 
