@@ -93,13 +93,18 @@ def main():
     t, _ = timeit(eulerprod.density_univ, P, 10**5, repeat=k)
     row("density_univ(x^3+2, 1e5)", t)
 
-    # the profile of x^2 + 1 over 1..1e6 read block by block, as the census
-    # does, with its tracemalloc peak
+    # the square profile of x^2 + 1 over 1..1e6: the census stream read
+    # block by block through square_entries, as delta and avgprod read it,
+    # with its tracemalloc peak
     coeffs, n = [1, 0, 1], 10**6
     b = kernels.trial_bound(coeffs, n)
 
     def streamed():
-        return sum(int(np.count_nonzero(rem == 1)) for *_, rem in kernels.value_square_blocks(coeffs, n, b))
+        ones = 0
+        for _, cells, ps, rem in kernels.value_power_blocks(coeffs, n, b, 2):
+            kernels.square_entries(cells, ps, rem)
+            ones += int(np.count_nonzero(rem == 1))
+        return ones
 
     t, _ = timeit(streamed, repeat=k)
     tracemalloc.start()

@@ -242,10 +242,10 @@ def _product_blocks(P: IntPoly, u: LocalFactorSpec, n: int, threshold: int | Non
     b = kernels.trial_bound(P.coeffs, n)
     u.check_trivial_low(2)
     u.check_trivial_low(3)
-    for block in kernels.value_square_blocks(P.coeffs, n, b):
-        lo, xs, ps, vs, rem = block
-        prod = _products(u.rule, xs - lo, ps, vs, rem, lambda c, p: (c + lo) % p)
-        yield lo, prod, 0 if threshold is None else census.exceptional_count(block, threshold)
+    for lo, cells, ps, rem in kernels.value_power_blocks(P.coeffs, n, b, 2):
+        cells, ps, vs = kernels.square_entries(cells, ps, rem)
+        prod = _products(u.rule, cells, ps, vs, rem, lambda c, p: (c + lo) % p)
+        yield lo, prod, 0 if threshold is None else census.exceptional_count(cells, ps, rem, threshold)
 
 
 def _total(P: IntPoly, u: LocalFactorSpec, n: int, weight=None, threshold: int | None = None):

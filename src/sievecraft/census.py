@@ -214,18 +214,20 @@ def delta_census_univ(P: IntPoly, n: int, threshold: int | None = None) -> int:
     if n < 0:
         raise ValueError("need N >= 0")
     threshold = math.isqrt(n) if threshold is None else threshold
-    blocks = kernels.value_square_blocks(P.coeffs, n, kernels.trial_bound(P.coeffs, n))
-    return sum(exceptional_count(block, threshold) for block in blocks)
+    count = 0
+    for _, cells, ps, rem in kernels.value_power_blocks(P.coeffs, n, kernels.trial_bound(P.coeffs, n), 2):
+        cells, ps, _ = kernels.square_entries(cells, ps, rem)
+        count += exceptional_count(cells, ps, rem, threshold)
+    return count
 
 
-def exceptional_count(block, threshold: int) -> int:
-    """delta_census_univ's count over one block (lo, xs, ps, vs, rem) of the
-    value square profile of P with a trial bound b, |P(x)| < b^3: a prime
-    p > b with p^2 | P(x) leaves rem = p^2, so any threshold is exact
-    (_square_root is 0 off the squares, hence the floor 1)."""
-    lo, xs, ps, vs, rem = block
+def exceptional_count(cells: np.ndarray, ps: np.ndarray, rem: np.ndarray, threshold: int) -> int:
+    """delta_census_univ's count over one block (cells, ps, rem) of P's
+    census stream for m = 2 read by square_entries, trial bound b, |P(x)| <
+    b^3: a prime p > b with p^2 | P(x) leaves rem = p^2, so any threshold
+    is exact (_square_root is 0 off the squares, hence the floor 1)."""
     bad = _square_root(rem) > max(threshold, 1)
-    bad[xs[(vs >= 2) & (ps > threshold)] - lo] = True
+    bad[cells[ps > threshold]] = True
     return int(np.count_nonzero(bad))
 
 

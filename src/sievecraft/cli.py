@@ -138,6 +138,8 @@ def _cmd_density(args, digits):
         est = eulerprod.density_univ(parse(args.poly), args.B, args.m)
         target = {"poly": args.poly, "m": args.m}
     else:
+        if args.m != 2:
+            raise ValueError("--m applies to --poly only")
         est = eulerprod.density_form(parse(args.form, kind="form"), args.B, coprime=args.coprime)
         target = {"form": args.form, "coprime": args.coprime}
     _emit(
@@ -157,6 +159,8 @@ def _cmd_census(args, digits):
     if args.poly:
         rep = census.count_powerfree_values(parse(args.poly), args.N, args.m)
     else:
+        if args.m != 2:
+            raise ValueError("--m applies to --poly only")
         rep = census.count_squarefree_form(
             parse(args.form, kind="form"), args.N, args.convention, coprime=not args.all_pairs
         )

@@ -16,9 +16,6 @@
 * ``square_entries`` -- the v_p step of both streams: v_p >= 2 at their
   cells, found by repeated division there only, and the remainder freed of
   every prime <= B,
-* ``value_square_blocks`` -- the exact pairs (p, v_p(P(x))) with v >= 2 and
-  p <= B, and the remainder of |P(x)| after removing all prime factors <=
-  B: value_power_blocks for m = 2 read by square_entries,
 * ``form_values`` -- the values of a binary form over a grid,
 * ``trial_bound`` -- the trial bound B of both profiles, the least with B^3
   above every |value|.
@@ -411,26 +408,6 @@ def _split_linear(g: np.ndarray, dg: np.ndarray, p: np.ndarray) -> np.ndarray:
 # block stays below 128 KB, so under a malloc mmap threshold of that size the
 # blocks reuse heap memory instead of faulting in fresh pages each time
 _VALUE_BLOCK = 1 << 12
-
-
-def value_square_blocks(coeffs, n: int, b: int):
-    """Square-part profile of P(x) for x = 1..N with trial bound B, as a
-    stream of blocks of consecutive x.
-
-    Yields (lo, xs, ps, vs, rem) for the blocks [lo, hi) that cover 1..N:
-      * xs, ps, vs: int64 arrays with v_p(P(x)) = v >= 2 and p <= B for
-        lo <= x < hi (content contributions included); the entries of each
-        x come in ascending p,
-      * rem: int64 array of length hi - lo; rem[x - lo] = |P(x)| with all
-        prime factors <= B removed, 0 where P(x) = 0.
-
-    The census stream value_power_blocks(coeffs, n, b, 2), read one step
-    further by square_entries.  Values |P(x)| must stay below 2^62 (int64
-    arithmetic).
-    """
-    for lo, cells, ps, rem in value_power_blocks(coeffs, n, b, 2):
-        cells, ps, vs = square_entries(cells, ps, rem)
-        yield lo, cells + lo, ps, vs, rem
 
 
 def square_entries(cells: np.ndarray, ps: np.ndarray, rem: np.ndarray):

@@ -14,6 +14,16 @@ def mu(subset_size: int) -> int:
     return -1 if subset_size % 2 else 1
 
 
+def _submasks(d: int):
+    """Every submask of the bitmask d, from d itself down to 0."""
+    sub = d
+    while True:
+        yield sub
+        if sub == 0:
+            return
+        sub = (sub - 1) & d
+
+
 class SoilSpec:
     """A finite soil: labelled primes with weights h({p}) >= 2, a finite
     ground set A, a map r: a -> subset of P, and a bounded weight
@@ -117,12 +127,8 @@ class SoilSpec:
         for i, m in enumerate(self.rmask):
             if m.bit_count() > 20:
                 raise ValueError("r(a) too large to scan subsets")
-            sub = m
-            while True:
+            for sub in _submasks(m):
                 best = max(best, abs(self.feval(i, sub)))
-                if sub == 0:
-                    break
-                sub = (sub - 1) & m
         return best
 
     def truncated_estimate(self, M: int) -> complex:
@@ -131,12 +137,8 @@ class SoilSpec:
             raise ValueError("M must be >= 1")
         total: complex = 0
         for d in self.subsets_up_to(M):
-            sub = d
-            while True:
+            for sub in _submasks(d):
                 total += mu((d ^ sub).bit_count()) * self.A_sum(d, sub)
-                if sub == 0:
-                    break
-                sub = (sub - 1) & d
         return total
 
     def ridd_bound(self, M: int) -> float:
@@ -200,12 +202,8 @@ def yugo_bound(S: SoilSpec, c: SieveBoundConstants, M: int) -> float:
     t2 *= c.C3
     t3 = 0.0
     for d in S.subsets_up_to(M):
-        sub = d
-        while True:
+        for sub in _submasks(d):
             t3 += abs(c.resid(d, sub))
-            if sub == 0:
-                break
-            sub = (sub - 1) & d
     t4 = c.C3 * sum(
         S.S(1 << i) for i, w in enumerate(S.weights) if w > M * M
     )
@@ -217,12 +215,8 @@ def main_term(S: SoilSpec, c: SieveBoundConstants, M: int) -> complex:
     total: complex = 0
     for d in S.subsets_up_to(M):
         hd = S.h(d)
-        sub = d
-        while True:
+        for sub in _submasks(d):
             total += mu((d ^ sub).bit_count()) * c.g(d, sub) / hd
-            if sub == 0:
-                break
-            sub = (sub - 1) & d
     return c.X * total
 
 
@@ -239,8 +233,7 @@ def verify_assumptions(S: SoilSpec, c: SieveBoundConstants, tol: float = 1e-9) -
         if S.S(d) > c.C0 * c.X * c.C1**k / S.h(d) + c.C0 * c.C2**k + tol:
             return False
     for d1 in S.subsets_up_to(c.M0):
-        sub = d1
-        while True:
+        for sub in _submasks(d1):
             gv = c.g(d1, sub)
             if abs(gv) > c.C4 + tol:
                 return False
@@ -248,9 +241,6 @@ def verify_assumptions(S: SoilSpec, c: SieveBoundConstants, tol: float = 1e-9) -
             rhs = c.X * gv / S.h(d1) + c.resid(d1, sub)
             if abs(lhs - rhs) > tol * max(1.0, abs(lhs)):
                 return False
-            if sub == 0:
-                break
-            sub = (sub - 1) & d1
     return True
 
 

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 from test_census import exceptional_count_alt
-from test_kernels import BLOCK_SIZES, square_roots, value_polys, value_square_profile_alt
+from test_kernels import BLOCK_SIZES, square_roots, value_polys, value_square_blocks, value_square_profile_alt
 
 from sievecraft import avgprod, census, eulerprod, kernels, localdens, numutil
 from sievecraft.avgprod import (
@@ -616,7 +616,7 @@ def product_values_loop(P, u, n):
     b = kernels.trial_bound(P.coeffs, n)
     prod = np.ones(n + 1, dtype=complex)
     entries = once = 0
-    for lo, xs, ps, vs, rem in kernels.value_square_blocks(P.coeffs, n, b):
+    for lo, xs, ps, vs, rem in value_square_blocks(P.coeffs, n, b):
         keys = set()
         for x, p, v in zip(xs.tolist(), ps.tolist(), vs.tolist()):
             prod[x] *= u.rule(p, x % p, v)
@@ -657,13 +657,13 @@ def test_product_values_vs_entry_loop(spec, n):
 
 def test_empirical_average_profiles_once(monkeypatch):
     calls = []
-    blocks = kernels.value_square_blocks
+    blocks = kernels.value_power_blocks
 
     def counted(*args):
         calls.append(args)
         return blocks(*args)
 
-    monkeypatch.setattr(kernels, "value_square_blocks", counted)
+    monkeypatch.setattr(kernels, "value_power_blocks", counted)
     P = parse("x^3 + 2")
     rep = empirical_average(P, squarefree_indicator_family(P), 5000)
     assert len(calls) == 1

@@ -15,6 +15,7 @@ from test_kernels import (
     square_roots,
     squarefree_mask,
     value_polys,
+    value_square_blocks,
     value_square_profile_alt,
 )
 
@@ -232,8 +233,9 @@ def test_value_censuses_trial_bound_free(spec, expect):
     b = kernels.trial_bound(coeffs, n)
     for bound in (b, 2 * b):
         observed, _ = census._count_values(coeffs, n, 2, bound)
-        blocks = kernels.value_square_blocks(coeffs, n, bound)
-        assert (observed, sum(census.exceptional_count(block, 50) for block in blocks)) == expect
+        blocks = value_square_blocks(coeffs, n, bound)
+        delta = sum(census.exceptional_count(xs - lo, ps, rem, 50) for lo, xs, ps, _, rem in blocks)
+        assert (observed, delta) == expect
 
 
 def test_count_powerfree_vs_brute():
@@ -271,8 +273,8 @@ def test_value_censuses_vs_whole_range(case, size, b, threshold):
     with mock.patch.object(kernels, "_VALUE_BLOCK", size):
         for m in (2, 3):
             assert census._count_values(P.coeffs, n, m, b) == count_values_alt(P.coeffs, n, m, b)
-        blocks = kernels.value_square_blocks(P.coeffs, n, b)
-        got = sum(census.exceptional_count(block, threshold) for block in blocks)
+        blocks = value_square_blocks(P.coeffs, n, b)
+        got = sum(census.exceptional_count(xs - lo, ps, rem, threshold) for lo, xs, ps, _, rem in blocks)
     assert got == exceptional_count_alt(whole, threshold)
 
 
@@ -321,7 +323,7 @@ def test_power_census_finds_no_valuation(monkeypatch):
     def refuse(*args):
         raise RuntimeError("the census found a v_p")
 
-    monkeypatch.setattr(kernels, "value_square_blocks", refuse)
+    monkeypatch.setattr(kernels, "square_entries", refuse)
     monkeypatch.setattr(kernels, "_strip", refuse)
     for spec in ("x^3 + 2", "12*x^2 + 12", "x^2 - 12", "x"):
         for m in (2, 3):
@@ -382,6 +384,42 @@ def test_form_census_box_symmetries():
     ]
     pairs = sum(math.gcd(x, z) == 1 for x in range(-60, 61) for z in range(-60, 61))
     assert means == [count_squarefree_form(forms[0], 60).observed / pairs] * 3
+
+
+def _rotate(v):
+    """R(x, z) = (-z, x), the quarter turn counterclockwise."""
+    return -v[1], v[0]
+
+
+@pytest.mark.parametrize(
+    "c",
+    [
+        (2, 0, 0, 1),  # x^3 + 2 z^3
+        (2, 0, 0, 1, 0),  # z (x^3 + 2 z^3): z | F
+        (12, 0, 0, 6),  # 6 (x^3 + 2 z^3): square-free content 6
+    ],
+)
+def test_form_census_sector_rotation(c):
+    # the rotation R maps Sector(a, b) onto Sector(Ra, Rb), the included ray
+    # a onto Ra, and F onto G(x, z) = F(z, -x), G.coeffs[j] = (-1)^j a_(d-j):
+    # (F, S) and (G, RS) give the same counts, coprime and over all pairs, and
+    # the same indicator average (a reflection swaps which ray is included)
+    n, d = 100, len(c) - 1
+    F, G = BinForm(c), BinForm(tuple((-1) ** j * c[d - j] for j in range(d + 1)))
+    x, z = (a.ravel() for a in np.meshgrid(np.arange(-n, n + 1), np.arange(-n, n + 1)))
+    assert G(-7, 3) == F(3, 7)
+    for S in _SECTORS[1:]:  # a quadrant, a wedge, a reflex sector, a half-plane
+        RS = Sector(_rotate(S.a), _rotate(S.b))
+        assert (RS.mask(*_rotate((x, z))) == S.mask(x, z)).all()
+        for coprime in (False, True):
+            counts = [count_squarefree_form(H, n, coprime=coprime, sector=T).observed for H, T in ((F, S), (G, RS))]
+            assert counts[0] == counts[1] > 0, (S, coprime)
+        means = [
+            avgprod.empirical_average_form(H, avgprod.squarefree_indicator_form_family(H), n, T).empirical
+            for H, T in ((F, S), (G, RS))
+        ]
+        pairs = int(np.count_nonzero((np.gcd(x, z) == 1) & S.mask(x, z)))
+        assert means == [counts[0] / pairs] * 2, S
 
 
 @pytest.mark.parametrize("c,delta", [((2, 0, 0, 1), 484), ((24, 36, 0, 12), 2330)])

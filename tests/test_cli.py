@@ -294,9 +294,15 @@ def test_exit_domain(capsys):
         (["delta", "--form", "x^3+2*z^3", "--N", "-2"], "N >= 0"),
         (["twists", "--form", "x^3+2*z^3", "--N", "-2"], "N >= 0"),
         (["delta", "--poly", "x", "--N", "-5"], "N >= 0"),
+        # --m is read on --poly only; a form's census and density are m = 2
+        (["census", "--form", "x^3+2*z^3", "--N", "3", "--m", "3"], "--m applies to --poly only"),
+        (["density", "--form", "x^3+2*z^3", "--B", "100", "--m", "3"], "--m applies to --poly only"),
     ):
         code, _, err = _run(capsys, *argv)
         assert code == 2 and msg in err, argv
+    # --form with --m 2 prints what it prints without --m
+    for argv in (["census", "--form", "x^3+2*z^3", "--N", "3"], ["density", "--form", "x^3+2*z^3", "--B", "100"]):
+        assert _run(capsys, *argv, "--m", "2") == _run(capsys, *argv)
 
 
 def test_exit_resource(capsys):

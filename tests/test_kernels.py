@@ -21,14 +21,25 @@ def squarefree_mask(n):
     return mask
 
 
+def value_square_blocks(coeffs, n, b):
+    """The square profile of P: kernels.value_power_blocks for m = 2 read by
+    kernels.square_entries.  Yields (lo, xs, ps, vs, rem) for the blocks
+    [lo, hi) that cover 1..N: v_p(P(x)) = v >= 2 for p <= B at lo <= x < hi,
+    and rem[x - lo] = |P(x)| with every prime factor <= B removed, 0 where
+    P(x) = 0."""
+    for lo, cells, ps, rem in kernels.value_power_blocks(coeffs, n, b, 2):
+        cells, ps, vs = kernels.square_entries(cells, ps, rem)
+        yield lo, cells + lo, ps, vs, rem
+
+
 def value_square_profile(coeffs, n, b):
-    """kernels.value_square_blocks over all of x = 1..N in one piece.
+    """value_square_blocks over all of x = 1..N in one piece.
 
     Returns (xs, ps, vs, rem): the entries of every block, and rem of
     length N+1 with rem[x] as in the blocks and rem[0] = 1 unused."""
     rem = np.ones(n + 1, dtype=np.int64)
     parts = [tuple(np.zeros(0, dtype=np.int64) for _ in range(3))]
-    for lo, xs, ps, vs, r in kernels.value_square_blocks(coeffs, n, b):
+    for lo, xs, ps, vs, r in value_square_blocks(coeffs, n, b):
         rem[lo : lo + r.size] = r
         parts.append((xs, ps, vs))
     return (*(np.concatenate(a) for a in zip(*parts)), rem)
@@ -156,7 +167,7 @@ def test_value_square_blocks_vs_whole_range(case, b, size):
     # entries in ascending p, and together give the whole-range profile
     P, n = case
     with mock.patch.object(kernels, "_VALUE_BLOCK", size):
-        blocks = list(kernels.value_square_blocks(P.coeffs, n, b))
+        blocks = list(value_square_blocks(P.coeffs, n, b))
         whole = value_square_profile(P.coeffs, n, b)
     assert [lo for lo, *_ in blocks] == list(range(1, n + 1, size))
     xs, ps, vs, rem = value_square_profile_alt(P.coeffs, n, b)
@@ -180,15 +191,15 @@ def test_value_square_blocks_vs_whole_range(case, b, size):
 def test_value_square_blocks_limits():
     # checked before the first block
     with pytest.raises(OverflowError):
-        next(kernels.value_square_blocks([1, 0, 0, 0, 1], 2**16, 10))
+        next(value_square_blocks([1, 0, 0, 0, 1], 2**16, 10))
     # the content prime 5 beyond B = 3 stays in every remainder:
     # rem = 5 (x + 1) without its factors 2 and 3
-    ((lo, xs, ps, vs, rem),) = kernels.value_square_blocks([5, 5], 10, 3)
+    ((lo, xs, ps, vs, rem),) = value_square_blocks([5, 5], 10, 3)
     assert rem.tolist() == [5, 5, 5, 25, 5, 35, 5, 5, 25, 55]
     assert sorted(zip(xs.tolist(), ps.tolist(), vs.tolist())) == [(3, 2, 2), (7, 2, 3), (8, 3, 2)]
-    assert list(kernels.value_square_blocks([1, 1], 0, 10)) == []
+    assert list(value_square_blocks([1, 1], 0, 10)) == []
     # a constant with 2^2 * 3 in its content: (x, 2, 2) at every x
-    ((lo, xs, ps, vs, rem),) = kernels.value_square_blocks([12], 5, 3)
+    ((lo, xs, ps, vs, rem),) = value_square_blocks([12], 5, 3)
     assert (lo, xs.tolist(), ps.tolist(), vs.tolist()) == (1, [1, 2, 3, 4, 5], [2] * 5, [2] * 5)
     assert rem.tolist() == [1] * 5
 
@@ -215,7 +226,7 @@ def test_value_square_blocks_divides_only_at_entries(coeffs, n, b):
     # one strip per block whose sizes add up to the number of entries,
     # fewer than the hits (x, p), p | P(x) / content
     with mock.patch.object(kernels, "_strip", wraps=kernels._strip) as strip:
-        blocks = list(kernels.value_square_blocks(coeffs, n, b))
+        blocks = list(value_square_blocks(coeffs, n, b))
     prim, _ = kernels._primitive(coeffs)
     values = [sum(a * x**i for i, a in enumerate(prim)) for x in range(n + 1)]
     primes = kernels.prime_sieve(b).tolist()
