@@ -69,14 +69,15 @@ def count_powerfree_values(P: IntPoly, n: int, m: int = 2) -> CensusReport:
 
     Small primes are handled by the residue-marking sieve; a single
     square remainder test catches the large primes, valid because the
-    trial bound B (kernels.trial_bound) satisfies |P(x)| < B^3.
+    trial bound B (kernels.trial_bound) satisfies |P(x)| < B^3.  For m >=
+    3 the census sieves with, and reports, the lower kernels.power_bound.
     """
     require_squarefree(P)
     if P.degree < 1:
         raise ValueError("degree must be >= 1")
     if n < 1 or m < 2:
         raise ValueError("need N >= 1 and m >= 2")
-    b = kernels.trial_bound(P.coeffs, n)
+    b = kernels.power_bound(P.coeffs, n, kernels.trial_bound(P.coeffs, n), m)
     observed, zeros = _count_values(P.coeffs, n, m, b)
     est = eulerprod.density_univ(P, 10**4, m)
     return CensusReport(
@@ -98,7 +99,7 @@ def _count_values(coeffs, n: int, m: int, b: int) -> tuple[int, int]:
     for lo, cells, _, rem in kernels.value_power_blocks(coeffs, n, b, m):
         bad = rem == 0
         zeros += int(np.count_nonzero(bad))
-        # for m >= 3 no p^m with p > B divides a nonzero |P(x)| < B^3
+        # for m >= 3 every p > B has p^m above every |P(x)| (kernels.power_bound)
         if m == 2:
             bad |= _square_root(rem) > 0
         bad[cells] = True

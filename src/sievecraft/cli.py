@@ -281,7 +281,8 @@ def run(argv=None) -> int:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_DOMAIN
     except (OverflowError, MemoryError) as e:
-        print(f"resource error: {e}", file=sys.stderr)
+        # a bare MemoryError has no text
+        print(f"resource error: {str(e) or 'out of memory'}", file=sys.stderr)
         return EXIT_RESOURCE
 
 

@@ -4,7 +4,9 @@
 * ``poly_roots_mod_p`` -- roots of an integer polynomial mod one prime, and
   ``roots_mod_primes`` -- the roots mod every prime of a list at once,
   vectorised over the primes, and ``root_counts_mod_primes`` -- only their
-  number,
+  number, at degree <= 3 from the Legendre symbol of the discriminant
+  (Stickelberger's theorem) off the primes dividing it, elsewhere the
+  degree of gcd(x^p - x, f),
 * ``distinct_factor_degrees`` -- the degrees of the distinct irreducible
   factors of an integer polynomial mod one prime,
 * ``value_power_blocks`` -- for P and x = 1..N, the pairs (x, p) with p^m |
@@ -28,7 +30,7 @@ import math
 import numpy as np
 
 from . import modp
-from .poly import IntPoly
+from .poly import IntPoly, discriminant
 
 # the pure numpy kernels, the only implementation; benchmark runs record it
 BACKEND = "py"
@@ -275,14 +277,52 @@ def roots_mod_primes(coeffs, primes) -> tuple[np.ndarray, np.ndarray]:
 
 def root_counts_mod_primes(coeffs, primes) -> np.ndarray:
     """The number of distinct roots of the polynomial modulo each prime, as
-    int64: the lengths of the rows of roots_mod_primes, on the same paths,
-    but a batched prime reads its count as the degree of gcd(x^p - x, f)
-    and skips the split."""
-    primes, scalar, sel, _, dg = _linear_parts(coeffs, primes)
+    int64: the lengths of the rows of roots_mod_primes.
+
+    At degree d <= 3 a batched prime p not dividing Disc(f) reads its count
+    from the Legendre symbol chi = (Disc/p), which by Stickelberger's
+    theorem (R. G. Swan, "Factorization of polynomials over finite fields",
+    Pacific J. Math. 12, 1962) is (-1)^(d - r) for the r irreducible
+    factors of f mod p: d = 1 has 1 root, d = 2 has 1 + chi, and d = 3 has
+    1 where chi = -1, and where chi = +1 has 3 or 0 as x^p = x mod (f, p)
+    or not.  Every other prime takes the path of roots_mod_primes: a
+    batched one reads its count as the degree of gcd(x^p - x, f) and skips
+    the split."""
+    f = IntPoly(tuple(coeffs))
+    c = list(f.coeffs)
+    primes = np.asarray(primes, dtype=np.int64).reshape(-1)
     counts = np.zeros(primes.size, dtype=np.int64)
-    counts[sel] = dg
+    rest = np.arange(primes.size)
+    if 2 <= len(c) <= 4:  # degree 1 to 3
+        disc = discriminant(f)
+        quick = _batch_mask(c, primes) & (_residues(disc, primes) != 0)
+        counts[quick] = _discriminant_counts(c, disc, primes[quick])
+        rest = rest[~quick]
+    _, scalar, sel, _, dg = _linear_parts(c, primes[rest])
+    counts[rest[sel]] = dg
     for i, r in scalar:
-        counts[i] = len(r)
+        counts[rest[i]] = len(r)
+    return counts
+
+
+def _discriminant_counts(c: list[int], disc: int, p: np.ndarray) -> np.ndarray:
+    """The root counts of root_counts_mod_primes at the batched primes p
+    not dividing disc = Disc(c), for a degree <= 3."""
+    if len(c) == 2:
+        return np.ones(p.size, dtype=np.int64)
+    square = np.empty(p.size, dtype=bool)
+    for lo in range(0, p.size, _BATCH_ROWS):
+        q = p[lo : lo + _BATCH_ROWS]
+        square[lo : lo + q.size] = modp.power(_residues(disc, q), (q - 1) // 2, q) == 1
+    if len(c) == 3:
+        return np.where(square, 2, 0)  # 1 + chi
+    counts = np.where(square, 0, 1)  # 1 where chi = -1, else 3 or none
+    at = np.flatnonzero(square)
+    for lo in range(0, at.size, _BATCH_ROWS):
+        i = at[lo : lo + _BATCH_ROWS]
+        xp = modp.powmod(0, p[i], _monic(c, p[i]), p[i])
+        xp[1] -= 1
+        counts[i] = np.where((xp == 0).all(axis=0), 3, 0)
     return counts
 
 
@@ -294,26 +334,36 @@ def _linear_parts(coeffs, primes):
     batch; sel, the indices of the batched primes; and column j of g, with
     dg[j] its degree, the linear part gcd(x^p - x, f) mod p = primes[sel[j]]
     of the monic f = coeffs / lead.  g has deg + 1 rows."""
-    c = [int(a) for a in coeffs]
-    while len(c) > 1 and c[-1] == 0:
-        c.pop()
+    c = list(IntPoly(tuple(coeffs)).coeffs)
     d = len(c) - 1
     primes = np.asarray(primes, dtype=np.int64).reshape(-1)
-    batch = (primes > _SCALAR_MAX_P) & (primes < _BATCH_P_LIMIT) & (d <= _BATCH_MAX_DEG)
-    batch &= _residues(c[-1], primes) != 0
+    batch = _batch_mask(c, primes)
     scalar = [(i, poly_roots_mod_p(c, int(primes[i]))) for i in np.nonzero(~batch)[0].tolist()]
     # a nonzero constant has no roots: its batched primes stay out of sel
     sel = np.nonzero(batch)[0] if d >= 1 else np.zeros(0, dtype=np.int64)
     p = primes[sel]
     g = np.empty((d + 1, p.size), dtype=np.int64)
     dg = np.empty(p.size, dtype=np.int64)
-    if p.size:
-        inv = modp.inverse(_residues(c[-1], p), p)
-        for lo in range(0, p.size, _BATCH_ROWS):
-            hi = min(lo + _BATCH_ROWS, p.size)
-            mod = np.stack([_residues(a, p[lo:hi]) for a in c[:-1]]) * inv[lo:hi] % p[lo:hi]
-            g[:, lo:hi], dg[lo:hi] = _linear_part(mod, p[lo:hi])
+    for lo in range(0, p.size, _BATCH_ROWS):
+        q = p[lo : lo + _BATCH_ROWS]
+        g[:, lo : lo + q.size], dg[lo : lo + q.size] = _linear_part(_monic(c, q), q)
     return primes, scalar, sel, g, dg
+
+
+def _batch_mask(c: list[int], primes: np.ndarray) -> np.ndarray:
+    """The mask of the primes solved in one batch: 43 < p < 2^26, p not
+    dividing the leading coefficient, degree <= 1024."""
+    batch = (primes > _SCALAR_MAX_P) & (primes < _BATCH_P_LIMIT) & (len(c) - 1 <= _BATCH_MAX_DEG)
+    return batch & (_residues(c[-1], primes) != 0)
+
+
+def _monic(c: list[int], p: np.ndarray) -> np.ndarray:
+    """The lower coefficients of the monic c / lead mod p, one row each;
+    the inverse of the lead is skipped where it is 1."""
+    mod = np.stack([_residues(a, p) for a in c[:-1]])
+    if c[-1] != 1:
+        mod = mod * modp.inverse(_residues(c[-1], p), p) % p
+    return mod
 
 
 def _residues(a: int, primes: np.ndarray) -> np.ndarray:
@@ -444,8 +494,7 @@ def value_power_blocks(coeffs, n: int, b: int, m: int):
     the content's.  Nothing finds v_p."""
     from . import localdens  # localdens imports this module
 
-    if m > 2:  # a p^m above every |P(x)| divides no nonzero value
-        b = min(b, int(_value_bound(coeffs, n, 1) ** (1 / m)) + 1)
+    b = power_bound(coeffs, n, b, m)
     primes, cps, cp, roots = _profile_setup(coeffs, b, n, 1)
     cr = np.where(roots == 0, cp, roots)  # x = 0 lies outside 1..N: r = 0 is r = p
     cprod = math.prod(cps.tolist())
@@ -457,6 +506,16 @@ def value_power_blocks(coeffs, n: int, b: int, m: int):
                 vals //= cprod
         cells, ps = _hits((first - lo) % step, step, vals.size, prime=prime)
         yield lo, cells, ps, vals
+
+
+def power_bound(coeffs, n: int, b: int, m: int) -> int:
+    """The bound that the census of m-th powers over x = 1..N sieves with,
+    from the trial bound B: for m > 2 it is lowered to floor(V^(1/m)) + 1,
+    V = _value_bound(coeffs, n, 1), since every p above it has p^m > V and
+    so divides no nonzero value."""
+    if m > 2:
+        b = min(b, int(_value_bound(coeffs, n, 1) ** (1 / m)) + 1)
+    return b
 
 
 def _abs_values(coeffs, n: int):

@@ -321,6 +321,24 @@ def test_exit_resource(capsys):
     assert peak < 8 * 2**20
 
 
+def test_exit_resource_out_of_memory(capsys, monkeypatch):
+    # a bare MemoryError has no text of its own: the message names what ran out
+    def exhausted(args, digits):
+        raise MemoryError()
+
+    monkeypatch.setitem(cli._DISPATCH, "density", exhausted)
+    assert _run(capsys, "density", "--poly", "x", "--B", "10") == (3, "", "resource error: out of memory\n")
+
+
+def test_census_reports_power_bound(capsys):
+    # "B" is the bound the census sieves with: for m >= 3 it is
+    # floor(max |P(x)|^(1/m)) + 1, 3 for x^3 + 2 at N = 10^6 and m = 40,
+    # against the trial bound 1000001 of m = 2
+    for m, b in (("2", 1000001), ("40", 3)):
+        code, out, _ = _run(capsys, "census", "--poly", "x^3 + 2", "--N", "1e6", "--m", m)
+        assert code == 0 and json.loads(out)["B"] == b
+
+
 @pytest.mark.parametrize("mult", [(), ("--progression", "1,3"), ("--mobius",)])
 def test_avgprod_memory_flat_in_n(capsys, mult):
     # the products and the multiplier are read block by block: the traced

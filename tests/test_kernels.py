@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from sievecraft import kernels, modp, numutil
-from sievecraft.poly import IntPoly, is_squarefree_poly
+from sievecraft.poly import IntPoly, discriminant, is_squarefree_poly
 
 
 def squarefree_mask(n):
@@ -492,6 +492,12 @@ def test_root_counts_mod_primes_vs_roots(coeffs):
     assert counts.tolist() == np.diff(starts).tolist()
 
 
+# degree <= 3 off the primes of Disc: x, 5x + 3, x^2 + 1, 3x^2 + 5x - 7,
+# x^3 + 2 (Disc -108), 2x^3 + 3x + 5 (Disc -54^2) and x^3 - 3x + 1 (Disc 81,
+# a square: 0 or 3 roots off p = 3)
+_DISC_POLYS = [[0, 1], [3, 5], [1, 0, 1], [-7, 5, 3], [2, 0, 0, 1], [5, 3, 0, 2], [1, -3, 0, 1]]
+
+
 def test_root_counts_mod_primes_exhaustive():
     # x^d - 1 has gcd(d, p - 1) distinct roots mod every p: the d-th roots
     # of unity in the cyclic group of order p - 1
@@ -499,8 +505,31 @@ def test_root_counts_mod_primes_exhaustive():
     for d in (4, 6):
         counts = kernels.root_counts_mod_primes([-1] + [0] * (d - 1) + [1], primes)
         assert counts.tolist() == [math.gcd(d, p - 1) for p in primes]
+    # the counts from the Legendre symbol of Disc, every p <= 2 * 10^4, the
+    # largest batched prime and the next, scalar one
+    primes = kernels.prime_sieve(2 * 10**4).tolist() + [67108859, 67108879]
+    for coeffs in _DISC_POLYS:
+        counts = kernels.root_counts_mod_primes(coeffs, primes).tolist()
+        assert counts == [len(kernels.poly_roots_mod_p(coeffs, p)) for p in primes], coeffs
+    assert set(counts[2:]) == {0, 3}  # x^3 - 3x + 1 from p = 5 on
     assert kernels.root_counts_mod_primes([5], [2, 3, 47, 101]).tolist() == [0, 0, 0, 0]
     assert kernels.root_counts_mod_primes([0, 0, 1], [2, 53]).tolist() == [1, 1]  # repeated root
     assert kernels.root_counts_mod_primes([2, 0, 0, 1], []).tolist() == []
     with pytest.raises(ValueError):  # vanishes identically mod 47
         kernels.root_counts_mod_primes([47, 94], [53, 47])
+
+
+def test_root_counts_mod_primes_without_powmod():
+    # at degree <= 2, and at the cubic primes where Disc is a non-residue,
+    # the Legendre symbol of Disc alone gives the count: neither x^p mod f
+    # nor a gcd is taken
+    primes = [p for p in kernels.prime_sieve(2 * 10**4).tolist() if p > kernels._SCALAR_MAX_P]
+    for coeffs in _DISC_POLYS:
+        disc = discriminant(IntPoly(tuple(coeffs)))
+        ps = [p for p in primes if disc % p and coeffs[-1] % p]
+        if len(coeffs) == 4:  # the cubic primes with chi = -1: none where Disc = 81
+            ps = [p for p in ps if pow(disc, (p - 1) // 2, p) == p - 1]
+        assert len(ps) > 1000 or disc == 81
+        expect = [len(kernels.poly_roots_mod_p(coeffs, p)) for p in ps]
+        with mock.patch.object(modp, "powmod", side_effect=AssertionError("x^p mod f was taken")):
+            assert kernels.root_counts_mod_primes(coeffs, ps).tolist() == expect, coeffs
