@@ -1,7 +1,7 @@
 """Benchmark the batched root finder against the per-prime loop, the root
 counts without the split, the streamed value profile and the census stream,
 the Euler product, the local integrals of avgprod's prediction, the p-adic
-lifting walk and the binary-form censuses.
+lifting walk, the binary-form censuses and the R(alpha, d) sum.
 
 Run:  python benchmarks/bench_kernels.py
 
@@ -154,6 +154,10 @@ def main():
     row("delta_census_form(x^3+2z^3, 100)", t)
     t, _ = timeit(census.twist_census, F, 60, repeat=k)
     row("twist_census(x^3+2z^3, 60)", t)
+
+    # the R(alpha, d) sum of the cubic case: one sieve over the primes <= 1e6
+    t, _ = timeit(census.r_alpha_sum, parse("x^3 - 2"), 0.4014, 10**6, repeat=k)
+    row("r_alpha_sum(x^3-2, 0.4014, 1e6)", t)
 
     meta = {"backend": kernels.BACKEND, "numpy": np.__version__, "nproc": os.cpu_count(), "repeat": k}
     print(json.dumps({**meta, "ms": rows}))

@@ -334,7 +334,14 @@ def r_alpha_sum(
     """Sum over square-free d <= X of R(alpha, d) =
     2^(alpha*(omega_K(d) - omega(d))) if every p | d has a degree-1
     prime above it (no p unsplit, i.e. inert), else 0.  Returns the sum
-    and a table (X_i, S(X_i)/X_i/(log X_i)^exponent)."""
+    and a table (X_i, S(X_i)/X_i/(log X_i)^exponent).
+
+    R is multiplicative: one sieve over the primes p <= X clears the
+    multiples of p^2, and of p where p is unsplit, and adds #factors - 1 to
+    the exponent at the multiples of a split p.  Off Disc*lead the r = 0, 1
+    or 3 roots of the cubic mod p (eulerprod._root_counts) mean (split,
+    #factors) = (no, 1), (yes, 2), (yes, 3); Disc*lead's primes read
+    _local_splitting."""
     _require_irreducible(P)
     if P.degree != 3:
         raise ValueError("P must be an irreducible cubic")
@@ -348,25 +355,20 @@ def r_alpha_sum(
         exponent = (
             a2 * a2 / 3 - 1 if galois else a2 / 2 + a2 * a2 / 6 - 1
         )
-    mu = numutil.mobius_table(X)
-    spf = numutil.spf_table(X)
-    local: dict[int, tuple[bool, int]] = {}
-    total = 0.0
-    marks = {X, X // 4, X // 2} - {0}
-    table = []
-    for d in range(1, X + 1):
-        m, extra = d if mu[d] else 0, 0  # m = 0: d has a square factor
-        while m > 1:  # d square-free: each p | d once
-            p = int(spf[m])
-            if p not in local:
-                local[p] = _local_splitting(P, p)
-            split, nfac = local[p]
-            if not split:
-                break
-            extra += nfac - 1
-            m //= p
-        if m == 1:
-            total += 2.0 ** (alpha * extra)
-        if d in marks:
-            table.append((d, total / d / math.log(max(d, 2)) ** exponent if d >= 2 else total))
-    return total, table
+    ok = np.ones(X + 1, dtype=bool)
+    ok[0] = False
+    extra = np.zeros(X + 1, dtype=np.int8)
+    primes, counts = eulerprod._root_counts(P.coeffs, X, eulerprod._bad_primes_univ(P))
+    for p, n in zip(primes.tolist(), counts):
+        split, nfac = _local_splitting(P, p) if n is None else (n > 0, (n + 3) // 2)
+        if split:
+            extra[p::p] += nfac - 1
+        else:
+            ok[p::p] = False
+        ok[p * p :: p * p] = False
+    sums = np.array([2.0 ** (alpha * e) for e in range(int(extra.max()) + 1)])[extra]
+    sums[~ok] = 0.0
+    np.cumsum(sums, out=sums)
+    marks = sorted({X, X // 4, X // 2} - {0})
+    at = dict(zip(marks, sums[marks].tolist()))
+    return at[X], [(d, s / d / math.log(d) ** exponent if d >= 2 else s) for d, s in at.items()]

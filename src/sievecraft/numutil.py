@@ -1,10 +1,10 @@
-"""Elementary arithmetic functions: v_p, mu, factorization by trial
-division, the Mobius and smallest-prime-factor tables, and mu over a
-segment.
+"""Elementary arithmetic functions: primality, factorization (trial
+division, then Pollard's rho), v_p, mu, and mu over a segment.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -12,11 +12,21 @@ import numpy as np
 
 from . import kernels
 
-_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# Miller-Rabin with these bases is exact below _MR_EXACT (Sorenson and
+# Webster, Math. Comp. 86, 2017)
+_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_EXACT = 3317044064679887385961981
+# factorize divides by the primes below _TRIAL, then runs rho for at most
+# _RHO_STEPS steps per cofactor, one gcd per _RHO_BLOCK steps
+_TRIAL = 1 << 10
+_TRIAL_PRIMES = kernels.prime_sieve(_TRIAL).tolist()
+_RHO_STEPS = 1 << 22
+_RHO_BLOCK = 128
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin, exact for n < 3.3e24."""
+    """Deterministic Miller-Rabin, exact for n < _MR_EXACT (about 3.3e24);
+    above it a True is only probable."""
     if n < 2:
         return False
     for p in _SMALL_PRIMES:
@@ -42,8 +52,8 @@ def is_prime(n: int) -> bool:
 
 @dataclass
 class Factorization:
-    """Sign and sorted (prime, exponent) pairs; ``opaque`` holds any
-    composite cofactor that trial division could not resolve."""
+    """Sign and sorted (prime, exponent) pairs; ``opaque`` holds the
+    cofactor that factorize could not resolve into certified primes."""
 
     sign: int
     pairs: list[tuple[int, int]] = field(default_factory=list)
@@ -60,39 +70,70 @@ class Factorization:
         return self.opaque == 1
 
 
-def factorize(n: int, trial_bound: int | None = None) -> Factorization:
-    """Factor n by trial division up to ``trial_bound`` (default: full,
-    i.e. up to isqrt of the shrinking remainder), then primality and
-    perfect-power checks on what is left."""
+def factorize(n: int) -> Factorization:
+    """Factor n: trial division by the primes below _TRIAL, then Pollard's
+    rho in Brent's form on a composite cofactor.  A cofactor stays opaque
+    where rho finds no factor within _RHO_STEPS steps, or where it is at
+    least _MR_EXACT and is_prime cannot certify it."""
     if n == 0:
         raise ValueError("cannot factor 0")
-    sign = 1 if n > 0 else -1
+    exps: dict[int, int] = {}
     m = abs(n)
-    pairs: list[tuple[int, int]] = []
-    p = 2
-    limit = trial_bound if trial_bound is not None else math.isqrt(m)
-    while p <= limit and p * p <= m:
-        if m % p == 0:
-            e = 0
-            while m % p == 0:
-                m //= p
-                e += 1
-            pairs.append((p, e))
-            if trial_bound is None:
-                limit = math.isqrt(m)
-        p += 1 if p == 2 else 2
+    for p in _TRIAL_PRIMES:
+        if p * p > m:
+            break
+        while m % p == 0:
+            m //= p
+            exps[p] = exps.get(p, 0) + 1
     opaque = 1
-    if m > 1:
-        if is_prime(m):
-            pairs.append((m, 1))
-        else:
-            r = math.isqrt(m)
-            if r * r == m and is_prime(r):
-                pairs.append((r, 2))
+    rest = [m] if m > 1 else []
+    while rest:  # each piece has no prime factor below _TRIAL
+        m = rest.pop()
+        r = math.isqrt(m)
+        if r * r == m:
+            rest += [r, r]
+        elif m < _TRIAL * _TRIAL or is_prime(m):
+            if m < _MR_EXACT:
+                exps[m] = exps.get(m, 0) + 1
             else:
-                opaque = m
-    pairs.sort()
-    return Factorization(sign, pairs, opaque)
+                opaque *= m
+        elif (d := _rho(m)) is None:
+            opaque *= m
+        else:
+            rest += [d, m // d]
+    return Factorization(1 if n > 0 else -1, sorted(exps.items()), opaque)
+
+
+def _rho(n: int) -> int | None:
+    """A proper factor of the odd composite n by Pollard's rho in Brent's
+    form (R. P. Brent, BIT 20, 1980), walking x -> x^2 + c for c = 1, 2, ...
+    and taking one gcd per _RHO_BLOCK steps; None after _RHO_STEPS steps."""
+    steps = 0
+    for c in itertools.count(1):
+        y, r, q, g = 2, 1, 1, 1
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            for k in range(0, r, _RHO_BLOCK):
+                ys = y
+                for _ in range(min(_RHO_BLOCK, r - k)):
+                    y = (y * y + c) % n
+                    q = q * (x - y) % n
+                g = math.gcd(q, n)
+                if g != 1:
+                    break
+            steps += 2 * r
+            if g == 1 and steps > _RHO_STEPS:
+                return None
+            r *= 2
+        if g == n:  # the block overshot: step again from its start
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = math.gcd(x - ys, n)
+        if g < n:  # else the cycle closed modulo n itself: next c
+            return g
 
 
 def valuation(n: int, p: int) -> int:
@@ -120,16 +161,6 @@ def mobius(n: int) -> int:
     return -1 if len(f.pairs) % 2 else 1
 
 
-def mobius_table(n: int) -> np.ndarray:
-    """int8 array of mu(i) for i = 0..N (entry 0 unused, set to 0), filled
-    by segments of 4096 values."""
-    mu = np.zeros(n + 1, dtype=np.int8)
-    for lo in range(1, n + 1, 4096):
-        hi = min(lo + 4096, n + 1)
-        mu[lo:hi] = mobius_segment(np.arange(lo, hi))
-    return mu
-
-
 def mobius_segment(xs: np.ndarray) -> np.ndarray:
     """int8 array of mu(x) at xs, consecutive integers from 1 up, by the
     primes up to sqrt(max xs): x is square-free where no p^2 divides it,
@@ -145,13 +176,3 @@ def mobius_segment(xs: np.ndarray) -> np.ndarray:
     mu = (1 - 2 * odd).astype(np.int8)
     mu[kernels._hits(-lo % primes**2, primes**2, w)[0]] = 0
     return mu
-
-
-def spf_table(n: int) -> np.ndarray:
-    """Smallest prime factor for 0..N (spf[0]=0, spf[1]=1, spf[p]=p)."""
-    spf = np.arange(n + 1, dtype=np.int64)
-    for p in range(2, math.isqrt(n) + 1):
-        if spf[p] == p:
-            sl = spf[p * p :: p]
-            sl[sl == np.arange(p * p, n + 1, p)] = p
-    return spf

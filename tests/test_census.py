@@ -30,7 +30,7 @@ from sievecraft.census import (
     twist_census,
 )
 from sievecraft.lattice import Sector
-from sievecraft.poly import BinForm, IntPoly, is_squarefree_poly, parse
+from sievecraft.poly import BinForm, IntPoly, discriminant, is_squarefree_poly, parse
 
 
 def delta_census_univ_alt(P, n, threshold=None):
@@ -747,3 +747,51 @@ def test_r_alpha_sum_brute():
             total += 2.0**extra
     got, _ = r_alpha_sum(P, 1.0, X)
     assert got == pytest.approx(total)
+
+
+def r_alpha_sum_loop(P, alpha, X, exponent):
+    """r_alpha_sum as a loop over d <= X: factor d, and read each prime's
+    splitting from the distinct-degree factorization of P mod p."""
+    degs = {}
+    total, table = 0.0, []
+    marks = {X, X // 4, X // 2} - {0}
+    for d in range(1, X + 1):
+        pairs = numutil.factorize(d).pairs
+        ok, extra = all(e == 1 for _, e in pairs), 0
+        for p, _ in pairs if ok else []:
+            if p not in degs:
+                degs[p] = kernels.distinct_factor_degrees(P.coeffs, p)
+            if 1 not in degs[p]:
+                ok = False
+                break
+            extra += len(degs[p]) - 1
+        if ok:
+            total += 2.0 ** (alpha * extra)
+        if d in marks:
+            table.append((d, total / d / math.log(max(d, 2)) ** exponent if d >= 2 else total))
+    return total, table
+
+
+# x^3 - 3x + 1 has Disc 81, a square; 3x^3 + 6x + 12 has content 3
+R_ALPHA_CUBICS = ["x^3 - 2", "x^3 - 3*x + 1", "2*x^3 + 3*x + 7", "3*x^3 + 6*x + 12"]
+
+
+@pytest.mark.parametrize("text", R_ALPHA_CUBICS)
+def test_r_alpha_sum_matches_loop(text):
+    # the sieve sums the same floats in the same order: == throughout
+    P = parse(text)
+    for alpha in (0, 0.4014, 1):
+        for X in (1, 2, 7, 100, 3000):
+            assert r_alpha_sum(P, alpha, X, 0.75) == r_alpha_sum_loop(P, alpha, X, 0.75)
+
+
+def test_r_alpha_sum_local_splitting_at_bad_primes():
+    # every other prime reads its splitting from its number of roots
+    X = 1000
+    for text in R_ALPHA_CUBICS:
+        P = parse(text)
+        with mock.patch.object(census, "_local_splitting", wraps=census._local_splitting) as spy:
+            r_alpha_sum(P, 1.0, X)
+        seen = [c.args[1] for c in spy.call_args_list]
+        bad = [p for p in range(2, X + 1) if numutil.is_prime(p) and discriminant(P) * P.lead % p == 0]
+        assert sorted(seen) == bad

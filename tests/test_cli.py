@@ -2,6 +2,7 @@ import hashlib
 import json
 import subprocess
 import sys
+import time
 import tracemalloc
 from fractions import Fraction
 from pathlib import Path
@@ -337,6 +338,17 @@ def test_census_reports_power_bound(capsys):
     for m, b in (("2", 1000001), ("40", 3)):
         code, out, _ = _run(capsys, "census", "--poly", "x^3 + 2", "--N", "1e6", "--m", m)
         assert code == 0 and json.loads(out)["B"] == b
+
+
+def test_census_discriminant_of_large_primes(capsys):
+    # Disc = 4 (10^9 + 7)(10^9 + 9) is split by rho, not by trial division
+    t = time.perf_counter()
+    code, out, _ = _run(capsys, "census", "--poly", "x^2 - 1000000016000000063", "--N", "10")
+    assert code == 0 and time.perf_counter() - t < 2
+    assert json.loads(out)["observed"] == 9
+    # Disc = 4 (2^89 - 1): a prime above the Miller-Rabin bound is not trusted
+    code, _, err = _run(capsys, "density", "--poly", "x^2 - 618970019642690137449562111")
+    assert code == 2 and "could not factor the discriminant" in err
 
 
 @pytest.mark.parametrize("mult", [(), ("--progression", "1,3"), ("--mobius",)])
