@@ -1,7 +1,8 @@
 """Benchmark the batched root finder against the per-prime loop, the root
-counts without the split, the streamed value profile and the census stream,
-the Euler product, the local integrals of avgprod's prediction, the p-adic
-lifting walk, the binary-form censuses and the R(alpha, d) sum.
+counts without the split (also of a discriminant past 2^62), the streamed
+value profile and the census stream, the Euler product, the local integrals
+of avgprod's prediction, the p-adic lifting walk, the binary-form censuses
+and the R(alpha, d) sum.
 
 Run:  python benchmarks/bench_kernels.py
 
@@ -83,6 +84,13 @@ def main():
             t, _ = timeit(kernels.root_counts_mod_primes, parse(text).coeffs, primes, repeat=k)
             row(f"root_counts_mod_primes {name}, B={b}", t)
 
+    # a discriminant (-4 * 10^21 - 27) past 2^62: its residues mod the primes
+    # come from 31-bit limbs, against the small one of x^3 + 2
+    primes = kernels.prime_sieve(10**6)
+    for name, coeffs in (("x^3+2", [2, 0, 0, 1]), ("x^3+1e7x+1", [1, 10**7, 0, 1])):
+        t, _ = timeit(kernels.root_counts_mod_primes, coeffs, primes, repeat=k)
+        row(f"root_counts_mod_primes {name}, B=1e6", t)
+
     # the Euler product of density --poly 'x^3 + 2' --B 1e5: its float ends
     # alone, and the whole density
     P = parse("x^3 + 2")
@@ -126,14 +134,17 @@ def main():
     row(f"x^2+1 1e6 census stream, m=2, {peak:.1f} MB", t)
 
     # local integrals over the 168 primes <= 1000, with their exact product;
-    # and empirical_average's prediction, which encloses the product and the
-    # slack sum in fixed point, at B = 1e3 and 1e5
-    u = avgprod.squarefree_indicator_family(parse("x^3 + 2"))
+    # and empirical_average's prediction at B = 1e3 and 1e5: the integrals
+    # at the simple primes from the root counts in closed form, the product
+    # and the slack sum enclosed in fixed point, for both class-free families
+    P = parse("x^3 + 2")
+    u = avgprod.squarefree_indicator_family(P)
     t, _ = timeit(avgprod.truncated_product, u, 1000, repeat=k)
     row("truncated_product(x^3+2, 1e3)", t)
-    for e in (3, 5):
-        t, _ = timeit(avgprod._predict, u.poly, u, 10**e, repeat=k)
-        row(f"avgprod prediction(x^3+2, 1e{e})", t)
+    for name, u in (("", u), (" signed", avgprod.signed_valuation_family(P))):
+        for e in (3, 5):
+            t, _ = timeit(avgprod._predict, P, u, 10**e, repeat=k)
+            row(f"avgprod prediction{name}(x^3+2, 1e{e})", t)
 
     # the lifting walk to depth 25: a chain of singular classes, and two
     # simple roots that lift one level at a time

@@ -27,18 +27,25 @@ class LocalFactorSpec:
     the rule is read only at v_p >= 2, on both the empirical and the
     predicted side (the predictions check the hypothesis at every prime
     they integrate); set general=True only for direct local_integral
-    evaluation of unrestricted rules."""
+    evaluation of unrestricted rules.  Kind "indicator" or "signed" with
+    general=False declares a rule of v_p only, u_p = 0 or (-1)^(v_p) on v_p
+    >= 2 and 1 below: such a class-free family is counted, not read, where
+    the number of roots mod p or the census mask (census.free_mask) do."""
 
     poly: IntPoly | None
     rule: Callable[[int, int, int], complex]
     kind: str = "custom"
     general: bool = False
 
+    @property
+    def class_free(self) -> bool:
+        return not self.general and self.kind in ("indicator", "signed")
+
     def check_trivial_low(self, p: int) -> None:
         """Raise ValueError unless rule(p, i, j) = 1 at every class i mod p
         and j <= 1.  The indicator and signed families are 1 there by
         construction, and general families need not be."""
-        if self.general or self.kind in ("indicator", "signed"):
+        if self.general or self.class_free:
             return
         for i in range(p):
             for j in (0, 1):
@@ -81,42 +88,68 @@ def _local_integrals(
     every level v_p = j from low = 0; any other family's from low = 2, after
     its hypothesis is checked at p, with the mass of v_p < 2 counting as 1.
 
-    At a prime outside Disc*lead*content every root mod p is simple and
-    lifts uniquely, so mu{x = r (p), v_p(P(x)) >= j} = p^-j for j >= 1:
-    those masses are read in closed form from one batch of roots mod p.
-    Every other prime, and every prime of m, is lifted once to depth
-    j_cap + 1."""
+    At a prime outside Disc*lead*content*m every root mod p is simple and
+    lifts uniquely, so mu{x = r (p), v_p(P(x)) >= j} = p^-j for j >= 1.  A
+    class-free family reads there only the number r of roots mod p, its
+    integral in closed form (_closed_form) and its slack r / p^k, k = j_cap
+    + 1; any other family the masses of its classes, from one batch of
+    roots mod p.  Every other prime is lifted once to depth k."""
+    (ps, rs, nums, dens), rest = _integrals(P, u, primes, j_cap, a, m)
+    for p, r, num, den in zip(ps.tolist(), rs.tolist(), nums, dens):
+        rest[p] = Fraction(num, den), Fraction(r, p ** (j_cap + 1))
+    return [rest[p][0] for p in primes], [rest[p][1] for p in primes]
+
+
+def _integrals(P: IntPoly, u: LocalFactorSpec, primes, j_cap: int, a: int, m: int):
+    """((ps, rs, nums, dens), rest): the integrals of _local_integrals, in
+    closed form at the primes ps, and rest[p] = (value, slack) elsewhere."""
     if j_cap < 0:
         raise ValueError("j_cap must be >= 0")
     low = 0 if u.general else 2
     k = j_cap + 1
+    primes = np.asarray(primes, dtype=np.int64)
     d = discriminant(P) * P.lead * P.content()
-    lifted = {p for p in primes if d % p == 0 or m % p == 0}
-    simple = [p for p in primes if p not in lifted]
-    starts, roots = (arr.tolist() for arr in kernels.roots_mod_primes(P.coeffs, simple))
-    roots_of = {p: roots[starts[t] : starts[t + 1]] for t, p in enumerate(simple)}
-    values, slacks = [], []
-    for p in primes:
+    lifted = (kernels._residues(d, primes) == 0) | (kernels._residues(m, primes) == 0)
+    simple, roots_of = primes[~lifted], {}
+    closed = (simple[:0], simple[:0], [], [])
+    if u.class_free:
+        rs = kernels.root_counts_mod_primes(P.coeffs, simple)
+        closed, primes = (simple, rs, *_closed_form(u.kind, simple, rs, k)), primes[lifted]
+    else:
+        starts, roots = (arr.tolist() for arr in kernels.roots_mod_primes(P.coeffs, simple))
+        roots_of = {p: roots[starts[t] : starts[t + 1]] for t, p in enumerate(simple.tolist())}
+    rest = {}
+    for p in primes.tolist():
         u.check_trivial_low(p)
-        if p in lifted:
+        if p in roots_of:  # mu{x = r (p), v_p >= j} = p^-j at a simple root r, j >= 1
+            den = total = p**k
+            masses = [dict.fromkeys(range(p) if low == 0 else (), p ** (k - 1))]
+            masses += [dict.fromkeys(roots_of[p], p ** (k - j)) for j in range(1, k + 1)]
+        else:
             e = numutil.valuation(m, p) if m % p == 0 else 0
             masses, den = localdens.class_masses(localdens._lift_levels(P, p, k), p, a, e)
-            total, tail = sum(masses[0].values()), sum(masses[k].values())
-            weights = [
-                (i, j, mass - masses[j + 1].get(i, 0))
-                for j in range(low, k)
-                for i, mass in masses[j].items()
-            ]
-        else:
-            rs = roots_of[p]
-            den = total = p**k
-            tail = len(rs)
-            weights = [(r, j, (p - 1) * p ** (k - j - 1)) for j in range(max(low, 1), k) for r in rs]
-            if low == 0:  # the classes mod p without a root, at v_p = 0
-                weights += [(i, 0, p ** (k - 1)) for i in range(p) if i not in rs]
-        values.append(_integrate(u.rule, p, weights, total - tail, den))
-        slacks.append(Fraction(tail, den))
-    return values, slacks
+            total = sum(masses[0].values())
+        tail = sum(masses[k].values())
+        weights = [(i, j, w - masses[j + 1].get(i, 0)) for j in range(low, k) for i, w in masses[j].items()]
+        rest[p] = _integrate(u.rule, p, weights, total - tail, den), Fraction(tail, den)
+    return closed, rest
+
+
+def _closed_form(kind: str, ps: np.ndarray, rs: np.ndarray, k: int) -> tuple[list[int], list[int]]:
+    """(nums, dens): the integrals nums[i] / dens[i] below level k at p =
+    ps[i] with r = rs[i] simple roots, where mu{v_p = j} = r (p - 1) / p^(j +
+    1) for 1 <= j < k: the indicator's u = 0 at j >= 2 leaves 1 - r /
+    p^min(k, 2); the signed family's u = -1 at the t odd j in [3, k) leaves 1
+    - r c / p^k, c = 1 + 2 (p - 1) sum p^(k - 1 - j) = 1 + 2 p^(k - 2 - 2t)
+    (p^(2t) - 1) / (p + 1) (1 / 1 at r = 0)."""
+    if kind == "indicator":  # p^2 in int64 below p = 2^31
+        q = ps.astype(object if ps.max(initial=0) >> 31 else np.int64) ** min(k, 2)
+        return (q - rs.astype(q.dtype)).tolist(), q.tolist()
+    t, nums, dens = max(0, (k - 2) // 2), [1] * ps.size, [1] * ps.size
+    for i, p, r in zip(np.flatnonzero(rs).tolist(), ps[rs > 0].tolist(), rs[rs > 0].tolist()):
+        c = 1 + 2 * p ** max(k - 2 - 2 * t, 0) * (p ** (2 * t) - 1) // (p + 1)
+        nums[i], dens[i] = p**k - r * c, p**k
+    return nums, dens
 
 
 def _integrate(rule, p: int, weights: list[tuple[int, int, int]], below_cap: int, den: int):
@@ -176,23 +209,32 @@ class AverageReport:
         }
 
 
-def _prediction(values: list, slacks: list[Fraction]) -> dict:
+def _prediction(values: list, slacks: list[Fraction], closed=None) -> dict:
     """The AverageReport fields of T = prod values with the tail bound
     S = sum slacks: T to nearest, S rounded up, T -/+ S rounded outward.
-    T is enclosed by eulerprod._enclosure, S by one floor per term, and
-    eulerprod.rounded forms the exact T and S only where the two ends of an
-    enclosure disagree.  Float and complex values keep their float product,
-    whose real part is enclosed as one factor."""
+    closed = (ps, rs, nums, dens) of _integrals adds the factors nums[i] /
+    dens[i] to T and rs[i] / ps[i]^(J_CAP + 1) to S.  T is enclosed by
+    eulerprod._enclosure, S by one floor per term (0 for r / p^k at p^J_CAP >
+    2^_PRECISION, as r <= p), and eulerprod.rounded forms the exact T and S
+    only where the two ends of an enclosure disagree.  Float and complex
+    values (never with closed) keep their float product, whose real part is
+    enclosed as one factor."""
+    ps, rs, nums, dens = closed or (np.zeros(0, dtype=np.int64),) * 2 + ([], [])
     predicted = None
     if not all(isinstance(v, Fraction) for v in values):
         predicted = complex(math.prod(values, start=Fraction(1)))
         values = [Fraction(predicted.real)]
-    nums, dens = [v.numerator for v in values], [v.denominator for v in values]
+    nums, dens = nums + [v.numerator for v in values], dens + [v.denominator for v in values]
     t_lo, t_hi = eulerprod._enclosure(dens, nums)
+    k, at = J_CAP + 1, np.flatnonzero(rs)
+    near = at[ps[at] < 1 << (eulerprod._PRECISION // J_CAP + 1)].tolist()
     s_lo = sum((s.numerator << eulerprod._PRECISION) // s.denominator for s in slacks)
-    s_hi = s_lo + len(slacks)  # a ceiling is at most its floor + 1
+    s_lo += sum((int(rs[i]) << eulerprod._PRECISION) // int(ps[i]) ** k for i in near)
+    s_hi = s_lo + len(slacks) + at.size  # a ceiling is at most its floor + 1
     t = functools.cache(lambda: (eulerprod._product(nums), eulerprod._product(dens)))
-    s = functools.cache(lambda: sum(slacks, Fraction(0)).as_integer_ratio())
+    s = functools.cache(
+        lambda: sum([*slacks, *(Fraction(int(rs[i]), int(ps[i]) ** k) for i in at)]).as_integer_ratio()
+    )
 
     def shifted(sign: int):  # T + sign * S, unreduced
         (tn, td), (sn, sd) = t(), s()
@@ -238,13 +280,19 @@ def _fsum(sums) -> complex:
 def _product_blocks(P: IntPoly, u: LocalFactorSpec, n: int, threshold: int | None = None):
     """Blocks (lo, prod, delta) of the value square profile of P over 1..N:
     prod[x - lo] = prod_p u_p(x), 0 at the roots of P (flagged apart), and
-    delta census.exceptional_count of the block with a threshold, else 0."""
+    delta census.exceptional_count of the block with a threshold, else 0.
+    The indicator's product is 1 exactly where census.free_mask is set, so
+    it finds v_p (square_entries) only for delta."""
     b = kernels.trial_bound(P.coeffs, n)
     u.check_trivial_low(2)
     u.check_trivial_low(3)
+    indicator = u.class_free and u.kind == "indicator"
     for lo, cells, ps, rem in kernels.value_power_blocks(P.coeffs, n, b, 2):
-        cells, ps, vs = kernels.square_entries(cells, ps, rem)
-        prod = _products(u.rule, cells, ps, vs, rem, lambda c, p: (c + lo) % p)
+        prod = census.free_mask(cells, rem).astype(complex) if indicator else None  # before rem is divided
+        if prod is None or threshold is not None:
+            cells, ps, vs = kernels.square_entries(cells, ps, rem)
+        if prod is None:
+            prod = _products(u.rule, cells, ps, vs, rem, lambda c, p: (c + lo) % p)
         yield lo, prod, 0 if threshold is None else census.exceptional_count(cells, ps, rem, threshold)
 
 
@@ -271,8 +319,9 @@ def truncated_product(u: LocalFactorSpec, b: int):
 
 def _predict(P: IntPoly, u: LocalFactorSpec, b: int, a: int = 0, m: int = 1) -> dict:
     """_prediction over p <= b, the head deg P / b one more slack (a, m: see _local_integrals)."""
-    values, slacks = _local_integrals(P, u, kernels.prime_sieve(b).tolist(), J_CAP, a, m)
-    return _prediction(values, [Fraction(P.degree, b), *slacks])
+    closed, rest = _integrals(P, u, kernels.prime_sieve(b), J_CAP, a, m)
+    values, slacks = [v for v, _ in rest.values()], [s for _, s in rest.values()]
+    return _prediction(values, [Fraction(P.degree, b), *slacks], closed)
 
 
 def empirical_average(

@@ -97,14 +97,20 @@ def _count_values(coeffs, n: int, m: int, b: int) -> tuple[int, int]:
     observed = 0
     zeros = 0
     for lo, cells, _, rem in kernels.value_power_blocks(coeffs, n, b, m):
-        bad = rem == 0
-        zeros += int(np.count_nonzero(bad))
-        # for m >= 3 every p > B has p^m above every |P(x)| (kernels.power_bound)
-        if m == 2:
-            bad |= _square_root(rem) > 0
-        bad[cells] = True
-        observed += int(np.count_nonzero(~bad))
+        zeros += int(np.count_nonzero(rem == 0))
+        observed += int(np.count_nonzero(free_mask(cells, rem, m)))
     return observed, zeros
+
+
+def free_mask(cells: np.ndarray, rem: np.ndarray, m: int = 2) -> np.ndarray:
+    """The nonzero m-th-power-free values of a census block: rem != 0, no
+    cell, and for m = 2 rem no square > 1 (for m >= 3 every p > B has p^m
+    above every value, kernels.power_bound)."""
+    ok = rem != 0
+    if m == 2:
+        ok &= _square_root(rem) == 0
+    ok[cells] = False
+    return ok
 
 
 def count_squarefree_form(
@@ -139,12 +145,10 @@ def _count_pairs(F: BinForm, lo: int, n: int, coprime: bool, sector) -> tuple[in
     box lo <= x, z <= N: the pairs of the views of _box_blocks."""
     observed = zeros = 0
     for _, _, (cells, _, rem), views in _box_blocks(F, lo, n, coprime, sector):
-        zero = rem == 0
-        bad = zero | (_square_root(rem) > 0)
-        bad[cells] = True
+        zero, free = rem == 0, free_mask(cells, rem)
         for _, ok in views:
             zeros += int(np.count_nonzero(ok & zero))
-            observed += int(np.count_nonzero(ok & ~bad))
+            observed += int(np.count_nonzero(ok & free))
     return observed, zeros
 
 
@@ -365,7 +369,8 @@ def r_alpha_sum(
             extra[p::p] += nfac - 1
         else:
             ok[p::p] = False
-        ok[p * p :: p * p] = False
+        if p * p <= X:  # else the slice is empty
+            ok[p * p :: p * p] = False
     sums = np.array([2.0 ** (alpha * e) for e in range(int(extra.max()) + 1)])[extra]
     sums[~ok] = 0.0
     np.cumsum(sums, out=sums)

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import argparse
 import decimal
+import functools
 import json
 import math
 import random
@@ -79,6 +80,7 @@ def _integer(text: str) -> int:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
 
 
+@functools.cache  # parse_args leaves the parser as it was: one per process
 def build_parser() -> argparse.ArgumentParser:
     top = _Parser(prog="sievecraft", description=__doc__)
     top.add_argument("--digits", type=int, default=12, help="float precision in reports")

@@ -367,9 +367,16 @@ def _monic(c: list[int], p: np.ndarray) -> np.ndarray:
 
 
 def _residues(a: int, primes: np.ndarray) -> np.ndarray:
+    """a mod each prime, as int64; from |a| = 2^62 on, by Horner over the
+    31-bit limbs of |a| (r 2^31 + limb < 2^62) where every p < 2^31."""
     if -_INT64_SAFE < a < _INT64_SAFE:
         return np.int64(a) % primes
-    return np.array([a % int(p) for p in primes], dtype=np.int64)
+    if primes.max(initial=0) >> 31:
+        return np.array([a % int(p) for p in primes], dtype=np.int64)
+    r = np.zeros(primes.shape, dtype=np.int64)
+    for i in range(abs(a).bit_length() // 31 * 31, -1, -31):  # the top limb first
+        r = ((r << 31) + (abs(a) >> i & 0x7FFFFFFF)) % primes
+    return -r % primes if a < 0 else r
 
 
 def _linear_part(mod: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

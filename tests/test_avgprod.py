@@ -668,3 +668,54 @@ def test_empirical_average_profiles_once(monkeypatch):
     rep = empirical_average(P, squarefree_indicator_family(P), 5000)
     assert len(calls) == 1
     assert rep.delta_term == 2 * census.delta_census_univ(P, 5000) / 5000
+
+
+# ---------------------------------------------------------------------------
+# The class-free families: counted, not read through their rule
+
+
+@pytest.mark.parametrize("size", [kernels._VALUE_BLOCK, 700])
+@pytest.mark.parametrize(
+    "spec,n", [("x", 9000), ("x^3 + 2", 9000), ("12*x^3 + 24", 8193), ("4*x^2 + 12", 12289), ("10007*x + 10007", 10000)]
+)
+def test_indicator_mask_vs_rule_path(spec, n, size, monkeypatch):
+    # the indicator's products, read from the census mask, are byte for
+    # byte and delta for delta those of its rule read through _products
+    # (kind custom), across several blocks, with and without a threshold
+    monkeypatch.setattr(kernels, "_VALUE_BLOCK", size)
+    assert n > 2 * size
+    P = parse(spec)
+    u = squarefree_indicator_family(P)
+    for threshold in (None, math.isqrt(n)):
+        got = list(avgprod._product_blocks(P, u, n, threshold))
+        want = list(avgprod._product_blocks(P, LocalFactorSpec(P, u.rule), n, threshold))
+        assert [(lo, prod.tobytes(), d) for lo, prod, d in got] == [(lo, prod.tobytes(), d) for lo, prod, d in want]
+
+
+@pytest.mark.parametrize("j_cap", [0, 1, 2, 5, 24])
+@pytest.mark.parametrize("family", [squarefree_indicator_family, signed_valuation_family])
+def test_closed_form_vs_sweep(family, j_cap):
+    # the integrals read from the root counts in closed form equal, value
+    # for value and type for type, the general sweep over every level and
+    # class; x^2 + x has r = p = 2 roots at 2
+    primes = kernels.prime_sieve(3000).tolist()
+    for spec, a, m in (("x^3 + 2", 0, 1), ("x^3 + 2", 2, 15), ("x^2 + x", 0, 1)):
+        P = parse(spec)
+        u = family(P)
+        got = avgprod._local_integrals(P, u, primes, j_cap, a, m)
+        want = avgprod._local_integrals(P, LocalFactorSpec(P, u.rule, general=True), primes, j_cap, a, m)
+        assert got == want
+        assert [type(v) for v in got[0]] == [type(v) for v in want[0]]
+
+
+def test_class_free_prediction_reads_no_roots(monkeypatch):
+    # the two class-free families read root counts, never the roots mod p,
+    # and their predictions are unchanged by it
+    def no_roots(*args):
+        raise AssertionError("roots_mod_primes called")
+
+    P = parse("12*x^3 + 24")
+    cases = [(f(P), a, m) for f in (squarefree_indicator_family, signed_valuation_family) for a, m in ((0, 1), (1, 3))]
+    want = [avgprod._predict(P, u, 1000, a, m) for u, a, m in cases]
+    monkeypatch.setattr(kernels, "roots_mod_primes", no_roots)
+    assert [avgprod._predict(P, u, 1000, a, m) for u, a, m in cases] == want

@@ -420,6 +420,19 @@ def test_density_enclosure_unreduced(capsys):
     assert (data["lower"], data["upper"]) == (est.lower, est.upper)
 
 
+def test_parser_built_once(capsys):
+    # one parser per process: a usage error, then a valid command, then its
+    # --digits variant, run in turn, print what each prints in a fresh one
+    assert cli.build_parser() is cli.build_parser()
+    src = str(Path(cli.__file__).resolve().parents[1])
+    census = ["census", "--poly", "x^3 + 2", "--N", "1000"]
+    for argv, rc in ((["census", "--poly", "x"], 64), (census, 0), (["--digits", "4", *census], 0)):
+        code = f"import sys; sys.path.insert(0, {src!r}); from sievecraft import cli; sys.exit(cli.run({argv!r}))"
+        fresh = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert _run(capsys, *argv) == (fresh.returncode, fresh.stdout, fresh.stderr)
+        assert fresh.returncode == rc
+
+
 def test_console_script_entry():
     with pytest.raises(SystemExit) as exc:
         cli.main()

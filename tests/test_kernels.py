@@ -519,6 +519,24 @@ def test_root_counts_mod_primes_exhaustive():
         kernels.root_counts_mod_primes([47, 94], [53, 47])
 
 
+def test_residues_past_int64():
+    # a mod p as Python's % gives it: below 2^62 in int64, from 2^62 on by
+    # 31-bit limbs at the primes below 2^31 and by Python ints above
+    rng = random.Random(29)
+    small = kernels.prime_sieve(10**5).tolist() + [67108859, 2147483647]
+    values = [0, 2**62, -(2**62), 2**62 - 1, 1 - 2**62, 2**93, -(2**93) - 1]
+    values += [rng.randint(-(10**40), 10**40) for _ in range(40)]
+    for primes in (small, [4294967311, 2**61 - 1], small[:50] + [4294967311]):
+        for a in values:
+            assert kernels._residues(a, np.array(primes)).tolist() == [a % p for p in primes], a
+    # the root counts of a cubic whose discriminant -4 * 10^21 - 27 is past 2^62
+    primes = kernels.prime_sieve(3000).tolist()
+    coeffs = [1, 10**7, 0, 1]
+    assert kernels.root_counts_mod_primes(coeffs, primes).tolist() == [
+        len(kernels.poly_roots_mod_p(coeffs, p)) for p in primes
+    ]
+
+
 def test_root_counts_mod_primes_without_powmod():
     # at degree <= 2, and at the cubic primes where Disc is a non-residue,
     # the Legendre symbol of Disc alone gives the count: neither x^p mod f
