@@ -1,8 +1,9 @@
-"""Benchmark the batched root finder against the per-prime loop, the root
-counts without the split (also of a discriminant past 2^62), the streamed
-value profile and the census stream, the Euler product, the local integrals
-of avgprod's prediction, the p-adic lifting walk, the binary-form censuses
-and the R(alpha, d) sum.
+"""Benchmark the batched root finder against the per-prime loop (binomials
+by power residues, other polynomials by the split, and the cube roots mod
+p), the root counts without the split (also of a discriminant past 2^62),
+the streamed value profile and the census stream, the Euler product, the
+local integrals of avgprod's prediction, the p-adic lifting walk, the
+binary-form censuses and the R(alpha, d) sum.
 
 Run:  python benchmarks/bench_kernels.py
 
@@ -20,7 +21,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from sievecraft import avgprod, census, eulerprod, kernels, localdens
+from sievecraft import avgprod, census, eulerprod, kernels, localdens, modp
 from sievecraft.poly import parse
 
 
@@ -83,6 +84,18 @@ def main():
         if name.startswith("S3"):
             t, _ = timeit(kernels.root_counts_mod_primes, parse(text).coeffs, primes, repeat=k)
             row(f"root_counts_mod_primes {name}, B={b}", t)
+
+    # at B = 1e5 the roots of x^3 + 2 come from power residues; those of the
+    # cubic 2x^3 + 3x + 5, no binomial, from x^p mod f and Cantor-Zassenhaus;
+    # and the cube roots of -2 at the primes where x^3 + 2 has three roots
+    primes = kernels.prime_sieve(10**5)
+    t, _ = timeit(kernels.roots_mod_primes, [5, 3, 0, 2], primes, repeat=k)
+    row("roots_mod_primes 2x^3+3x+5, B=1e5", t)
+    three = primes[(primes % 3 == 1) & (primes > kernels._SCALAR_MAX_P)]
+    three = three[modp.power(-2, (three - 1) // 3, three) == 1]
+    t, roots = timeit(modp.cbrt, -2 % three, three, repeat=k)
+    assert (roots * roots % three * roots % three == -2 % three).all()
+    row(f"modp.cbrt(-2), {three.size} p, B=1e5", t)
 
     # a discriminant (-4 * 10^21 - 27) past 2^62: its residues mod the primes
     # come from 31-bit limbs, against the small one of x^3 + 2

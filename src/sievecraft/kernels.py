@@ -3,10 +3,13 @@
 * ``prime_sieve`` -- all primes up to N,
 * ``poly_roots_mod_p`` -- roots of an integer polynomial mod one prime, and
   ``roots_mod_primes`` -- the roots mod every prime of a list at once,
-  vectorised over the primes, and ``root_counts_mod_primes`` -- only their
-  number, at degree <= 3 from the Legendre symbol of the discriminant
-  (Stickelberger's theorem) off the primes dividing it, elsewhere the
-  degree of gcd(x^p - x, f),
+  vectorised over the primes: of a binomial A (x + s)^d + C from power
+  residues and square or cube roots, of any other polynomial from
+  gcd(x^p - x, f) and a Cantor-Zassenhaus split; ``root_counts_mod_primes``
+  -- only their number, of a binomial from a residue test, of any other
+  cubic from the Legendre symbol of the discriminant (Stickelberger's
+  theorem) off the primes dividing it, elsewhere the degree of
+  gcd(x^p - x, f),
 * ``distinct_factor_degrees`` -- the degrees of the distinct irreducible
   factors of an integer polynomial mod one prime,
 * ``value_power_blocks`` -- for P and x = 1..N, the pairs (x, p) with p^m |
@@ -249,16 +252,25 @@ def roots_mod_primes(coeffs, primes) -> tuple[np.ndarray, np.ndarray]:
     coefficient and primes >= 2^26 (and every prime, above degree 1024) go
     through poly_roots_mod_p, which raises ValueError where the polynomial
     vanishes identically; all the others are solved together, with every
-    partial sum in int64: x^p mod (f, p) by square-and-multiply, then
-    gcd(x^p - x, f), split by _split_linear into factors of degree <= 2 by
-    Cantor-Zassenhaus with (x + a)^((p-1)/2) at the shifts a = j *
-    _SHIFT_STEP + 1 mod p, j = 0, 1, ... (both powers come from one
-    modp.powmod), and the quadratic factors solved by square roots mod p.
+    partial sum in int64.  A binomial A (x + s)^d + C takes the power
+    residues of _power_residues and _binomial_roots at the batched primes
+    not dividing d A.  Every other polynomial and prime takes x^p mod (f, p)
+    by square-and-multiply, then gcd(x^p - x, f), split by _split_linear
+    into factors of degree <= 2 by Cantor-Zassenhaus with (x + a)^((p-1)/2)
+    at the shifts a = j * _SHIFT_STEP + 1 mod p, j = 0, 1, ... (both powers
+    come from one modp.powmod), and the quadratic factors solved by square
+    roots mod p.
     """
-    primes, scalar, sel, g, dg = _linear_parts(coeffs, primes)
-    d = g.shape[0] - 1
+    c = list(IntPoly(tuple(coeffs)).coeffs)
+    primes = np.asarray(primes, dtype=np.int64).reshape(-1)
+    d = len(c) - 1
     # row i: the roots mod primes[i], then _NO_ROOT in the unused slots
     table = np.full((primes.size, max(d, 1)), _NO_ROOT, dtype=np.int64)
+    rest = np.ones(primes.size, dtype=bool)
+    if (rule := _power_residues(c, primes)) is not None:
+        rest[rule[0]] = False
+        table[rule[0]] = _binomial_roots(c, *rule[1:])
+    scalar, sel, g, dg = _linear_parts(c, primes, rest)
     for i, r in scalar:
         table[i, : len(r)] = r
     if sel.size:
@@ -279,43 +291,104 @@ def root_counts_mod_primes(coeffs, primes) -> np.ndarray:
     """The number of distinct roots of the polynomial modulo each prime, as
     int64: the lengths of the rows of roots_mod_primes.
 
-    At degree d <= 3 a batched prime p not dividing Disc(f) reads its count
-    from the Legendre symbol chi = (Disc/p), which by Stickelberger's
-    theorem (R. G. Swan, "Factorization of polynomials over finite fields",
-    Pacific J. Math. 12, 1962) is (-1)^(d - r) for the r irreducible
-    factors of f mod p: d = 1 has 1 root, d = 2 has 1 + chi, and d = 3 has
-    1 where chi = -1, and where chi = +1 has 3 or 0 as x^p = x mod (f, p)
-    or not.  Every other prime takes the path of roots_mod_primes: a
-    batched one reads its count as the degree of gcd(x^p - x, f) and skips
-    the split."""
+    A binomial reads its counts at the batched primes not dividing d A from
+    the residue test of _power_residues.  Any other cubic reads its count at
+    a batched prime p not dividing Disc(f) from the Legendre symbol chi =
+    (Disc/p), which by Stickelberger's theorem (R. G. Swan, "Factorization
+    of polynomials over finite fields", Pacific J. Math. 12, 1962) is
+    (-1)^(3 - r) for the r irreducible factors of f mod p: 1 root where chi
+    = -1, and where chi = +1 3 or 0 as x^p = x mod (f, p) or not.  Every
+    other prime takes the path of roots_mod_primes: a batched one reads its
+    count as the degree of gcd(x^p - x, f) and skips the split."""
     f = IntPoly(tuple(coeffs))
     c = list(f.coeffs)
     primes = np.asarray(primes, dtype=np.int64).reshape(-1)
     counts = np.zeros(primes.size, dtype=np.int64)
-    rest = np.arange(primes.size)
-    if 2 <= len(c) <= 4:  # degree 1 to 3
+    rest = np.ones(primes.size, dtype=bool)
+    if (rule := _power_residues(c, primes)) is not None:
+        rest[rule[0]] = False
+        counts[rule[0]] = rule[-1]
+    elif len(c) == 4:
         disc = discriminant(f)
         quick = _batch_mask(c, primes) & (_residues(disc, primes) != 0)
         counts[quick] = _discriminant_counts(c, disc, primes[quick])
-        rest = rest[~quick]
-    _, scalar, sel, _, dg = _linear_parts(c, primes[rest])
-    counts[rest[sel]] = dg
+        rest &= ~quick
+    scalar, sel, _, dg = _linear_parts(c, primes, rest)
+    counts[sel] = dg
     for i, r in scalar:
-        counts[rest[i]] = len(r)
+        counts[i] = len(r)
     return counts
+
+
+def _power_residues(c: list[int], primes: np.ndarray):
+    """The binomial rule's root counts, or None where c is no binomial A (x
+    + s)^d + C: with s = t / D, t = c[d-1] and D = d A, each middle c[k]
+    D^(d-k) must be A binom(d, k) t^(d-k).  Else (at, p, a, g, n) at the
+    batched primes p = primes[at] not dividing D, where z = D x + t turns
+    c(x) = 0 into z^d = a = t^d - c[0] d^d A^(d-1) mod p.  With g = gcd(d,
+    p - 1) this has n roots (Ireland and Rosen, A Classical Introduction to
+    Modern Number Theory, Prop. 7.1.2): 1 where a = 0, g where a^((p-1)/g)
+    = 1 (tested where g > 1) and 0 elsewhere."""
+    d = len(c) - 1
+    if d < 1:
+        return None
+    t, big = c[d - 1], d * c[-1]
+    if any(c[k] * big ** (d - k) != c[-1] * math.comb(d, k) * t ** (d - k) for k in range(d - 2, 0, -1)):
+        return None
+    at = np.flatnonzero(_batch_mask(c, primes) & (_residues(big, primes) != 0))
+    p = primes[at]
+    a = _residues(t**d - c[0] * d**d * c[-1] ** (d - 1), p)
+    g = np.gcd(d, p - 1)
+    n = np.where(a == 0, 1, g)
+    test = np.flatnonzero((g > 1) & (a != 0))
+    n[test[modp.power(a[test], (p[test] - 1) // g[test], p[test]) != 1]] = 0
+    return at, p, a, g, n
+
+
+def _binomial_roots(c: list[int], p, a, g, n) -> np.ndarray:
+    """The roots of the binomial c at the primes p of _power_residues, one
+    row each, d slots, _NO_ROOT in the unused ones: x = (z - t) / D for the
+    roots z of z^g = b, b = a^u with u (d/g) = 1 mod (p-1)/g, or z = 0 where
+    a = 0.  z = b at g = 1, +-modp.sqrt(b) at g = 2, modp.cbrt(b) at g = 3,
+    and from g = 4 on _split_linear of z^g - b, which splits completely."""
+    d = len(c) - 1
+    z = np.full((p.size, d), _NO_ROOT, dtype=np.int64)
+    z[a == 0, 0] = 0
+    live = np.flatnonzero((n > 0) & (a != 0))
+    pl, gl, b = p[live], g[live], a[live]
+    # u = (1 + k (p-1)/g) / (d/g) for the one k in [1, d/g) it divides
+    m, q = d // gl, (pl - 1) // gl
+    u = np.ones_like(q)
+    for k in range(1, int(m.max(initial=1))):
+        u = np.where((k < m) & ((1 + k * q) % m == 0), (1 + k * q) // m, u)
+    far = np.flatnonzero(u != 1)
+    b[far] = modp.power(b[far], u[far], pl[far])
+    for k in sorted(set(gl.tolist())):
+        i = np.flatnonzero(gl == k)
+        bk, pk = b[i], pl[i]
+        if k == 1:
+            roots = bk[:, None]
+        elif k == 2:
+            r = modp.sqrt(bk, pk)
+            roots = np.stack([r, pk - r], axis=1)
+        elif k == 3:
+            roots = modp.cbrt(bk, pk).T
+        else:
+            h = np.zeros((k + 1, i.size), dtype=np.int64)
+            h[0], h[k] = -bk % pk, 1
+            roots = _split_linear(h, np.full(i.size, k), pk)
+        z[live[i], :k] = roots
+    inv = modp.inverse(_residues(d * c[-1], p), p)[:, None]
+    return np.where(z == _NO_ROOT, z, (z - _residues(c[d - 1], p)[:, None]) % p[:, None] * inv % p[:, None])
 
 
 def _discriminant_counts(c: list[int], disc: int, p: np.ndarray) -> np.ndarray:
     """The root counts of root_counts_mod_primes at the batched primes p
-    not dividing disc = Disc(c), for a degree <= 3."""
-    if len(c) == 2:
-        return np.ones(p.size, dtype=np.int64)
+    not dividing disc = Disc(c), for a cubic c that is no binomial."""
     square = np.empty(p.size, dtype=bool)
     for lo in range(0, p.size, _BATCH_ROWS):
         q = p[lo : lo + _BATCH_ROWS]
         square[lo : lo + q.size] = modp.power(_residues(disc, q), (q - 1) // 2, q) == 1
-    if len(c) == 3:
-        return np.where(square, 2, 0)  # 1 + chi
     counts = np.where(square, 0, 1)  # 1 where chi = -1, else 3 or none
     at = np.flatnonzero(square)
     for lo in range(0, at.size, _BATCH_ROWS):
@@ -326,28 +399,27 @@ def _discriminant_counts(c: list[int], disc: int, p: np.ndarray) -> np.ndarray:
     return counts
 
 
-def _linear_parts(coeffs, primes):
-    """The front half of roots_mod_primes and root_counts_mod_primes.
+def _linear_parts(c: list[int], primes: np.ndarray, rest: np.ndarray):
+    """The path of roots_mod_primes and root_counts_mod_primes at the primes
+    where rest is set, up to the split.
 
-    Returns (primes, scalar, sel, g, dg): primes as an int64 array; scalar,
-    the pairs (i, poly_roots_mod_p(coeffs, primes[i])) of the primes off the
-    batch; sel, the indices of the batched primes; and column j of g, with
-    dg[j] its degree, the linear part gcd(x^p - x, f) mod p = primes[sel[j]]
-    of the monic f = coeffs / lead.  g has deg + 1 rows."""
-    c = list(IntPoly(tuple(coeffs)).coeffs)
+    Returns (scalar, sel, g, dg): scalar, the pairs (i, poly_roots_mod_p(c,
+    primes[i])) of those off the batch; sel, the indices of the batched
+    ones; and column j of g, with dg[j] its degree, the linear part
+    gcd(x^p - x, f) mod p = primes[sel[j]] of the monic f = c / lead.  g
+    has deg + 1 rows."""
     d = len(c) - 1
-    primes = np.asarray(primes, dtype=np.int64).reshape(-1)
     batch = _batch_mask(c, primes)
-    scalar = [(i, poly_roots_mod_p(c, int(primes[i]))) for i in np.nonzero(~batch)[0].tolist()]
+    scalar = [(i, poly_roots_mod_p(c, int(primes[i]))) for i in np.flatnonzero(rest & ~batch).tolist()]
     # a nonzero constant has no roots: its batched primes stay out of sel
-    sel = np.nonzero(batch)[0] if d >= 1 else np.zeros(0, dtype=np.int64)
+    sel = np.flatnonzero(rest & batch) if d >= 1 else np.zeros(0, dtype=np.int64)
     p = primes[sel]
     g = np.empty((d + 1, p.size), dtype=np.int64)
     dg = np.empty(p.size, dtype=np.int64)
     for lo in range(0, p.size, _BATCH_ROWS):
         q = p[lo : lo + _BATCH_ROWS]
         g[:, lo : lo + q.size], dg[lo : lo + q.size] = _linear_part(_monic(c, q), q)
-    return primes, scalar, sel, g, dg
+    return scalar, sel, g, dg
 
 
 def _batch_mask(c: list[int], primes: np.ndarray) -> np.ndarray:

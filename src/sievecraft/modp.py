@@ -37,45 +37,72 @@ def inverse(a: np.ndarray, p: np.ndarray) -> np.ndarray:
 def sqrt(a: np.ndarray, p: np.ndarray) -> np.ndarray:
     """A square root of each nonzero square a mod its odd prime p, by
     Tonelli-Shanks (Cohen, A Course in Computational Algebraic Number
-    Theory, 1.5.1): with p - 1 = q 2^s, q odd, x = a^((q+1)/2) has x^2 = a t
-    with t = a^q of order dividing 2^(s-1), and each step clears the top
-    bit of that order by powers of c = n^q, n a non-residue, whose order is
-    2^s.  At p = 3 mod 4 (s = 1) x is a^((p+1)/4) and no step runs."""
+    Theory, 1.5.1): _tonelli_shanks at r = 2, a^((p+1)/4) at p = 3 mod 4."""
+    return _tonelli_shanks(a, p, 2)[0]
+
+
+def cbrt(a: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """The three cube roots, one row each, of each nonzero cube a mod its
+    prime p = 1 mod 3: x, x w and x w^2 from _tonelli_shanks at r = 3."""
+    x, w = _tonelli_shanks(a, p, 3)
+    xw = x * w % p
+    return np.stack([x, xw, xw * w % p])
+
+
+def _tonelli_shanks(a: np.ndarray, p: np.ndarray, r: int):
+    """(x, w) for each nonzero r-th power a mod its prime p, r = 2 or 3
+    dividing p - 1 (Adleman, Manders and Miller, "On taking roots in finite
+    fields", FOCS 1977): x^r = a, and w = h^((p-1)/r), h the least prime
+    r-th power non-residue, a primitive r-th root of unity (-1 at r = 2,
+    where h is sought only at s >= 2).  With p - 1 = q r^s, r not dividing
+    q, and r e = 1 mod q, x = a^e has x^r = a t, t = a^(re-1) of order
+    dividing r^(s-1), and each step clears the top factor r of that order
+    by powers of c = h^q, whose order is r^s."""
+
+    def rth(v):
+        return v * v % p if r == 2 else v * v % p * v % p
+
     q, s = p - 1, np.zeros_like(p)
-    while (even := q & 1 == 0).any():
-        q = np.where(even, q >> 1, q)
-        s += even
-    y = power(a, (q - 1) // 2, p)
+    i = np.flatnonzero(q % r == 0)
+    while i.size:
+        q[i] //= r
+        s[i] += 1
+        i = i[q[i] % r == 0]
+    y = power(a, (1 + (r - q % r) * q) // r - 1, p)
     x = y * a % p
-    t = y * x % p
-    c = power(_nonresidue(p, s >= 2), q, p)
-    for k in range(int(s.max()), 1, -1):
-        # at the primes with s >= k: t has order dividing 2^(k-1) and c
-        # order 2^k, so t^(2^(k-2)) = -1 exactly where c^2 must enter t
+    t = x * y % p if r == 2 else x * x % p * y % p
+    h = _nonresidue(p, s >= (2 if r == 2 else 1), r)
+    c = power(h, q, p)
+    w = p - 1 if r == 2 else power(h, (p - 1) // 3, p)
+    for k in range(int(s.max(initial=0)), 1, -1):
+        # at the primes with s >= k: t has order dividing r^(k-1) and c
+        # order r^k, so t^(r^(k-2)) = w^i asks for c^(r-i) in x, c^(r(r-i)) in t
         tt = t
         for _ in range(k - 2):
-            tt = tt * tt % p
+            tt = rth(tt)
         on = s >= k
-        flip = on & (tt != 1)
-        x = np.where(flip, x * c % p, x)
-        c = np.where(on, c * c % p, c)
-        t = np.where(flip, t * c % p, t)
-    return x
+        m = np.where(on & (tt != 1), c, 1)
+        if r == 3:
+            m = np.where(on & (tt == w), c * c % p, m)
+        x, t = x * m % p, t * rth(m) % p
+        c = np.where(on, rth(c), c)
+    return x, w
 
 
-def _nonresidue(p: np.ndarray, need: np.ndarray) -> np.ndarray:
-    """The least prime that is a quadratic non-residue mod p, by Euler's
-    criterion over 2, 3, 5, ..., where need is set, and 1 elsewhere."""
+def _nonresidue(p: np.ndarray, need: np.ndarray, r: int = 2) -> np.ndarray:
+    """The least prime that is an r-th power non-residue mod p, r | p - 1,
+    by Euler's criterion n^((p-1)/r) != 1 over 2, 3, 5, ..., where need is
+    set, and 1 elsewhere."""
     out = np.ones_like(p)
     todo = np.flatnonzero(need)
     n = 2
     while todo.size:
         pt = p[todo]
-        hit = power(n, (pt - 1) // 2, pt) == pt - 1
+        hit = power(n, (pt - 1) // r, pt) != 1
         out[todo[hit]] = n
         todo = todo[~hit]
         n += 1
-        while any(n % r == 0 for r in range(2, math.isqrt(n) + 1)):
+        while any(n % f == 0 for f in range(2, math.isqrt(n) + 1)):
             n += 1
     return out
 

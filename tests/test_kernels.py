@@ -458,19 +458,72 @@ def test_roots_mod_primes_quadratics():
 
 
 def test_roots_mod_primes_cubic_split_then_square_roots():
-    # x^3 + 2 at primes where it has three roots: Cantor-Zassenhaus until
-    # every factor has degree <= 2, then square roots; deterministic
+    # x^3 - 3x + 1 (Disc 81, no binomial) at the primes p = +-1 mod 9, where
+    # it has three roots: Cantor-Zassenhaus until every factor has degree
+    # <= 2, then square roots; deterministic
+    cubic = [1, -3, 0, 1]
     primes = [p for p in kernels.prime_sieve(3 * 10**4).tolist() if p > kernels._SCALAR_MAX_P]
-    three = [p for p in primes if p % 3 == 1 and pow(-2, (p - 1) // 3, p) == 1]
+    three = [p for p in primes if p % 9 in (1, 8)]
     assert len(three) > 100
     with mock.patch.object(modp, "sqrt", wraps=modp.sqrt) as sqrt:
-        first = kernels.roots_mod_primes([2, 0, 0, 1], three)
+        first = kernels.roots_mod_primes(cubic, three)
     assert sqrt.call_count == 1 and sqrt.call_args.args[0].size > 0
-    second = kernels.roots_mod_primes([2, 0, 0, 1], three)
+    second = kernels.roots_mod_primes(cubic, three)
     assert all(np.array_equal(a, b) for a, b in zip(first, second))
+    expect = [kernels.poly_roots_mod_p(cubic, p) for p in three]
+    assert _batched(cubic, three) == expect
+    assert all(len(r) == 3 for r in expect)
+    # x^3 + 2 at its primes with three roots, which modp.cbrt solves
+    three = [p for p in primes if p % 3 == 1 and pow(-2, (p - 1) // 3, p) == 1]
     expect = [kernels.poly_roots_mod_p([2, 0, 0, 1], p) for p in three]
     assert _batched([2, 0, 0, 1], three) == expect
     assert all(len(r) == 3 for r in expect)
+
+
+def test_binomial_rule_does_no_polynomial_work():
+    # x^3 + 2, x^2 + 5x + 23 and 3x^3 + 7 over the primes <= 1e5: neither
+    # x^p mod f nor a Cantor-Zassenhaus split is taken
+    primes = kernels.prime_sieve(10**5).tolist()
+    for coeffs in ([2, 0, 0, 1], [23, 5, 1], [7, 0, 0, 3]):
+        with mock.patch.object(modp, "powmod", side_effect=AssertionError("x^p mod f was taken")):
+            with mock.patch.object(kernels, "_split_linear", side_effect=AssertionError("split")):
+                rows = _batched(coeffs, primes)
+                counts = kernels.root_counts_mod_primes(coeffs, primes).tolist()
+        assert counts == [len(r) for r in rows]
+        for p, roots in zip(primes, rows):
+            assert roots == sorted(set(roots)), (coeffs, p)
+            assert all(sum(a * r**i for i, a in enumerate(coeffs)) % p == 0 for r in roots), (coeffs, p)
+        sample = primes[::25]
+        assert rows[::25] == [kernels.poly_roots_mod_p(coeffs, p) for p in sample], coeffs
+
+
+def test_cbrt_and_nonresidue():
+    # every p = 1 mod 3 below 2 * 10^4, and primes p = 1 mod 3^s for every s
+    # up to the largest below 2^26: three distinct roots that cube to a
+    rng = random.Random(31)
+    primes = [p for p in kernels.prime_sieve(2 * 10**4).tolist() if p % 3 == 1]
+    for s in range(1, 16):  # the two largest below 2^26
+        ks = (k for k in range(kernels._BATCH_P_LIMIT // 3**s, 1, -1) if k % 3 and numutil.is_prime(k * 3**s + 1))
+        primes += [k * 3**s + 1 for k, _ in zip(ks, range(2))]
+    # no prime k 3^13 + 1 with 3 not dividing k lies below 2^26
+    assert {max(s for s in range(16) if (p - 1) % 3**s == 0) for p in primes} == set(range(1, 16)) - {13}
+    p = np.array(primes * 3)
+    a = np.array([pow(rng.randrange(1, q), 3, q) for q in p.tolist()])
+    roots = modp.cbrt(a, p)
+    assert roots.shape == (3, p.size)
+    assert (roots * roots % p * roots % p == a).all()
+    assert ((roots[0] != roots[1]) & (roots[1] != roots[2]) & (roots[0] != roots[2])).all()
+    # r = 2: the least prime n with n^((p-1)/2) = -1 mod p, where asked
+    odd = kernels.prime_sieve(2 * 10**4)[1:]
+    least = [next(n for n in range(2, q) if numutil.is_prime(n) and pow(n, (q - 1) // 2, q) == q - 1) for q in odd.tolist()]
+    assert modp._nonresidue(odd, np.ones(odd.size, dtype=bool)).tolist() == least
+    need = odd % 4 == 1
+    assert modp._nonresidue(odd, need, 2).tolist() == np.where(need, least, 1).tolist()
+    # r = 3: a cubic non-residue, the least prime one
+    cubic = modp._nonresidue(np.array(primes), np.ones(len(primes), dtype=bool), 3).tolist()
+    for q, n in zip(primes, cubic):
+        assert pow(n, (q - 1) // 3, q) != 1
+        assert all(pow(m, (q - 1) // 3, q) == 1 for m in range(2, n) if numutil.is_prime(m))
 
 
 # ---------------------------------------------------------------------------
@@ -493,9 +546,26 @@ def test_root_counts_mod_primes_vs_roots(coeffs):
 
 
 # degree <= 3 off the primes of Disc: x, 5x + 3, x^2 + 1, 3x^2 + 5x - 7,
-# x^3 + 2 (Disc -108), 2x^3 + 3x + 5 (Disc -54^2) and x^3 - 3x + 1 (Disc 81,
-# a square: 0 or 3 roots off p = 3)
-_DISC_POLYS = [[0, 1], [3, 5], [1, 0, 1], [-7, 5, 3], [2, 0, 0, 1], [5, 3, 0, 2], [1, -3, 0, 1]]
+# x^2 + 5x + 23, x^3 + 2 (Disc -108), (x + 1)^3 + 2, 2x^3 + 3x + 5 (Disc
+# -54^2) and x^3 - 3x + 1 (Disc 81, a square: 0 or 3 roots off p = 3)
+_DISC_POLYS = [[0, 1], [3, 5], [1, 0, 1], [-7, 5, 3], [23, 5, 1], [2, 0, 0, 1], [3, 3, 3, 1], [5, 3, 0, 2], [1, -3, 0, 1]]
+
+
+def _shifted(lead, t, den, d, c):
+    """den^d (lead (x + t/den)^d + c), low to high: a binomial in x + t/den."""
+    out = [lead * math.comb(d, k) * t ** (d - k) * den**k for k in range(d + 1)]
+    out[0] += c * den**d
+    return out
+
+
+# more binomials A (x + s)^d + C: d = 1..8 with leads 1, 2, 3, 12 and C
+# negative or with a prime factor above 43 (a = 0 at batched primes), the
+# shifted cubic 2 (x + 1)^3 + 5, (2x + 1)^4 - 32, and x^2 and (x + 3)^2,
+# whose repeated root comes once
+_BINOMIALS = [
+    [c] + [0] * (d - 1) + [lead]
+    for d, (lead, c) in enumerate([(1, -2), (2, 47 * 53), (3, -7 * 59), (12, 5)] * 2, start=1)
+] + [_shifted(2, 1, 1, 3, 5), _shifted(1, 1, 2, 4, -2), [0, 0, 1], [9, 6, 1]]
 
 
 def test_root_counts_mod_primes_exhaustive():
@@ -505,13 +575,21 @@ def test_root_counts_mod_primes_exhaustive():
     for d in (4, 6):
         counts = kernels.root_counts_mod_primes([-1] + [0] * (d - 1) + [1], primes)
         assert counts.tolist() == [math.gcd(d, p - 1) for p in primes]
-    # the counts from the Legendre symbol of Disc, every p <= 2 * 10^4, the
-    # largest batched prime and the next, scalar one
+    # the counts from the Legendre symbol of Disc or from power residues, and
+    # the roots, every p <= 2 * 10^4, the largest batched prime and the next,
+    # scalar one; only 2x^3 + 3x + 5 and x^3 - 3x + 1 are no binomials
     primes = kernels.prime_sieve(2 * 10**4).tolist() + [67108859, 67108879]
-    for coeffs in _DISC_POLYS:
+    for coeffs in _DISC_POLYS + _BINOMIALS:
+        binomial = kernels._power_residues(coeffs, np.array(primes)) is not None
+        assert binomial == (coeffs not in ([5, 3, 0, 2], [1, -3, 0, 1])), coeffs
+        expect = [kernels.poly_roots_mod_p(coeffs, p) for p in primes]
         counts = kernels.root_counts_mod_primes(coeffs, primes).tolist()
-        assert counts == [len(kernels.poly_roots_mod_p(coeffs, p)) for p in primes], coeffs
-    assert set(counts[2:]) == {0, 3}  # x^3 - 3x + 1 from p = 5 on
+        assert counts == [len(r) for r in expect], coeffs
+        assert _batched(coeffs, primes) == expect, coeffs
+        if coeffs == [1, -3, 0, 1]:
+            assert set(counts[2:]) == {0, 3}  # from p = 5 on
+        if coeffs in ([0, 0, 1], [9, 6, 1]):
+            assert set(counts) == {1}
     assert kernels.root_counts_mod_primes([5], [2, 3, 47, 101]).tolist() == [0, 0, 0, 0]
     assert kernels.root_counts_mod_primes([0, 0, 1], [2, 53]).tolist() == [1, 1]  # repeated root
     assert kernels.root_counts_mod_primes([2, 0, 0, 1], []).tolist() == []
