@@ -121,15 +121,12 @@ def _integrals(P: IntPoly, u: LocalFactorSpec, primes, j_cap: int, a: int, m: in
     rest = {}
     for p in primes.tolist():
         u.check_trivial_low(p)
-        if p in roots_of:  # mu{x = r (p), v_p >= j} = p^-j at a simple root r, j >= 1
-            den = total = p**k
-            masses = [dict.fromkeys(range(p) if low == 0 else (), p ** (k - 1))]
-            masses += [dict.fromkeys(roots_of[p], p ** (k - j)) for j in range(1, k + 1)]
+        if p in roots_of:  # a simple root r is one class mod p^j at every level j >= 1
+            levels, e = [[(r, j) for r in roots_of[p]] for j in range(1, k + 1)], 0
         else:
-            e = numutil.valuation(m, p) if m % p == 0 else 0
-            masses, den = localdens.class_masses(localdens._lift_levels(P, p, k), p, a, e)
-            total = sum(masses[0].values())
-        tail = sum(masses[k].values())
+            levels, e = localdens._lift_levels(P, p, k), numutil.valuation(m, p) if m % p == 0 else 0
+        masses, den = localdens.class_masses(levels, p, a, e)
+        total, tail = den // p**e, sum(masses[k].values())  # total = den * mu{x = a mod p^e}
         weights = [(i, j, w - masses[j + 1].get(i, 0)) for j in range(low, k) for i, w in masses[j].items()]
         rest[p] = _integrate(u.rule, p, weights, total - tail, den), Fraction(tail, den)
     return closed, rest

@@ -362,8 +362,9 @@ def r_alpha_sum(
     ok = np.ones(X + 1, dtype=bool)
     ok[0] = False
     extra = np.zeros(X + 1, dtype=np.int8)
-    primes, counts = eulerprod._root_counts(P.coeffs, X, eulerprod._bad_primes_univ(P))
-    for p, n in zip(primes.tolist(), counts):
+    bad = [p for p in eulerprod._bad_primes_univ(P) if p <= X]  # lift none beyond X
+    primes, counts, _ = eulerprod._root_counts(P.coeffs, X, bad)
+    for p, n in zip(primes, counts):
         split, nfac = _local_splitting(P, p) if n is None else (n > 0, (n + 3) // 2)
         if split:
             extra[p::p] += nfac - 1

@@ -147,22 +147,16 @@ def _estimate(
     return est
 
 
-def _truncation_primes(coeffs, B: int, bad: list[int]) -> tuple[list[int], list[int | None], str]:
-    """The primes <= B plus the bad primes beyond B, their root counts
-    (_root_counts, None at every bad prime), and the status."""
-    primes, counts = _root_counts(coeffs, B, bad)
-    beyond = sorted(p for p in bad if p > B)
-    return primes.tolist() + beyond, counts + [None] * len(beyond), "widened" if beyond else "ok"
-
-
-def _root_counts(coeffs, B: int, bad: list[int]) -> tuple[np.ndarray, list[int | None]]:
-    """The primes <= B and, per prime, the number of roots of coeffs mod p;
-    None at the bad primes, which the caller lifts."""
+def _root_counts(coeffs, B: int, bad: list[int]) -> tuple[list[int], list[int | None], str]:
+    """The primes <= B plus the bad primes beyond B, per prime the number of
+    roots of coeffs mod p (None at every bad prime, which the caller
+    lifts), and the status."""
     primes = kernels.prime_sieve(B)
     good = ~np.isin(primes, [p for p in bad if p <= B])
     counts = np.full(primes.size, None, dtype=object)
     counts[good] = kernels.root_counts_mod_primes(coeffs, primes[good])
-    return primes, counts.tolist()
+    beyond = sorted(p for p in bad if p > B)
+    return primes.tolist() + beyond, counts.tolist() + [None] * len(beyond), "widened" if beyond else "ok"
 
 
 def density_univ(P: IntPoly, B: int, m: int = 2) -> EulerEstimate:
@@ -179,7 +173,7 @@ def density_univ(P: IntPoly, B: int, m: int = 2) -> EulerEstimate:
     if P.degree < 1 or B < 2 or m < 2:
         raise ValueError("need deg P >= 1, B >= 2, m >= 2")
     bad = _bad_primes_univ(P)
-    primes, counts, status = _truncation_primes(P.coeffs, B, bad)
+    primes, counts, status = _root_counts(P.coeffs, B, bad)
     ell = [localdens.count_roots_mod_pk(P, p, m) if n is None else n for p, n in zip(primes, counts)]
     # tail: all remaining primes are > B and do not divide Disc*lead*cont,
     # so ell(p^m) <= deg and each factor >= 1 - deg/p^m > 0
@@ -212,7 +206,7 @@ def density_form(F: BinForm, B: int, coprime: bool = False) -> EulerEstimate:
     if B < 2:
         raise ValueError("B must be >= 2")
     bad = _chart_primes(F)
-    primes, counts, status = _truncation_primes(F.on_x_chart().coeffs, B, bad)
+    primes, counts, status = _root_counts(F.on_x_chart().coeffs, B, bad)
     at_infinity = 1 if F.coeffs[-1] == 0 else 0  # z | F: F(1, z) has the root 0
     hits = []
     for p, n in zip(primes, counts):

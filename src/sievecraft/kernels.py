@@ -3,13 +3,13 @@
 * ``prime_sieve`` -- all primes up to N,
 * ``poly_roots_mod_p`` -- roots of an integer polynomial mod one prime, and
   ``roots_mod_primes`` -- the roots mod every prime of a list at once,
-  vectorised over the primes: of a binomial A (x + s)^d + C from power
-  residues and square or cube roots, of any other polynomial from
-  gcd(x^p - x, f) and a Cantor-Zassenhaus split; ``root_counts_mod_primes``
-  -- only their number, of a binomial from a residue test, of any other
-  cubic from the Legendre symbol of the discriminant (Stickelberger's
-  theorem) off the primes dividing it, elsewhere the degree of
-  gcd(x^p - x, f),
+  vectorised over the primes; ``root_counts_mod_primes`` -- only their
+  number.  ``_routes`` alone decides each prime's route: scalar
+  (poly_roots_mod_p), the binomial rule of A (x + s)^d + C (power residues,
+  then square or cube roots), or the batch of every other polynomial, whose
+  count a cubic reads off the primes of its discriminant from the Legendre
+  symbol (Stickelberger's theorem), and whose roots or other counts come
+  from gcd(x^p - x, f) and, for the roots, a Cantor-Zassenhaus split,
 * ``distinct_factor_degrees`` -- the degrees of the distinct irreducible
   factors of an integer polynomial mod one prime,
 * ``value_power_blocks`` -- for P and x = 1..N, the pairs (x, p) with p^m |
@@ -248,39 +248,28 @@ def roots_mod_primes(coeffs, primes) -> tuple[np.ndarray, np.ndarray]:
 
     Returns CSR-style int64 arrays (starts, roots): the roots mod primes[i]
     are roots[starts[i]:starts[i+1]], the list poly_roots_mod_p(coeffs,
-    primes[i]) gives.  Primes up to 43, primes dividing the leading
-    coefficient and primes >= 2^26 (and every prime, above degree 1024) go
-    through poly_roots_mod_p, which raises ValueError where the polynomial
-    vanishes identically; all the others are solved together, with every
-    partial sum in int64.  A binomial A (x + s)^d + C takes the power
-    residues of _power_residues and _binomial_roots at the batched primes
-    not dividing d A.  Every other polynomial and prime takes x^p mod (f, p)
-    by square-and-multiply, then gcd(x^p - x, f), split by _split_linear
-    into factors of degree <= 2 by Cantor-Zassenhaus with (x + a)^((p-1)/2)
-    at the shifts a = j * _SHIFT_STEP + 1 mod p, j = 0, 1, ... (both powers
+    primes[i]) gives.  _routes alone decides how each prime is solved.  Its
+    scalar primes go through poly_roots_mod_p, which raises ValueError where
+    the polynomial vanishes identically; all the others are solved
+    together, with every partial sum in int64.  The binomial rule's primes
+    take _binomial_roots.  The other batched primes take x^p mod (f, p) by
+    square-and-multiply, then gcd(x^p - x, f), split by _split_linear into
+    factors of degree <= 2 by Cantor-Zassenhaus with (x + a)^((p-1)/2) at
+    the shifts a = j * _SHIFT_STEP + 1 mod p, j = 0, 1, ... (both powers
     come from one modp.powmod), and the quadratic factors solved by square
     roots mod p.
     """
-    c = list(IntPoly(tuple(coeffs)).coeffs)
-    primes = np.asarray(primes, dtype=np.int64).reshape(-1)
-    d = len(c) - 1
+    c, primes, scalar, rule, sel = _routes(coeffs, primes)
     # row i: the roots mod primes[i], then _NO_ROOT in the unused slots
-    table = np.full((primes.size, max(d, 1)), _NO_ROOT, dtype=np.int64)
-    rest = np.ones(primes.size, dtype=bool)
-    if (rule := _power_residues(c, primes)) is not None:
-        rest[rule[0]] = False
-        table[rule[0]] = _binomial_roots(c, *rule[1:])
-    scalar, sel, g, dg = _linear_parts(c, primes, rest)
-    for i, r in scalar:
+    table = np.full((primes.size, max(len(c) - 1, 1)), _NO_ROOT, dtype=np.int64)
+    for i in scalar.tolist():
+        r = poly_roots_mod_p(c, int(primes[i]))
         table[i, : len(r)] = r
+    if rule is not None:
+        table[rule[0]] = _binomial_roots(c, *rule[1:])
     if sel.size:
-        table[sel] = _split_linear(g, dg, primes[sel])
-    # sort each row by compare-exchange of its few columns
-    for i in range(d):
-        for j in range(i + 1, d):
-            lo = np.minimum(table[:, i], table[:, j])
-            table[:, j] = np.maximum(table[:, i], table[:, j])
-            table[:, i] = lo
+        table[sel] = _split_linear(*_linear_parts(c, primes[sel]), primes[sel])
+    table.sort(axis=1)  # _NO_ROOT, the int64 maximum, sorts last
     found = table != _NO_ROOT
     starts = np.zeros(primes.size + 1, dtype=np.int64)
     np.cumsum(found.sum(axis=1), out=starts[1:])
@@ -291,51 +280,67 @@ def root_counts_mod_primes(coeffs, primes) -> np.ndarray:
     """The number of distinct roots of the polynomial modulo each prime, as
     int64: the lengths of the rows of roots_mod_primes.
 
-    A binomial reads its counts at the batched primes not dividing d A from
-    the residue test of _power_residues.  Any other cubic reads its count at
-    a batched prime p not dividing Disc(f) from the Legendre symbol chi =
-    (Disc/p), which by Stickelberger's theorem (R. G. Swan, "Factorization
+    _routes alone decides how each prime is counted.  Its scalar primes
+    read the length of poly_roots_mod_p, and the binomial rule's primes the
+    residue test of _power_residues.  Of the other batched primes, a cubic
+    reads its count at a p not dividing Disc(f) from the Legendre symbol chi
+    = (Disc/p), which by Stickelberger's theorem (R. G. Swan, "Factorization
     of polynomials over finite fields", Pacific J. Math. 12, 1962) is
     (-1)^(3 - r) for the r irreducible factors of f mod p: 1 root where chi
-    = -1, and where chi = +1 3 or 0 as x^p = x mod (f, p) or not.  Every
-    other prime takes the path of roots_mod_primes: a batched one reads its
-    count as the degree of gcd(x^p - x, f) and skips the split."""
-    f = IntPoly(tuple(coeffs))
-    c = list(f.coeffs)
-    primes = np.asarray(primes, dtype=np.int64).reshape(-1)
+    = -1, and where chi = +1 3 or 0 as x^p = x mod (f, p) or not.  The rest
+    read the degree of gcd(x^p - x, f) and skip the split."""
+    c, primes, scalar, rule, sel = _routes(coeffs, primes)
     counts = np.zeros(primes.size, dtype=np.int64)
-    rest = np.ones(primes.size, dtype=bool)
-    if (rule := _power_residues(c, primes)) is not None:
-        rest[rule[0]] = False
+    for i in scalar.tolist():
+        counts[i] = len(poly_roots_mod_p(c, int(primes[i])))
+    if rule is not None:
         counts[rule[0]] = rule[-1]
-    elif len(c) == 4:
-        disc = discriminant(f)
-        quick = _batch_mask(c, primes) & (_residues(disc, primes) != 0)
-        counts[quick] = _discriminant_counts(c, disc, primes[quick])
-        rest &= ~quick
-    scalar, sel, _, dg = _linear_parts(c, primes, rest)
-    counts[sel] = dg
-    for i, r in scalar:
-        counts[i] = len(r)
+    if len(c) == 4:
+        disc = discriminant(IntPoly(tuple(c)))
+        quick = _residues(disc, primes[sel]) != 0
+        counts[sel[quick]] = _discriminant_counts(c, disc, primes[sel[quick]])
+        sel = sel[~quick]
+    counts[sel] = _linear_parts(c, primes[sel])[1]
     return counts
+
+
+def _routes(coeffs, primes):
+    """(c, primes, scalar, rule, sel): the coefficients as a trimmed list and
+    the primes as an int64 array, then the route of each prime, the one
+    place where it is decided.  scalar indexes the primes off the batch, for
+    poly_roots_mod_p: p <= 43, p dividing the leading coefficient, p >=
+    2^26, and every prime above degree 1024.  rule is what _power_residues
+    gives at the batched primes, its indices taken into primes, or None
+    where c is no binomial; sel indexes the other batched primes, none for
+    a constant, which has no roots there."""
+    c = list(IntPoly(tuple(coeffs)).coeffs)
+    primes = np.asarray(primes, dtype=np.int64).reshape(-1)
+    batch = (primes > _SCALAR_MAX_P) & (primes < _BATCH_P_LIMIT) & (len(c) - 1 <= _BATCH_MAX_DEG)
+    batch &= _residues(c[-1], primes) != 0
+    scalar, at = np.flatnonzero(~batch), np.flatnonzero(batch)
+    if (rule := _power_residues(c, primes[at])) is not None:
+        rule = (at[rule[0]], *rule[1:])
+        batch[rule[0]] = False
+    return c, primes, scalar, rule, np.flatnonzero(batch) if len(c) > 1 else at[:0]
 
 
 def _power_residues(c: list[int], primes: np.ndarray):
     """The binomial rule's root counts, or None where c is no binomial A (x
     + s)^d + C: with s = t / D, t = c[d-1] and D = d A, each middle c[k]
     D^(d-k) must be A binom(d, k) t^(d-k).  Else (at, p, a, g, n) at the
-    batched primes p = primes[at] not dividing D, where z = D x + t turns
-    c(x) = 0 into z^d = a = t^d - c[0] d^d A^(d-1) mod p.  With g = gcd(d,
-    p - 1) this has n roots (Ireland and Rosen, A Classical Introduction to
-    Modern Number Theory, Prop. 7.1.2): 1 where a = 0, g where a^((p-1)/g)
-    = 1 (tested where g > 1) and 0 elsewhere."""
+    primes p = primes[at] not dividing D (_routes hands it the batched
+    ones), where z = D x + t turns c(x) = 0 into z^d = a = t^d - c[0] d^d
+    A^(d-1) mod p.  With g = gcd(d, p - 1) this has n roots (Ireland and
+    Rosen, A Classical Introduction to Modern Number Theory, Prop. 7.1.2):
+    1 where a = 0, g where a^((p-1)/g) = 1 (tested where g > 1) and 0
+    elsewhere."""
     d = len(c) - 1
     if d < 1:
         return None
     t, big = c[d - 1], d * c[-1]
     if any(c[k] * big ** (d - k) != c[-1] * math.comb(d, k) * t ** (d - k) for k in range(d - 2, 0, -1)):
         return None
-    at = np.flatnonzero(_batch_mask(c, primes) & (_residues(big, primes) != 0))
+    at = np.flatnonzero(_residues(big, primes) != 0)
     p = primes[at]
     a = _residues(t**d - c[0] * d**d * c[-1] ** (d - 1), p)
     g = np.gcd(d, p - 1)
@@ -399,34 +404,16 @@ def _discriminant_counts(c: list[int], disc: int, p: np.ndarray) -> np.ndarray:
     return counts
 
 
-def _linear_parts(c: list[int], primes: np.ndarray, rest: np.ndarray):
-    """The path of roots_mod_primes and root_counts_mod_primes at the primes
-    where rest is set, up to the split.
-
-    Returns (scalar, sel, g, dg): scalar, the pairs (i, poly_roots_mod_p(c,
-    primes[i])) of those off the batch; sel, the indices of the batched
-    ones; and column j of g, with dg[j] its degree, the linear part
-    gcd(x^p - x, f) mod p = primes[sel[j]] of the monic f = c / lead.  g
-    has deg + 1 rows."""
-    d = len(c) - 1
-    batch = _batch_mask(c, primes)
-    scalar = [(i, poly_roots_mod_p(c, int(primes[i]))) for i in np.flatnonzero(rest & ~batch).tolist()]
-    # a nonzero constant has no roots: its batched primes stay out of sel
-    sel = np.flatnonzero(rest & batch) if d >= 1 else np.zeros(0, dtype=np.int64)
-    p = primes[sel]
-    g = np.empty((d + 1, p.size), dtype=np.int64)
+def _linear_parts(c: list[int], p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(g, dg): column j of g, with dg[j] its degree, the linear part
+    gcd(x^p - x, f) mod p = p[j] of the monic f = c / lead, at batched
+    primes p, in blocks of _BATCH_ROWS.  g has deg + 1 rows."""
+    g = np.empty((len(c), p.size), dtype=np.int64)
     dg = np.empty(p.size, dtype=np.int64)
     for lo in range(0, p.size, _BATCH_ROWS):
         q = p[lo : lo + _BATCH_ROWS]
         g[:, lo : lo + q.size], dg[lo : lo + q.size] = _linear_part(_monic(c, q), q)
-    return scalar, sel, g, dg
-
-
-def _batch_mask(c: list[int], primes: np.ndarray) -> np.ndarray:
-    """The mask of the primes solved in one batch: 43 < p < 2^26, p not
-    dividing the leading coefficient, degree <= 1024."""
-    batch = (primes > _SCALAR_MAX_P) & (primes < _BATCH_P_LIMIT) & (len(c) - 1 <= _BATCH_MAX_DEG)
-    return batch & (_residues(c[-1], primes) != 0)
+    return g, dg
 
 
 def _monic(c: list[int], p: np.ndarray) -> np.ndarray:
@@ -533,9 +520,12 @@ def _split_linear(g: np.ndarray, dg: np.ndarray, p: np.ndarray) -> np.ndarray:
 # Value profile sieves
 
 
-# values per block of the streamed univariate profile; every temporary of a
-# block stays below 128 KB, so under a malloc mmap threshold of that size the
-# blocks reuse heap memory instead of faulting in fresh pages each time
+# values per block of the streamed univariate profile.  The arrays with one
+# entry per value of a block (32 KB each) stay below 128 KB, so under a malloc
+# mmap threshold of that size they reuse heap memory instead of faulting in
+# fresh pages each time.  The bound does not cover the arrays with one entry
+# per class: each class's first hit and _hits' cnt, skip and start grow with
+# pi(B), to 154 KB each at census --poly 'x^2 + 1' --N 1e8 (B = 215444)
 _VALUE_BLOCK = 1 << 12
 
 
@@ -575,12 +565,11 @@ def value_power_blocks(coeffs, n: int, b: int, m: int):
 
     b = power_bound(coeffs, n, b, m)
     primes, cps, cp, roots = _profile_setup(coeffs, b, n, 1)
-    cr = np.where(roots == 0, cp, roots)  # x = 0 lies outside 1..N: r = 0 is r = p
     cprod = math.prod(cps.tolist())
     first, step, prime = localdens.power_classes(IntPoly(tuple(coeffs)), m, n, primes, cp, roots)
     for lo, vals in _abs_values(coeffs, n):
         if m == 2:  # before the cells: the hits mod p are freed first
-            vals //= _prime_product(vals, *_hits((cr - lo) % cp, cp, vals.size))[2]
+            vals //= _prime_product(vals, *_hits((roots - lo) % cp, cp, vals.size))[2]
             if cprod > 1:
                 vals //= cprod
         cells, ps = _hits((first - lo) % step, step, vals.size, prime=prime)
@@ -689,13 +678,10 @@ def form_values(coeffs, xs: np.ndarray, zs: np.ndarray) -> np.ndarray:
 
 
 def _primitive(coeffs) -> tuple[list[int], int]:
-    coeffs = [int(a) for a in coeffs]
-    cont = 0
-    for a in coeffs:
-        cont = math.gcd(cont, a)
+    cont = IntPoly(tuple(coeffs)).content()
     if cont == 0:
         raise ValueError("zero polynomial")
-    return [a // cont for a in coeffs], cont
+    return [int(a) // cont for a in coeffs], cont
 
 
 def _value_bound(coeffs, xmax: int, zmax: int) -> int:

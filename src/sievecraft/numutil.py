@@ -168,9 +168,7 @@ def mobius_segment(xs: np.ndarray) -> np.ndarray:
     further prime."""
     lo, w = int(xs[0]), xs.size
     primes = kernels.prime_sieve(math.isqrt(int(xs[-1])))
-    idx, hp = kernels._hits(-lo % primes, primes, w)
-    div = np.ones(w, dtype=np.int64)
-    np.multiply.at(div, idx, hp)
+    idx, _, div = kernels._prime_product(xs, *kernels._hits(-lo % primes, primes, w))
     # the parity of the number of distinct prime factors
     odd = (np.bincount(idx, minlength=w) + (xs > div)) % 2
     mu = (1 - 2 * odd).astype(np.int8)

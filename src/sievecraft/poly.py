@@ -101,10 +101,7 @@ class BinForm:
         return IntPoly(tuple(reversed(self.coeffs)))
 
     def content(self) -> int:
-        g = 0
-        for a in self.coeffs:
-            g = math.gcd(g, a)
-        return g
+        return self.on_x_chart().content()
 
     def __str__(self) -> str:
         d = self.degree

@@ -629,3 +629,23 @@ def test_root_counts_mod_primes_without_powmod():
         expect = [len(kernels.poly_roots_mod_p(coeffs, p)) for p in ps]
         with mock.patch.object(modp, "powmod", side_effect=AssertionError("x^p mod f was taken")):
             assert kernels.root_counts_mod_primes(coeffs, ps).tolist() == expect, coeffs
+
+
+def test_routes_partition_the_primes():
+    # _routes sends each prime one way: off the batch, to the binomial rule or
+    # to the other batch; only a constant's batched primes take none, as a
+    # constant has no roots.  x^5 - x + 1 and the two cubics are no binomials
+    primes = kernels.prime_sieve(2 * 10**4).tolist() + [67108859, 67108879]
+    for coeffs in _DISC_POLYS + _BINOMIALS + [[1, -1, 0, 0, 0, 1], [7]]:
+        c, ps, scalar, rule, sel = kernels._routes(coeffs, primes)
+        assert c == list(IntPoly(tuple(coeffs)).coeffs) and ps.tolist() == primes
+        off = [i for i, p in enumerate(primes) if p <= 43 or p >= 2**26 or c[-1] % p == 0]
+        assert scalar.tolist() == off, coeffs
+        ruled = [] if rule is None else rule[0].tolist()
+        assert (rule is None) == (coeffs in ([5, 3, 0, 2], [1, -3, 0, 1], [1, -1, 0, 0, 0, 1], [7])), coeffs
+        if rule is not None:
+            assert rule[1].tolist() == [primes[i] for i in ruled]
+        routes = [set(off), set(ruled), set(sel.tolist())]
+        assert len(set().union(*routes)) == sum(map(len, routes)), coeffs  # disjoint
+        rest = set(range(len(primes))) - set().union(*routes)
+        assert rest == (set() if len(c) > 1 else set(range(len(primes))) - set(off)), coeffs

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from sievecraft.poly import (
     BinForm,
@@ -103,3 +104,21 @@ def test_factor_rational_roundtrip():
                 prod = prod * f
         assert prod.coeffs == p.coeffs
         done += 1
+
+
+_COEFFS = st.lists(st.one_of(st.integers(-30, 30), st.integers(-(10**30), 10**30)), min_size=1, max_size=8)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_COEFFS, st.integers(1, 12), st.sampled_from(["", "first", "last", "both"]))
+def test_binform_content_is_intpoly_content(coeffs, scale, zero):
+    # the form censuses read their content primes from BinForm.content
+    c = [a * scale for a in coeffs]
+    if zero in ("first", "both"):
+        c[0] = 0
+    if zero in ("last", "both"):
+        c[-1] = 0
+    assume(any(c))
+    got = BinForm(tuple(c)).content()
+    assert got == IntPoly(tuple(c)).content() == IntPoly(tuple(c[::-1])).content()
+    assert got > 0 and all(a % got == 0 for a in c)
