@@ -78,16 +78,16 @@ def count_powerfree_values(P: IntPoly, n: int, m: int = 2) -> CensusReport:
     if n < 1 or m < 2:
         raise ValueError("need N >= 1 and m >= 2")
     b = kernels.power_bound(P.coeffs, n, kernels.trial_bound(P.coeffs, n), m)
-    observed, zeros = _count_values(P.coeffs, n, m, b)
+    counts = _count_values(P.coeffs, n, m, b)
     est = eulerprod.density_univ(P, 10**4, m)
-    return CensusReport(
-        params={"poly": str(P), "N": n, "m": m, "B": b},
-        observed=observed,
-        main_lo=eulerprod.float_down(n * Fraction(est.lower)),
-        main_hi=eulerprod.float_up(n * Fraction(est.upper)),
-        zeros=zeros,
-        method="profile-sieve",
-    )
+    return _report({"poly": str(P), "N": n, "m": m, "B": b}, counts, n, est, "profile-sieve")
+
+
+def _report(params: dict, counts: tuple[int, int], scale: int, est, method: str) -> CensusReport:
+    """The report of a census with (observed, zeros) = counts and the main
+    term scale * [est.lower, est.upper], rounded outward to floats."""
+    lo, hi = (scale * Fraction(e) for e in (est.lower, est.upper))
+    return CensusReport(params, counts[0], eulerprod.float_down(lo), eulerprod.float_up(hi), counts[1], method)
 
 
 def _count_values(coeffs, n: int, m: int, b: int) -> tuple[int, int]:
@@ -127,17 +127,11 @@ def count_squarefree_form(
     if convention not in ("full-box", "positive-quadrant"):
         raise ValueError("unknown convention")
     lo = 1 if convention == "positive-quadrant" else -n
-    observed, zeros = _count_pairs(F, lo, n, coprime, sector)
+    counts = _count_pairs(F, lo, n, coprime, sector)
     est = eulerprod.density_form(F, 10**3, coprime=coprime)
     scale = n * n if convention == "positive-quadrant" else 4 * n * n
-    return CensusReport(
-        params={"form": str(F), "N": n, "convention": convention, "coprime": coprime},
-        observed=observed,
-        main_lo=eulerprod.float_down(scale * Fraction(est.lower)),
-        main_hi=eulerprod.float_up(scale * Fraction(est.upper)),
-        zeros=zeros,
-        method="row-scan",
-    )
+    params = {"form": str(F), "N": n, "convention": convention, "coprime": coprime}
+    return _report(params, counts, scale, est, "row-scan")
 
 
 def _count_pairs(F: BinForm, lo: int, n: int, coprime: bool, sector) -> tuple[int, int]:
@@ -242,8 +236,10 @@ def delta_census_form(
     """Coprime pairs in [-N,N]^2 whose value has p^2 | F for some prime
     p > threshold (default N); returns (count, per-prime profile).
     Asserts the per-prime bound 12*deg F when threshold >= N at the primes
-    not dividing the content of F (modulo the others F vanishes, and p^2
-    may divide every value)."""
+    not dividing eulerprod.chart_data(F): modulo a content prime F vanishes,
+    and p^2 may divide every value; modulo a prime of a chart's discriminant
+    F may have a double root, and p^2 | F on a whole line mod p (13^2 divides
+    (5x + 2z)(x + 3z) wherever 13 | x + 3z)."""
     require_squarefree(F)
     threshold = n if threshold is None else threshold
     profile: dict[int, int] = {}
@@ -262,7 +258,7 @@ def delta_census_form(
                 profile[p] = profile.get(p, 0) + c
     if threshold >= n:
         for p, c in profile.items():
-            if c > 12 * F.degree and F.content() % p:
+            if c > 12 * F.degree and eulerprod.chart_data(F) % p:
                 raise AssertionError(f"per-prime bound violated at p={p}: {c}")
     return count, profile
 

@@ -181,15 +181,20 @@ def density_univ(P: IntPoly, B: int, m: int = 2) -> EulerEstimate:
     return _estimate(primes, ell, m, B, status, tail_lo)
 
 
-def _chart_primes(F: BinForm) -> list[int]:
-    """Primes dividing the content of F or the leading coefficient or the
-    discriminant of either chart F(x, 1), F(1, z).  At every other prime
-    both charts have only simple roots mod p, so the coprime pair count
-    mod p^2 is (#roots of F(x, 1) mod p + [z | F]) * (p^2 - p)."""
+def chart_data(F: BinForm) -> int:
+    """The content of F times the leading coefficient and the discriminant
+    of either chart F(x, 1), F(1, z).  At every prime not dividing it both
+    charts have only simple roots mod p, so the coprime pair count mod p^2
+    is (#roots of F(x, 1) mod p + [z | F]) * (p^2 - p)."""
     d = max(F.content(), 1)
     for chart in (F.on_x_chart(), F.on_z_chart()):
         d *= chart.lead * (discriminant(chart) if chart.degree >= 1 else 1)
-    return _prime_factors(d, "form discriminant data")
+    return d
+
+
+def _chart_primes(F: BinForm) -> list[int]:
+    """The primes of chart_data(F)."""
+    return _prime_factors(chart_data(F), "form discriminant data")
 
 
 def density_form(F: BinForm, B: int, coprime: bool = False) -> EulerEstimate:

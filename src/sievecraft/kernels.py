@@ -127,14 +127,6 @@ def _psub(a: list[int], b: list[int], p: int) -> list[int]:
     return _ptrim(out)
 
 
-def _peval(c: list[int], x: int, m: int) -> int:
-    """c(x) mod m."""
-    acc = 0
-    for a in reversed(c):
-        acc = (acc * x + a) % m
-    return acc
-
-
 def _extract_roots(s: list[int], p: int, out: list[int]) -> None:
     """Roots of s, a product of distinct monic linear factors mod p."""
     deg = len(s) - 1
@@ -166,8 +158,9 @@ def poly_roots_mod_p(coeffs, p: int) -> list[int]:
         raise ValueError("polynomial vanishes identically mod p")
     if len(c) == 1:
         return []
-    if p <= 43:
-        return [x for x in range(p) if _peval(c, x, p) == 0]
+    if p <= _SCALAR_MAX_P:
+        f = IntPoly(tuple(c))
+        return [x for x in range(p) if f(x) % p == 0]
     # gcd(x^p - x, c): the product of x - r over the distinct roots r
     lin = _pgcd(_psub(_ppowmod([0, 1], p, c, p), [0, 1], p), c, p)
     roots: list[int] = []
@@ -231,9 +224,15 @@ def _radical_mod_p(f: list[int], p: int) -> list[int]:
 _SCALAR_MAX_P = 43  # poly_roots_mod_p scans all residues up to here
 _BATCH_P_LIMIT = 1 << 26
 _BATCH_MAX_DEG = 1024
-# primes per block of the x^p and gcd stage, and factors per chunk of the
-# split: their temporary arrays hold at most 2048 * (deg + 1) int64, so the
-# batch adds little to a run's peak memory
+# primes per block of the x^p and gcd stage (_linear_parts,
+# _discriminant_counts), and factors per chunk of _split_linear's
+# Cantor-Zassenhaus step: the temporaries of one block hold at most 2048 *
+# (deg + 1) int64.  The block does not bound the arrays with an entry or a
+# column for every batched prime, which grow with pi(B): _linear_parts's g,
+# _split_linear's pending factors and root table, and every array of
+# _power_residues and _binomial_roots.  Under tracemalloc roots_mod_primes(x^3
+# + 2) peaks at 15.5 MB over p <= 10^6 and 130 MB over p <= 10^7, and its
+# root_counts_mod_primes at 62 MB over p <= 10^7
 _BATCH_ROWS = 1024
 _NO_ROOT = np.iinfo(np.int64).max
 # round j of the split tries the shift a = j * _SHIFT_STEP + 1 mod p: a prime

@@ -104,27 +104,13 @@ class BinForm:
         return self.on_x_chart().content()
 
     def __str__(self) -> str:
-        d = self.degree
-        parts = []
-        for i in range(d, -1, -1):
-            a = self.coeffs[i]
-            if a == 0:
-                continue
-            mono = _monomial(a, [("x", i), ("z", d - i)])
-            parts.append(mono)
-        return _join_signed(parts)
+        return format_poly(self.coeffs, "x", "z")
 
 
 def _monomial(a: int, vars_: list[tuple[str, int]]) -> str:
-    factors = []
-    for v, e in vars_:
-        if e == 1:
-            factors.append(v)
-        elif e > 1:
-            factors.append(f"{v}^{e}")
-    if not factors:
+    body = "*".join(v if e == 1 else f"{v}^{e}" for v, e in vars_ if e)
+    if not body:
         return str(a)
-    body = "*".join(factors)
     if a == 1:
         return body
     if a == -1:
@@ -132,26 +118,16 @@ def _monomial(a: int, vars_: list[tuple[str, int]]) -> str:
     return f"{a}*{body}"
 
 
-def _join_signed(parts: list[str]) -> str:
+def format_poly(coeffs, var: str, var2: str | None = None) -> str:
+    """sum coeffs[i] var^i as text, highest power first; given var2, the
+    form sum coeffs[i] var^i var2^(d-i) of degree d = len(coeffs) - 1."""
+    d = len(coeffs) - 1
+    parts = [
+        _monomial(coeffs[i], [(var, i), (var2, d - i if var2 else 0)]) for i in range(d, -1, -1) if coeffs[i]
+    ]
     if not parts:
         return "0"
-    out = parts[0]
-    for p in parts[1:]:
-        if p.startswith("-"):
-            out += " - " + p[1:]
-        else:
-            out += " + " + p
-    return out
-
-
-def format_poly(coeffs, var: str) -> str:
-    parts = []
-    for i in range(len(coeffs) - 1, -1, -1):
-        a = coeffs[i]
-        if a == 0:
-            continue
-        parts.append(_monomial(a, [(var, i)]))
-    return _join_signed(parts)
+    return parts[0] + "".join(f" - {m[1:]}" if m[0] == "-" else f" + {m}" for m in parts[1:])
 
 
 # ---------------------------------------------------------------------------
@@ -392,7 +368,7 @@ def _divisors(n: int) -> list[int]:
     return sorted(out)
 
 
-def _interpolate(points: list[tuple[int, int]]) -> list[Fraction] | None:
+def _interpolate(points: list[tuple[int, int]]) -> list[Fraction]:
     """Lagrange interpolation; returns coefficient list (low to high)."""
     n = len(points)
     coeffs = [Fraction(0)] * n
@@ -437,7 +413,7 @@ def _kronecker_factor(p: IntPoly) -> IntPoly | None:
                 div_lists.append([d for dd in ds for d in (dd, -dd)])
         for combo in itertools.product(*div_lists):
             coeffs = _interpolate([(x, y) for (x, _), y in zip(use, combo)])
-            if coeffs is None or any(c.denominator != 1 for c in coeffs):
+            if any(c.denominator != 1 for c in coeffs):
                 continue
             cand = IntPoly(tuple(int(c) for c in coeffs))
             if cand.is_zero or cand.degree != g:
@@ -457,10 +433,8 @@ def factor_rational(p: IntPoly) -> tuple[int, int, list[tuple[IntPoly, int]]]:
         raise ValueError("degree > 8 unsupported (Kronecker method)")
     content = p.content()
     sign = 1 if p.lead > 0 else -1
-    work = p.primitive()
     factors: dict[tuple[int, ...], int] = {}
-
-    stack = [work]
+    stack = [p.primitive()]
     while stack:
         q = stack.pop()
         if q.degree == 0:
@@ -474,14 +448,5 @@ def factor_rational(p: IntPoly) -> tuple[int, int, list[tuple[IntPoly, int]]]:
             cof = _divide_exact(q, f)
             assert cof is not None
             stack.append(cof)
-    out = [(IntPoly(c), m) for c, m in sorted(factors.items(), key=lambda t: (len(t[0]), t[0]))]
-    # fold factor signs into the global sign
-    folded = []
-    for f, m in out:
-        if f.lead < 0:
-            if m % 2:
-                sign = -sign
-            f = IntPoly(tuple(-a for a in f.coeffs))
-        folded.append((f, m))
-    return sign, content, folded
-
+    out = sorted(factors.items(), key=lambda t: (len(t[0]), t[0]))
+    return sign, content, [(IntPoly(c), m) for c, m in out]

@@ -24,6 +24,19 @@ def _submasks(d: int):
         sub = (sub - 1) & d
 
 
+def _pairs(S: "SoilSpec", M: int):
+    """Every pair (d, d' subset of d) with h(d) <= M, in one fixed order."""
+    for d in S.subsets_up_to(M):
+        for sub in _submasks(d):
+            yield d, sub
+
+
+def _band(S: "SoilSpec", M: int) -> tuple[list[int], int]:
+    """(the d with M < h(d) <= M^2, the sum of S_{p} over h({p}) > M^2)."""
+    mid = [d for d in S.subsets_up_to(M * M) if S.h(d) > M]
+    return mid, sum(S.S(1 << i) for i, w in enumerate(S.weights) if w > M * M)
+
+
 class SoilSpec:
     """A finite soil: labelled primes with weights h({p}) >= 2, a finite
     ground set A, a map r: a -> subset of P, and a bounded weight
@@ -136,9 +149,8 @@ class SoilSpec:
         if M < 1:
             raise ValueError("M must be >= 1")
         total: complex = 0
-        for d in self.subsets_up_to(M):
-            for sub in _submasks(d):
-                total += mu((d ^ sub).bit_count()) * self.A_sum(d, sub)
+        for d, sub in _pairs(self, M):
+            total += mu((d ^ sub).bit_count()) * self.A_sum(d, sub)
         return total
 
     def ridd_bound(self, M: int) -> float:
@@ -149,14 +161,8 @@ class SoilSpec:
         extra factor of 2 on the h({p}) > M^2 sum)."""
         if M < 1:
             raise ValueError("M must be >= 1")
-        mid = 0
-        for d in self.subsets_up_to(M * M):
-            if self.h(d) > M:
-                mid += (3 ** d.bit_count() + 3) * self.S(d)
-        big = sum(
-            self.S(1 << i) for i, w in enumerate(self.weights) if w > M * M
-        )
-        return (mid + big) * self.max_abs_f()
+        mid, big = _band(self, M)
+        return (sum((3 ** d.bit_count() + 3) * self.S(d) for d in mid) + big) * self.max_abs_f()
 
 
 @dataclass
@@ -195,28 +201,22 @@ def yugo_bound(S: SoilSpec, c: SieveBoundConstants, M: int) -> float:
         c.C4 * _sum_base_over_h(S, 2.0, M)
         + c.C3 * c.C0 * (_sum_base_over_h(S, 3.0 * c.C1, M) + 3 * _sum_base_over_h(S, c.C1, M))
     )
+    mid, big = _band(S, M)
     t2 = 0.0
-    for d in S.subsets_up_to(M * M):
-        if S.h(d) > M:
-            t2 += c.C0 * c.C2 ** d.bit_count() * (3 ** d.bit_count() + 3)
+    for d in mid:
+        t2 += c.C0 * c.C2 ** d.bit_count() * (3 ** d.bit_count() + 3)
     t2 *= c.C3
     t3 = 0.0
-    for d in S.subsets_up_to(M):
-        for sub in _submasks(d):
-            t3 += abs(c.resid(d, sub))
-    t4 = c.C3 * sum(
-        S.S(1 << i) for i, w in enumerate(S.weights) if w > M * M
-    )
-    return t1 + t2 + t3 + t4
+    for d, sub in _pairs(S, M):
+        t3 += abs(c.resid(d, sub))
+    return t1 + t2 + t3 + c.C3 * big
 
 
 def main_term(S: SoilSpec, c: SieveBoundConstants, M: int) -> complex:
     """X sum_{h(d)<=M} sum_{d' subset d} mu(d-d') g(d,d')/h(d)."""
     total: complex = 0
-    for d in S.subsets_up_to(M):
-        hd = S.h(d)
-        for sub in _submasks(d):
-            total += mu((d ^ sub).bit_count()) * c.g(d, sub) / hd
+    for d, sub in _pairs(S, M):
+        total += mu((d ^ sub).bit_count()) * c.g(d, sub) / S.h(d)
     return c.X * total
 
 
@@ -232,15 +232,14 @@ def verify_assumptions(S: SoilSpec, c: SieveBoundConstants, tol: float = 1e-9) -
         k = d.bit_count()
         if S.S(d) > c.C0 * c.X * c.C1**k / S.h(d) + c.C0 * c.C2**k + tol:
             return False
-    for d1 in S.subsets_up_to(c.M0):
-        for sub in _submasks(d1):
-            gv = c.g(d1, sub)
-            if abs(gv) > c.C4 + tol:
-                return False
-            lhs = S.A_sum(d1, sub)
-            rhs = c.X * gv / S.h(d1) + c.resid(d1, sub)
-            if abs(lhs - rhs) > tol * max(1.0, abs(lhs)):
-                return False
+    for d1, sub in _pairs(S, c.M0):
+        gv = c.g(d1, sub)
+        if abs(gv) > c.C4 + tol:
+            return False
+        lhs = S.A_sum(d1, sub)
+        rhs = c.X * gv / S.h(d1) + c.resid(d1, sub)
+        if abs(lhs - rhs) > tol * max(1.0, abs(lhs)):
+            return False
     return True
 
 

@@ -534,6 +534,7 @@ _SECTORS = [
 @example(parse("3*x^4 + 5*x*z^3 - 2*z^4", kind="form"), 2, "full-box", True, _SECTORS[3])
 @example(parse("x^3 + 2*z^3", kind="form"), 3, "full-box", False, _SECTORS[4])
 @example(parse("x^4 - x^2*z^2 + 4*z^4", kind="form"), 0, "full-box", True, None)
+@example(BinForm((6, 17, 5)), 11, "full-box", False, None)
 def test_form_censuses_vs_pair_loops(F, n, convention, coprime, sector):
     lo = 1 if convention == "positive-quadrant" else -n
     assert census._count_pairs(F, lo, n, coprime, sector) == count_squarefree_form_alt(
@@ -629,6 +630,14 @@ def test_delta_census_form_content_prime_above_threshold():
     # beyond 12 deg F: the per-prime bound does not hold at content primes
     F = BinForm((36, 0))
     assert census.delta_census_form(F, 2, 2) == delta_census_form_alt(F, 2, 2) == (14, {3: 14})
+
+
+def test_delta_census_form_discriminant_prime_above_threshold():
+    # 5x^2 + 17xz + 6z^2 = (5x + 2z)(x + 3z) has discriminant 13^2: both
+    # factors vanish mod 13 on x = -3z, so 13^2 divides the value at all 26
+    # coprime pairs of [-11, 11]^2 on that line, beyond 12 deg F
+    F = BinForm((6, 17, 5))
+    assert census.delta_census_form(F, 11) == delta_census_form_alt(F, 11) == (26, {13: 26})
 
 
 def test_poly_content_prime_beyond_trial_bound():

@@ -122,3 +122,59 @@ def test_binform_content_is_intpoly_content(coeffs, scale, zero):
     got = BinForm(tuple(c)).content()
     assert got == IntPoly(tuple(c)).content() == IntPoly(tuple(c[::-1])).content()
     assert got > 0 and all(a % got == 0 for a in c)
+
+
+_FORM_COEFFS = st.lists(st.one_of(st.sampled_from([-1, 0, 1]), st.integers(-9, 9)), min_size=2, max_size=7)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_FORM_COEFFS, st.sampled_from(["", "first", "last", "both"]))
+def test_form_format_roundtrip(coeffs, zero):
+    # every form census prints its form with str(F)
+    if zero in ("first", "both"):
+        coeffs[0] = 0
+    if zero in ("last", "both"):
+        coeffs[-1] = 0
+    assume(any(coeffs))
+    F = BinForm(tuple(coeffs))
+    assert parse(str(F), kind="form") == F
+    assert format_poly(F.coeffs, "x", "z") == str(F)
+
+
+def test_form_format_frozen():
+    for text, printed in [
+        ("x^3 + 2*z^3", "x^3 + 2*z^3"),
+        ("-x^2*z + x*z^2", "-x^2*z + x*z^2"),
+        ("2*x + 3*z", "2*x + 3*z"),
+        ("x*z", "x*z"),
+        ("z^3 - x^3", "-x^3 + z^3"),
+        ("x^4 - 3*x^2*z^2 + 0*z^4 - z^4", "x^4 - 3*x^2*z^2 - z^4"),
+    ]:
+        assert str(parse(text, kind="form")) == printed, text
+
+
+# a factor: low-to-high coefficients, a scale (a negative lead, content > 1)
+# and a multiplicity
+_FACTOR = st.tuples(
+    st.lists(st.integers(-5, 5), min_size=2, max_size=3).filter(lambda c: c[-1] != 0),
+    st.sampled_from([-3, -2, -1, 1, 2, 3]),
+    st.integers(1, 2),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(_FACTOR, min_size=1, max_size=3))
+def test_factor_rational_rebuilds_product(parts):
+    p = IntPoly((1,))
+    for coeffs, scale, m in parts:
+        for _ in range(m):
+            p = p * IntPoly(tuple(scale * a for a in coeffs))
+    assume(p.degree <= 8)
+    sign, content, factors = factor_rational(p)
+    assert sign == (1 if p.lead > 0 else -1) and content == p.content()
+    prod = IntPoly((sign * content,))
+    for f, m in factors:
+        assert f.degree >= 1 and f.lead > 0 and f.content() == 1
+        for _ in range(m):
+            prod = prod * f
+    assert prod == p
